@@ -11,7 +11,6 @@ from .closed_loop import (
     Scenario,
     ScenarioResult,
     builtin_scenario,
-    distance_to_reference,
     dr_series,
     rcso,
     run_control_loop,
@@ -22,14 +21,12 @@ from .diagnostics import (
     ContractionEstimate,
     PerturbationReport,
     contraction_fit,
-    fd_jacobian,
     sqp_equivalence_max_deviation,
     trace_for_contraction,
     verify_fixpoint_perturbation,
 )
 from .errors import ConfigError, QlmpcError, SolverError
 from .models import (
-    ExactExtension,
     LpvModel,
     ModelDims,
     builtin_adip,
@@ -57,9 +54,9 @@ from .stacked import (
     constraint_matrix,
     cost_perturbation,
     coupling_correction,
+    fd_jacobian,
     fonc_jacobian,
     fonc_residual,
-    frozen_constraint_matrix,
     kkt_matrix,
     linearized_constraint,
     true_fonc_residual,
@@ -71,7 +68,6 @@ __all__ = [
     "ConfigError",
     "CondensedQp",
     "ContractionEstimate",
-    "ExactExtension",
     "IterateTrace",
     "KktPoint",
     "LpvModel",
@@ -94,7 +90,6 @@ __all__ = [
     "contraction_fit",
     "cost_perturbation",
     "coupling_correction",
-    "distance_to_reference",
     "dr_series",
     "euler_discretize",
     "eval_dynamics",
@@ -103,7 +98,6 @@ __all__ = [
     "fd_jacobian",
     "fonc_jacobian",
     "fonc_residual",
-    "frozen_constraint_matrix",
     "get_model",
     "initial_guess",
     "kkt_matrix",

@@ -159,10 +159,7 @@ def make_scenario(cfg: RunConfig) -> Scenario:
         stop_tol=cfg.tol if cfg.tol is not None else 1e-6,
         max_iter=cfg.max_iter if cfg.max_iter is not None else 30,
     )
-    try:
-        get_model(model_id)
-    except ConfigError:
-        raise
+    get_model(model_id)  # rejects an unknown model id with ConfigError
     try:
         return Scenario(name=str(name), model_id=model_id, x0=x0, steps=steps,
                         horizon=horizon, weights=weights, controller=opts)

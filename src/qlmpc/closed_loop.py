@@ -67,14 +67,6 @@ class ScenarioResult:
     note: Optional[str] = None
 
 
-def distance_to_reference(states, inputs, Q, R, k: int) -> float:
-    """Cumulative weighted cost sum_{i<=k} x_i' Q x_i + u_i' R u_i."""
-    series = dr_series(states, inputs, Q, R)
-    if not 0 <= k < series.size:
-        raise ValueError(f"step index {k} out of range for {series.size} steps")
-    return float(series[k])
-
-
 def dr_series(states, inputs, Q, R) -> Array:
     """Cumulative stage costs; ``inputs`` has one row per applied step."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))

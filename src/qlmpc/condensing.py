@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
-from .stacked import StackedProblem
+from .stacked import StackedProblem, StageData, frozen_stages, stage_stationarity
 
 Array = np.ndarray
 
@@ -36,55 +36,39 @@ class CondensedQp:
     n_horizon: int
 
 
-def _stage_data(prob: StackedProblem, constraint):
-    """Per-stage (A_k, B_k, w_k) from either constraint representation.
+def condense(prob: StackedProblem, stages, x0hat) -> CondensedQp:
+    """Eliminate the states and build the input-space quadratic.
 
-    ``constraint`` is a parameter trajectory of length N, or a pair
-    ``(matrix, offset)`` holding a constraint matrix with the standard
-    block layout plus a constant offset vector (the exact variant's
-    disturbance term).
+    ``stages`` is the StageData of the frozen QP, or a parameter
+    trajectory of length N, which freezes ``(A(rho_k), B(rho_k))`` with
+    no offset.
     """
-    n = prob.n_horizon
-    if isinstance(constraint, tuple):
-        g_mat, offset = constraint
-        g_mat = np.asarray(g_mat, dtype=float)
-        offset = np.asarray(offset, dtype=float).ravel()
-        if g_mat.shape != (prob.n_eq, prob.n_y):
-            raise ValueError(f"constraint matrix must be {prob.n_eq}x{prob.n_y}, got {g_mat.shape}")
-        if offset.shape != (prob.n_eq,):
-            raise ValueError(f"constraint offset must have length {prob.n_eq}, got {offset.shape}")
-        a_seq = [-g_mat[prob.x_slice(k + 1), prob.x_slice(k)] for k in range(n)]
-        b_seq = [-g_mat[prob.x_slice(k + 1), prob.u_slice(k)] for k in range(n)]
-        w_seq = [-offset[prob.x_slice(k + 1)] for k in range(n)]
-    else:
-        rho_traj = np.asarray(constraint, dtype=float).reshape(n, prob.model.dims.n_rho)
-        a_seq = [prob.model.a_of_rho(rho_traj[k]) for k in range(n)]
-        b_seq = [prob.model.b_of_rho(rho_traj[k]) for k in range(n)]
-        w_seq = [np.zeros(prob.n_x) for _ in range(n)]
-    return a_seq, b_seq, w_seq
-
-
-def condense(prob: StackedProblem, constraint, x0hat) -> CondensedQp:
-    """Eliminate the states and build the input-space quadratic."""
     x0 = prob.check_x0(x0hat)
     n_x, n_u, n = prob.n_x, prob.n_u, prob.n_horizon
-    a_seq, b_seq, w_seq = _stage_data(prob, constraint)
+    if not isinstance(stages, StageData):
+        rho_traj = np.asarray(stages, dtype=float).reshape(n, prob.model.dims.n_rho)
+        stages = frozen_stages(prob.model, rho_traj)
+    a, b, w = stages.a, stages.b, stages.w
 
     n_states = (n + 1) * n_x
     phi = np.zeros((n_states, n_x))
     gamma = np.zeros((n_states, n * n_u))
     psi = np.zeros(n_states)
-    phi[:n_x, :] = np.eye(n_x)
+    # per-stage views of the stacked state rows
+    phi_k = phi.reshape(n + 1, n_x, n_x)
+    gamma_k = gamma.reshape(n + 1, n_x, n * n_u)
+    psi_k = psi.reshape(n + 1, n_x)
+    phi_k[0] = np.eye(n_x)
     # diverged iterates can overflow the rollout products; the solve
     # rejects the resulting non-finite QP, so do not warn here
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            rows = prob.x_slice(k + 1)
-            prev = prob.x_slice(k)
-            phi[rows] = a_seq[k] @ phi[prev]
-            gamma[rows] = a_seq[k] @ gamma[prev]
-            gamma[rows, k * n_u:(k + 1) * n_u] += b_seq[k]
-            psi[rows] = a_seq[k] @ psi[prev] + w_seq[k]
+            cols = k * n_u
+            phi_k[k + 1] = a[k] @ phi_k[k]
+            # inputs from stage k on do not reach x_k
+            gamma_k[k + 1, :, :cols] = a[k] @ gamma_k[k, :, :cols]
+            gamma_k[k + 1, :, cols:cols + n_u] = b[k]
+            psi_k[k + 1] = a[k] @ psi_k[k] + w[k]
 
         wx = prob.weight_matrix[:n_states, :n_states]
         wu = prob.weight_matrix[n_states:, n_states:]
@@ -151,3 +135,62 @@ def recover_multipliers(prob: StackedProblem, g_used, y) -> Array:
             smallest_singular_value=smallest,
         )
     return lam
+
+
+def _normal_band(stages: StageData) -> Array:
+    """G G' in LAPACK lower band storage.
+
+    G G' is block tridiagonal: diagonal blocks I (initial condition) and
+    I + A_k A_k' + B_k B_k', sub-diagonal blocks -A_k, so its lower
+    bandwidth is 2 n_x - 1.  Entry ``[d, j]`` holds ``(G G')[j + d, j]``.
+    """
+    a, b = stages.a, stages.b
+    n, n_x = a.shape[:2]
+    # block column k of G G' from its diagonal down, zero padded
+    block_cols = np.zeros((n + 1, 3 * n_x, n_x))
+    block_cols[:, :n_x] = np.eye(n_x)
+    block_cols[1:, :n_x] += a @ a.transpose(0, 2, 1) + b @ b.transpose(0, 2, 1)
+    block_cols[:-1, n_x:2 * n_x] = -a
+    diag = np.arange(2 * n_x)[:, None]
+    col = np.arange(n_x)[None, :]
+    band = block_cols[:, diag + col, col]
+    return band.transpose(1, 0, 2).reshape(2 * n_x, (n + 1) * n_x)
+
+
+def stage_multipliers(prob: StackedProblem, stages: StageData, y) -> Array:
+    """Least-squares multipliers of the QP frozen in ``stages``, stage by stage.
+
+    Same value as ``recover_multipliers`` on the assembled G, i.e.
+    ``argmin |G' lam + 2 W y|``.  The adjoint recursion
+    ``lam_N = -2 P x_N``, ``lam_k = A_k' lam_{k+1} - 2 Q x_k`` zeroes
+    the state rows of the stationarity and is exact at a QP optimum.
+    Alone it would leave all of the condensed solve's rounding error in
+    the input rows, so least-squares corrections
+    ``d = argmin |G' d + s|`` of its stationarity residual s follow,
+    from the banded normal equations ``G G' d = -G s``.  The normal
+    equations square the conditioning of G; a second correction removes
+    the error this leaves in the first, as d is small.
+    """
+    xs = prob.states(y)
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(stages.a))
+            and np.all(np.isfinite(stages.b))):
+        raise SolverError("multiplier recovery received non-finite data")
+    n = prob.n_horizon
+    lam = np.empty((n + 1, prob.n_x))
+    lam[n] = -2.0 * (prob.weights.P @ xs[n])
+    qx = 2.0 * (xs[:-1] @ prob.weights.Q)
+    for k in range(n - 1, -1, -1):
+        lam[k] = lam[k + 1] @ stages.a[k] - qx[k]
+
+    try:
+        factor = scipy.linalg.cholesky_banded(_normal_band(stages), lower=True,
+                                              check_finite=False)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        raise SolverError("constraint Gram matrix G G' is not numerically positive definite") from None
+    for _ in range(2):
+        s_x, s_u = stage_stationarity(prob, stages, y, lam)
+        g_s = s_x.copy()
+        g_s[1:] -= (stages.a @ s_x[:-1, :, None] + stages.b @ s_u[:, :, None])[:, :, 0]
+        d = scipy.linalg.cho_solve_banded((factor, True), -g_s.ravel(), check_finite=False)
+        lam += d.reshape(lam.shape)
+    return lam.ravel()

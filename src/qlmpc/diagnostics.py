@@ -1,10 +1,11 @@
 """Numerical verification tools for the iteration theory.
 
-Three independent checks live here: a finite-difference Jacobian oracle
-for the optimality residual map, the perturbed-fixpoint identity of the
-standard variant (its converged iterates are stationary points of a
-linearly perturbed cost), and an empirical contraction-rate fit for the
-error recursion  err[l+1] <= kappa err[l] + omega/2 err[l]^2.
+Three independent checks live here: the perturbed-fixpoint identity of
+the standard variant (its converged iterates are stationary points of a
+linearly perturbed cost), an empirical contraction-rate fit for the
+error recursion  err[l+1] <= kappa err[l] + omega/2 err[l]^2, and the
+agreement of exact-variant iterates with a dense Gauss-Newton SQP step.
+The finite-difference Jacobian oracle is ``stacked.fd_jacobian``.
 """
 
 from __future__ import annotations
@@ -32,22 +33,6 @@ from .stacked import (
 )
 
 Array = np.ndarray
-
-
-def fd_jacobian(f, z, step: float) -> Array:
-    """Central-difference Jacobian of a vector function at z."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    f0 = np.atleast_1d(np.asarray(f(z), dtype=float))
-    out = np.empty((f0.size, z.size))
-    for j in range(z.size):
-        zp = z.copy()
-        zm = z.copy()
-        zp[j] += step
-        zm[j] -= step
-        out[:, j] = (np.asarray(f(zp), dtype=float) - np.asarray(f(zm), dtype=float)) / (2.0 * step)
-    return out
 
 
 @dataclass(frozen=True)
@@ -223,7 +208,7 @@ def trace_for_contraction(prob: StackedProblem, x0hat, opts: SolverOptions,
     while len(entries) < min_points:
         z = qlmpc_iterate(prob, entries[-1].z, x0hat, opts.variant)
         res = stopping_residual(prob, z, x0hat, opts.variant)
-        entries.append(TraceEntry(z, res, 0.0, 0.0, 0.0))
+        entries.append(TraceEntry(z, res, 0.0, 0.0))
     return IterateTrace(entries, trace.converged)
 
 

@@ -6,6 +6,17 @@ the state and input, the system is only quasi linear; evaluating the
 matrices at a frozen parameter trajectory yields an ordinary linear
 time-varying model.  All builtin instances keep the origin as an
 unforced equilibrium.
+
+The exact solver variant freezes the linearization of the dynamics
+instead, ``x+ = J_x x + J_u u + w`` with ``w = f(xb, ub) - J [xb; ub]``
+at the previous iterate ``(xb, ub)``.  This is the paper's
+disturbance-augmented reading: a fictitious system
+``x+ = At(rt) x + Bt(rt) u + Bd(rt) d`` whose frozen matrices are the
+dynamics Jacobian, driven by a disturbance ``d`` computed from the
+previous iterate (for the unicycle ``rt = (v, phi)``, ``d = phi`` and
+``Bd = dt (v sin phi, -v cos phi, 0, 0, 0)'``); with ``d`` taken at the
+same point it reproduces the original dynamics exactly.  It is built
+from ``stage_jacobian`` alone, so models carry no separate extension.
 """
 
 from __future__ import annotations
@@ -38,26 +49,6 @@ class ModelDims:
 
 
 @dataclass(frozen=True)
-class ExactExtension:
-    """Disturbance-augmented model used by the exact solver variant.
-
-    Encodes the fictitious system ``x+ = At(rt) x + Bt(rt) u + Bd(rt) d``
-    whose frozen-parameter dynamics reproduce the linearization of the
-    quasi-LPV dynamics plus a correction carried by the disturbance
-    input ``d``, computed from the previous iterate's stage variables.
-    With ``d`` evaluated at the same point, the extension reproduces the
-    original dynamics exactly.
-    """
-
-    n_d: int
-    rho_tilde: Callable[[Array, Array], Array]
-    a_tilde: Callable[[Array], Array]
-    b_tilde: Callable[[Array], Array]
-    b_d_tilde: Callable[[Array], Array]
-    d_of_prev: Callable[[Array, Array], Array]
-
-
-@dataclass(frozen=True)
 class LpvModel:
     """Immutable quasi-LPV model; all evaluation maps are pure."""
 
@@ -67,7 +58,6 @@ class LpvModel:
     a_of_rho: Callable[[Array], Array]
     b_of_rho: Callable[[Array], Array]
     stage_jacobian: Callable[[Array, Array], Array]
-    exact_ext: Optional[ExactExtension] = None
     dt: Optional[float] = None
     note: Optional[str] = None
 
@@ -109,32 +99,6 @@ def euler_discretize(f: Callable[[Array, Array], Array], dt: float) -> Callable[
     return step
 
 
-def fd_stage_jacobian(dynamics: Callable[[Array, Array], Array], n_x: int, n_u: int) -> Callable[[Array, Array], Array]:
-    """Central-difference fallback for the per-stage dynamics Jacobian.
-
-    Differentiates ``(x, u) -> dynamics(x, u)`` jointly in (x, u) with a
-    per-component step 1e-6 * max(1, |component|).
-    """
-
-    def jac(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        w = np.concatenate([x, u])
-        out = np.empty((n_x, n_x + n_u))
-        for j in range(n_x + n_u):
-            h = 1e-6 * max(1.0, abs(w[j]))
-            wp = w.copy()
-            wm = w.copy()
-            wp[j] += h
-            wm[j] -= h
-            fp = dynamics(wp[:n_x], wp[n_x:])
-            fm = dynamics(wm[:n_x], wm[n_x:])
-            out[:, j] = (fp - fm) / (2.0 * h)
-        return out
-
-    return jac
-
-
 # ---------------------------------------------------------------------------
 # Dynamic unicycle: x = (s, q, v, phi, omega), u = (F, tau), rho = phi.
 
@@ -162,35 +126,10 @@ def builtin_unicycle(dt: float = 0.1) -> LpvModel:
     def b_of_rho(r):
         return b_mat
 
-    def rho_tilde(x, u):
-        return np.array([x[2], x[3]])
-
-    def a_tilde(rt):
-        v, phi = rt
-        a = a_base.copy()
-        a[0, 2] = dt * math.cos(phi)
-        a[1, 2] = dt * math.sin(phi)
-        a[0, 3] = -dt * v * math.sin(phi)
-        a[1, 3] = dt * v * math.cos(phi)
-        return a
-
-    def b_tilde(rt):
-        return b_mat
-
-    def b_d_tilde(rt):
-        v, phi = rt
-        col = np.zeros((5, 1))
-        col[0, 0] = dt * v * math.sin(phi)
-        col[1, 0] = -dt * v * math.cos(phi)
-        return col
-
-    def d_of_prev(x, u):
-        return np.array([x[3]])
-
     jac_base = np.hstack([a_base, b_mat])
 
     def stage_jacobian(x, u):
-        # d/d(x,u) of A(phi(x)) x + B u coincides with [a_tilde | B]
+        # d/d(x,u) of A(phi(x)) x + B u: A(phi) plus the heading column
         v, phi = x[2], x[3]
         jac = jac_base.copy()
         jac[0, 2] = dt * math.cos(phi)
@@ -199,14 +138,6 @@ def builtin_unicycle(dt: float = 0.1) -> LpvModel:
         jac[1, 3] = dt * v * math.cos(phi)
         return jac
 
-    ext = ExactExtension(
-        n_d=1,
-        rho_tilde=rho_tilde,
-        a_tilde=a_tilde,
-        b_tilde=b_tilde,
-        b_d_tilde=b_d_tilde,
-        d_of_prev=d_of_prev,
-    )
     return LpvModel(
         name="unicycle",
         dims=dims,
@@ -214,7 +145,6 @@ def builtin_unicycle(dt: float = 0.1) -> LpvModel:
         a_of_rho=a_of_rho,
         b_of_rho=b_of_rho,
         stage_jacobian=stage_jacobian,
-        exact_ext=ext,
         dt=dt,
     )
 
@@ -348,7 +278,6 @@ def builtin_adip(dt: float = 0.01, params: Optional[dict] = None) -> LpvModel:
         a_of_rho=a_of_rho,
         b_of_rho=b_of_rho,
         stage_jacobian=stage_jacobian,
-        exact_ext=None,
         dt=dt,
         note=ADIP_NOTE,
     )
@@ -372,14 +301,6 @@ def builtin_tiny(kind: str) -> LpvModel:
             stage_jacobian=lambda x, u: np.array([[1.0, 1.0]]),
         )
     if kind == "qlpv":
-        ext = ExactExtension(
-            n_d=1,
-            rho_tilde=lambda x, u: np.array([x[0]]),
-            a_tilde=lambda rt: np.array([[2.0 * rt[0]]]),
-            b_tilde=lambda rt: one,
-            b_d_tilde=lambda rt: np.array([[-rt[0]]]),
-            d_of_prev=lambda x, u: np.array([x[0]]),
-        )
         return LpvModel(
             name="tiny-qlpv",
             dims=dims,
@@ -387,7 +308,6 @@ def builtin_tiny(kind: str) -> LpvModel:
             a_of_rho=lambda r: np.array([[r[0]]]),
             b_of_rho=lambda r: one,
             stage_jacobian=lambda x, u: np.array([[2.0 * x[0], 1.0]]),
-            exact_ext=ext,
         )
     raise ConfigError(f"unknown tiny model kind {kind!r}, expected 'lti' or 'qlpv'")
 

@@ -4,13 +4,16 @@ Each iteration freezes data extracted from the previous solution and
 solves one equality-constrained QP through the condensed path:
 
 * standard: freeze the parameter trajectory rho(y[l]) and use the
-  frozen-parameter constraint matrix.  Fixpoints are feasible but
-  suboptimal for the original NLP; they optimize a linearly perturbed
-  cost instead.
-* exact: freeze the constraint Jacobian at y[l] and carry the coupling
-  correction as a constant disturbance offset.  One iterate equals a
-  Gauss-Newton SQP step, so fixpoints satisfy the true first-order
+  frozen-parameter stage matrices (A(rho_k), B(rho_k)).  Fixpoints are
+  feasible but suboptimal for the original NLP; they optimize a linearly
+  perturbed cost instead.
+* exact: freeze the stage Jacobians at y[l] and carry the coupling
+  correction as a constant disturbance offset w_k.  One iterate equals
+  a Gauss-Newton SQP step, so fixpoints satisfy the true first-order
   conditions.
+
+The QP data, residual and multipliers are all per stage; the dense
+``sqp_step`` below is an independent oracle, not part of the iteration.
 
 Stopping is variant-specific: the standard variant monitors the
 refreshed frozen-parameter residual (the root function its own
@@ -26,17 +29,17 @@ from time import perf_counter
 
 import numpy as np
 
-from .condensing import condense, expand, recover_multipliers, solve_condensed
+from .condensing import condense, expand, solve_condensed, stage_multipliers
 from .errors import SolverError
 from .models import eval_dynamics
 from .stacked import (
     KktPoint,
     StackedProblem,
+    StageData,
     constraint_matrix,
-    fonc_residual,
-    frozen_constraint_matrix,
     linearized_constraint,
-    true_fonc_residual,
+    stage_data,
+    stage_residual,
 )
 
 Array = np.ndarray
@@ -67,7 +70,6 @@ class SolverOptions:
 class TraceEntry:
     z: KktPoint
     fonc_inf: float
-    step_time: float
     prep_time: float
     qp_time: float
 
@@ -131,43 +133,25 @@ def warm_shift(prob: StackedProblem, y_prev, x0hat_new) -> Array:
 
 
 def stopping_residual(prob: StackedProblem, z: KktPoint, x0hat, variant: str) -> float:
-    """Infinity norm of the variant's own optimality residual."""
-    if variant == "standard":
-        r = fonc_residual(prob, z, x0hat)
-    else:
-        r = true_fonc_residual(prob, z, x0hat)
-    return float(np.max(np.abs(r)))
+    """Infinity norm of the variant's own optimality residual.
+
+    The optimality residual of the QP the variant freezes at z.y: the
+    refreshed frozen-parameter residual for standard, the true-NLP
+    residual for exact.
+    """
+    y = prob.check_y(z.y)
+    return stage_residual(prob, stage_data(prob, y, variant), KktPoint(y, z.lam),
+                          prob.check_x0(x0hat))
 
 
-def _constraint_data(prob, y, variant):
-    """Constraint matrix pair for one iterate: (G, None) or (jac, dist)."""
-    if variant == "standard":
-        return frozen_constraint_matrix(prob, y), None
-    return linearized_constraint(prob, y)
-
-
-def _residual_inf(prob, z, x0hat, data) -> float:
-    mat, dist = data
-    # non-finite values surface as a non-finite residual, reported by
-    # the caller; suppress the intermediate overflow warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        stat = 2.0 * (prob.weight_matrix @ z.y) + mat.T @ z.lam
-        g = mat if dist is None else mat + dist
-        feas = g @ z.y + prob.x0_map @ x0hat
-        return float(max(np.max(np.abs(stat)), np.max(np.abs(feas))))
-
-
-def _solve_qp(prob, y, x0hat, data):
-    """Condensed solve of the frozen QP described by ``data`` at y."""
-    mat, dist = data
-    offset = np.zeros(prob.n_eq) if dist is None else dist @ y
-    qp = condense(prob, (mat, offset), x0hat)
+def _solve_qp(prob, x0hat, stages: StageData):
+    """Condensed solve of the QP frozen in ``stages``."""
+    qp = condense(prob, stages, x0hat)
     t1 = perf_counter()
     u = solve_condensed(qp)
     qp_seconds = perf_counter() - t1
     y_next = expand(qp, u)
-    lam = recover_multipliers(prob, mat, y_next)
-    return KktPoint(y_next, lam), qp_seconds
+    return KktPoint(y_next, stage_multipliers(prob, stages, y_next)), qp_seconds
 
 
 def qlmpc_iterate(prob: StackedProblem, z: KktPoint, x0hat, variant: str = "standard") -> KktPoint:
@@ -176,7 +160,7 @@ def qlmpc_iterate(prob: StackedProblem, z: KktPoint, x0hat, variant: str = "stan
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     y = prob.check_y(z.y)
     x0 = prob.check_x0(x0hat)
-    z_next, _ = _solve_qp(prob, y, x0, _constraint_data(prob, y, variant))
+    z_next, _ = _solve_qp(prob, x0, stage_data(prob, y, variant))
     return z_next
 
 
@@ -218,26 +202,26 @@ def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> Itera
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(y))):
         raise SolverError("solve_ocp received non-finite initial data")
 
-    data = _constraint_data(prob, y, opts.variant)
-    z = KktPoint(y, recover_multipliers(prob, data[0], y))
-    res = _residual_inf(prob, z, x0, data)
+    stages = stage_data(prob, y, opts.variant)
+    z = KktPoint(y, stage_multipliers(prob, stages, y))
+    res = stage_residual(prob, stages, z, x0)
     if not np.isfinite(res):
         raise SolverError("optimality residual is non-finite at the initial guess")
-    entries = [TraceEntry(z, res, 0.0, 0.0, 0.0)]
+    entries = [TraceEntry(z, res, 0.0, 0.0)]
 
     single = opts.mode == "real_time_single_iteration"
     converged = bool(res <= opts.stop_tol) and not single
     while (single and len(entries) == 1) or (not single and not converged
                                              and len(entries) - 1 < opts.max_iter):
         t0 = perf_counter()
-        z, qp_s = _solve_qp(prob, z.y, x0, data)
-        # constraint data at the new point serves both the residual and
-        # the next QP build
-        data = _constraint_data(prob, z.y, opts.variant)
-        res = _residual_inf(prob, z, x0, data)
+        z, qp_s = _solve_qp(prob, x0, stages)
+        # stage data at the new point serves both the residual and the
+        # next QP build
+        stages = stage_data(prob, z.y, opts.variant)
+        res = stage_residual(prob, stages, z, x0)
         total = perf_counter() - t0
         if not np.isfinite(res):
             raise SolverError(f"iteration diverged after {len(entries)} steps")
-        entries.append(TraceEntry(z, res, total, total - qp_s, qp_s))
+        entries.append(TraceEntry(z, res, total - qp_s, qp_s))
         converged = bool(res <= opts.stop_tol)
     return IterateTrace(entries, converged=converged)

@@ -11,6 +11,14 @@ and the cost is ``y' W y`` with ``W = diag(Q, ..., Q, P, R, ..., R)``.
 Because the scheduling parameter is a function of y, the constraint map
 carries a hidden coupling: its derivative is G plus a correction term
 assembled from the per-stage dynamics Jacobians.
+
+The solver works on per-stage data only: ``stage_data`` gives the QP
+that a variant freezes at an iterate as
+``x_{k+1} = A_k x_k + B_k u_k + w_k``, and ``stage_residual`` evaluates
+its optimality residual stage by stage.  The dense stacked functions
+(``constraint_matrix``, ``linearized_constraint``, ``kkt_matrix``, the
+residuals and their Jacobian) are independent oracles for tests and
+diagnostics.
 """
 
 from __future__ import annotations
@@ -159,55 +167,101 @@ class StackedProblem:
         return np.array([self.model.rho(xs[k], us[k]) for k in range(self.n_horizon)])
 
 
-def _frozen_stage_blocks(prob: StackedProblem, y: Array):
-    """Frozen-parameter matrices (A_k, B_k) evaluated along y."""
+@dataclass(frozen=True)
+class StageData:
+    """Per-stage data of one frozen QP: ``x_{k+1} = a[k] x_k + b[k] u_k + w[k]``.
+
+    Arrays are stacked over the N stages: ``a`` is (N, n_x, n_x), ``b``
+    is (N, n_x, n_u) and ``w`` is (N, n_x).
+    """
+
+    a: Array
+    b: Array
+    w: Array
+
+
+def frozen_stages(model: LpvModel, rho_traj) -> StageData:
+    """Frozen-parameter stage data (A(rho_k), B(rho_k), 0) of a parameter trajectory."""
+    a = np.array([model.a_of_rho(r) for r in rho_traj])
+    b = np.array([model.b_of_rho(r) for r in rho_traj])
+    return StageData(a, b, np.zeros(a.shape[:2]))
+
+
+def stage_data(prob: StackedProblem, y, variant: str) -> StageData:
+    """Stage data of the QP that the given variant freezes at the iterate y.
+
+    standard: the frozen-parameter matrices ``(A(rho_k), B(rho_k))`` with
+    no offset.  exact: the stage Jacobian ``J_k = [A_k B_k]`` of the
+    dynamics f at ``(x_k, u_k)`` and the offset
+    ``w_k = f(x_k, u_k) - J_k [x_k; u_k]``, i.e. the linearization of
+    the dynamics at y.
+    """
+    frozen = frozen_stages(prob.model, prob.rho_trajectory(y))
+    if variant == "standard":
+        return frozen
     xs = prob.states(y)
     us = prob.inputs(y)
-    model = prob.model
-    a_seq, b_seq = [], []
-    for k in range(prob.n_horizon):
-        r = model.rho(xs[k], us[k])
-        a_seq.append(model.a_of_rho(r))
-        b_seq.append(model.b_of_rho(r))
-    return a_seq, b_seq
+    jac = np.array([prob.model.stage_jacobian(xs[k], us[k]) for k in range(prob.n_horizon)])
+    stage_points = np.concatenate([xs[:-1], us], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _dynamics(frozen, xs[:-1], us) - (jac @ stage_points[:, :, None])[:, :, 0]
+    return StageData(jac[:, :, :prob.n_x], jac[:, :, prob.n_x:], w)
 
 
-def _assemble_g(prob: StackedProblem, a_seq, b_seq) -> Array:
+def _dynamics(stages: StageData, xs: Array, us: Array) -> Array:
+    """Stage-wise ``a[k] x_k + b[k] u_k + w[k]`` for the rows of xs, us."""
+    return (stages.a @ xs[:, :, None] + stages.b @ us[:, :, None])[:, :, 0] + stages.w
+
+
+def stage_stationarity(prob: StackedProblem, stages: StageData, y: Array, lam: Array):
+    """State and input rows of ``2 W y + G' lam``, with G built from the stages.
+
+    Returns arrays of shape (N+1, n_x) and (N, n_u); ``lam`` holds one
+    row per constraint block (initial condition, then each stage).
+    """
+    xs = prob.states(y)
+    us = prob.inputs(y)
+    lam = np.asarray(lam, dtype=float).reshape(prob.n_horizon + 1, prob.n_x)
+    weights = prob.weights
+    stat_x = lam.copy()
+    stat_x[:-1] += 2.0 * (xs[:-1] @ weights.Q) - (lam[1:, None, :] @ stages.a)[:, 0, :]
+    stat_x[-1] += 2.0 * (weights.P @ xs[-1])
+    stat_u = 2.0 * (us @ weights.R) - (lam[1:, None, :] @ stages.b)[:, 0, :]
+    return stat_x, stat_u
+
+
+def stage_residual(prob: StackedProblem, stages: StageData, z: KktPoint, x0hat) -> float:
+    """Infinity norm of the optimality residual of the QP frozen in ``stages``.
+
+    Stationarity ``2 W y + G' lam`` and feasibility
+    ``x_0 - x0hat``, ``x_{k+1} - a[k] x_k - b[k] u_k - w[k]``, evaluated
+    stage by stage.
+    """
+    xs = prob.states(z.y)
+    # non-finite values surface as a non-finite residual, reported by
+    # the caller; suppress the intermediate overflow warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        stat_x, stat_u = stage_stationarity(prob, stages, z.y, z.lam)
+        feas = xs[1:] - _dynamics(stages, xs[:-1], prob.inputs(z.y))
+        return float(max(np.max(np.abs(stat_x)), np.max(np.abs(stat_u)),
+                         np.max(np.abs(xs[0] - x0hat)), np.max(np.abs(feas))))
+
+
+def _assemble_g(prob: StackedProblem, stages: StageData) -> Array:
+    """Dense constraint matrix with the stages' (A_k, B_k) blocks."""
     g = np.zeros((prob.n_eq, prob.n_y))
     np.fill_diagonal(g[:, :prob.n_eq], 1.0)
     for k in range(prob.n_horizon):
         rows = prob.x_slice(k + 1)
-        g[rows, prob.x_slice(k)] = -a_seq[k]
-        g[rows, prob.u_slice(k)] = -b_seq[k]
+        g[rows, prob.x_slice(k)] = -stages.a[k]
+        g[rows, prob.u_slice(k)] = -stages.b[k]
     return g
-
-
-def _assemble_delta(prob: StackedProblem, y: Array, a_seq, b_seq) -> Array:
-    n_x = prob.n_x
-    xs = prob.states(y)
-    us = prob.inputs(y)
-    delta = np.zeros((prob.n_eq, prob.n_y))
-    for k in range(prob.n_horizon):
-        stage = prob.model.stage_jacobian(xs[k], us[k])
-        rows = prob.x_slice(k + 1)
-        delta[rows, prob.x_slice(k)] = a_seq[k] - stage[:, :n_x]
-        delta[rows, prob.u_slice(k)] = b_seq[k] - stage[:, n_x:]
-    return delta
 
 
 def constraint_matrix(prob: StackedProblem, rho_traj) -> Array:
     """Constraint matrix G for a frozen parameter trajectory."""
-    n = prob.n_horizon
-    rho_traj = np.asarray(rho_traj, dtype=float).reshape(n, prob.model.dims.n_rho)
-    a_seq = [prob.model.a_of_rho(rho_traj[k]) for k in range(n)]
-    b_seq = [prob.model.b_of_rho(rho_traj[k]) for k in range(n)]
-    return _assemble_g(prob, a_seq, b_seq)
-
-
-def frozen_constraint_matrix(prob: StackedProblem, y) -> Array:
-    """G evaluated at the parameter trajectory extracted from y."""
-    a_seq, b_seq = _frozen_stage_blocks(prob, prob.check_y(y))
-    return _assemble_g(prob, a_seq, b_seq)
+    rho_traj = np.asarray(rho_traj, dtype=float).reshape(prob.n_horizon, prob.model.dims.n_rho)
+    return _assemble_g(prob, frozen_stages(prob.model, rho_traj))
 
 
 def fonc_residual(prob: StackedProblem, z: KktPoint, x0hat) -> Array:
@@ -244,13 +298,11 @@ def kkt_matrix(prob: StackedProblem, z: KktPoint) -> Array:
 def coupling_correction(prob: StackedProblem, y) -> Array:
     """Hidden-coupling term: d[G(rho(y)) y]/dy - G(rho(y)).
 
-    Assembled stage-wise as the difference between the dynamics Jacobian
-    and the frozen-parameter matrices [A(rho_k) B(rho_k)]; zero for LTI
-    models.
+    The difference between the dynamics Jacobian and the
+    frozen-parameter matrices [A(rho_k) B(rho_k)], stage by stage; zero
+    for LTI models.
     """
-    y = prob.check_y(y)
-    a_seq, b_seq = _frozen_stage_blocks(prob, y)
-    return _assemble_delta(prob, y, a_seq, b_seq)
+    return -linearized_constraint(prob, y)[1]
 
 
 def linearized_constraint(prob: StackedProblem, y) -> tuple[Array, Array]:
@@ -261,10 +313,25 @@ def linearized_constraint(prob: StackedProblem, y) -> tuple[Array, Array]:
     ``(jac + dist) y == G(rho(y)) y`` for every y.
     """
     y = prob.check_y(y)
-    a_seq, b_seq = _frozen_stage_blocks(prob, y)
-    g = _assemble_g(prob, a_seq, b_seq)
-    delta = _assemble_delta(prob, y, a_seq, b_seq)
-    return g + delta, -delta
+    g = _assemble_g(prob, stage_data(prob, y, "standard"))
+    jac = _assemble_g(prob, stage_data(prob, y, "exact"))
+    return jac, g - jac
+
+
+def fd_jacobian(f, z, step: float) -> Array:
+    """Central-difference Jacobian of a vector function at z."""
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    f0 = np.atleast_1d(np.asarray(f(z), dtype=float))
+    out = np.empty((f0.size, z.size))
+    for j in range(z.size):
+        zp = z.copy()
+        zm = z.copy()
+        zp[j] += step
+        zm[j] -= step
+        out[:, j] = (np.asarray(f(zp), dtype=float) - np.asarray(f(zm), dtype=float)) / (2.0 * step)
+    return out
 
 
 def fonc_jacobian(prob: StackedProblem, z: KktPoint) -> Array:
@@ -283,15 +350,7 @@ def fonc_jacobian(prob: StackedProblem, z: KktPoint) -> Array:
         g = constraint_matrix(prob, prob.rho_trajectory(yv))
         return g.T @ lam
 
-    step = 1e-6
-    curvature = np.empty((n_y, n_y))
-    for j in range(n_y):
-        yp = y.copy()
-        ym = y.copy()
-        yp[j] += step
-        ym[j] -= step
-        curvature[:, j] = (gt_lam(yp) - gt_lam(ym)) / (2.0 * step)
-
+    curvature = fd_jacobian(gt_lam, y, 1e-6)
     g = constraint_matrix(prob, prob.rho_trajectory(y))
     jac_constraint, _ = linearized_constraint(prob, y)
     out = np.zeros((n_y + n_eq, n_y + n_eq))

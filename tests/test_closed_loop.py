@@ -24,13 +24,13 @@ class TestDistanceToReference:
     def test_zero_trajectory(self):
         states = np.zeros((4, 2))
         inputs = np.zeros((3, 1))
-        assert q.distance_to_reference(states, inputs, np.eye(2), np.eye(1), 2) == 0.0
+        assert q.dr_series(states, inputs, np.eye(2), np.eye(1))[2] == 0.0
 
     def test_single_step_value(self):
         qm = np.diag([1.0, 1.0, 0.1, 1.0, 0.1])
         states = np.array([[1.0, 0, 0, 0, 0], [0, 0, 0, 0, 0]])
         inputs = np.zeros((1, 2))
-        assert q.distance_to_reference(states, inputs, qm, np.eye(2), 0) == pytest.approx(1.0)
+        assert q.dr_series(states, inputs, qm, np.eye(2))[0] == pytest.approx(1.0)
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(0)
@@ -39,10 +39,6 @@ class TestDistanceToReference:
         series = q.dr_series(states, inputs, np.eye(3), 2 * np.eye(2))
         assert np.all(np.diff(series) >= 0.0)
         assert np.all(series >= 0.0)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            q.distance_to_reference(np.zeros((2, 1)), np.zeros((1, 1)), np.eye(1), np.eye(1), 5)
 
 
 class TestRcso:

@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qlmpc as q
+from qlmpc.condensing import stage_multipliers
+from qlmpc.stacked import stage_data
 
 
 def gaussian_elimination(a, b):
@@ -155,23 +157,31 @@ def test_condensed_matches_dense_kkt_solve(name, horizon):
         assert np.abs(feas).max() <= 1e-8
 
 
-def test_condense_from_matrix_equals_condense_from_rho(unicycle_problem):
+def test_condense_from_stages_equals_condense_from_rho(unicycle_problem):
     rng = np.random.default_rng(2)
-    rho_traj = rng.normal(size=(20, 1))
+    y = rng.normal(size=unicycle_problem.n_y)
     x0 = rng.normal(size=5)
-    qp_rho = q.condense(unicycle_problem, rho_traj, x0)
-    g = q.constraint_matrix(unicycle_problem, rho_traj)
-    qp_mat = q.condense(unicycle_problem, (g, np.zeros(unicycle_problem.n_eq)), x0)
-    assert_allclose(qp_rho.hess, qp_mat.hess)
-    assert_allclose(qp_rho.grad, qp_mat.grad)
+    qp_rho = q.condense(unicycle_problem, unicycle_problem.rho_trajectory(y), x0)
+    qp_stages = q.condense(unicycle_problem, stage_data(unicycle_problem, y, "standard"), x0)
+    assert_allclose(qp_rho.hess, qp_stages.hess)
+    assert_allclose(qp_rho.grad, qp_stages.grad)
+    assert np.all(qp_stages.psi == 0.0)
 
 
 def test_condense_exact_offset_shifts_prediction(tiny_qlpv_problem):
-    # disturbance offset enters the affine prediction term
+    # disturbance offset enters the affine prediction term; the dense
+    # linearized constraint is the feasibility oracle
     y_lin = np.array([0.5, 0.25, 0.0])
+    qp = q.condense(tiny_qlpv_problem, stage_data(tiny_qlpv_problem, y_lin, "exact"), [0.5])
+    assert np.any(qp.psi != 0.0)
+    y = q.expand(qp, q.solve_condensed(qp))
     jac, dist = q.linearized_constraint(tiny_qlpv_problem, y_lin)
-    qp = q.condense(tiny_qlpv_problem, (jac, dist @ y_lin), [0.5])
-    u = q.solve_condensed(qp)
-    y = q.expand(qp, u)
     resid = jac @ y + dist @ y_lin + tiny_qlpv_problem.x0_map @ np.array([0.5])
     assert np.abs(resid).max() <= 1e-12
+
+
+def test_stage_multipliers_reject_nonfinite(tiny_qlpv_problem):
+    y = np.array([0.5, np.nan, 0.0])
+    stages = stage_data(tiny_qlpv_problem, np.zeros(3), "standard")
+    with pytest.raises(q.SolverError):
+        stage_multipliers(tiny_qlpv_problem, stages, y)

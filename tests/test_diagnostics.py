@@ -71,7 +71,7 @@ class TestFixpointPerturbation:
 def synthetic_trace(errors, direction=None):
     dim = 2 if direction is None else len(direction)
     v = np.array([1.0, 0.0]) if direction is None else np.asarray(direction)
-    entries = [TraceEntry(q.KktPoint(e * v, np.zeros(1)), 0.0, 0.0, 0.0, 0.0) for e in errors]
+    entries = [TraceEntry(q.KktPoint(e * v, np.zeros(1)), 0.0, 0.0, 0.0) for e in errors]
     return IterateTrace(entries, True), q.KktPoint(np.zeros(dim), np.zeros(1))
 
 

@@ -6,9 +6,17 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import qlmpc as q
-from qlmpc.models import fd_stage_jacobian
+from qlmpc.stacked import stage_data
 
 ALL_MODEL_IDS = ["unicycle", "adip", "tiny-lti", "tiny-qlpv"]
+
+
+def exact_stage(m, x, u):
+    """Exact-variant stage data (a, b, w) of one stage linearized at (x, u)."""
+    n_x, n_u = m.dims.n_x, m.dims.n_u
+    prob = q.StackedProblem.build(m, 1, q.Weights(Q=np.eye(n_x), R=np.eye(n_u), P=np.eye(n_x)))
+    stages = stage_data(prob, np.concatenate([x, np.zeros(n_x), u]), "exact")
+    return stages.a[0], stages.b[0], stages.w[0]
 
 
 def test_eval_rho_unicycle_is_heading():
@@ -79,55 +87,65 @@ def test_euler_discretize_rejects_nonpositive_dt(dt):
         q.euler_discretize(lambda x, u: x, dt)
 
 
+# The exact variant's offset w is the paper's disturbance input: for the
+# unicycle, w = Bd(v, phi) d with d = phi and
+# Bd = dt (v sin phi, -v cos phi, 0, 0, 0).
+
 def test_unicycle_disturbance_column():
-    ext = q.builtin_unicycle(dt=0.1).exact_ext
-    col = ext.b_d_tilde(np.array([1.0, math.pi / 2.0]))
-    assert_allclose(col.ravel(), [0.1, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
+    phi = math.pi / 2.0
+    _, _, w = exact_stage(q.builtin_unicycle(dt=0.1), np.array([0.0, 0.0, 1.0, phi, 0.0]), np.zeros(2))
+    assert_allclose(w / phi, [0.1, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_unicycle_linearized_matrix_entries():
-    ext = q.builtin_unicycle(dt=0.1).exact_ext
-    a = ext.a_tilde(np.array([1.0, 0.0]))
+    a, _, _ = exact_stage(q.builtin_unicycle(dt=0.1), np.array([0.0, 0.0, 1.0, 0.0, 0.0]), np.zeros(2))
     assert a[0, 3] == 0.0
     assert a[1, 3] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_unicycle_disturbance_is_previous_heading():
-    ext = q.builtin_unicycle().exact_ext
-    assert_allclose(ext.d_of_prev(np.array([0.0, 0.0, 2.0, 0.7, 0.0]), np.zeros(2)), [0.7])
+    m = q.builtin_unicycle()
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        x = rng.normal(scale=2.0, size=5)
+        v, phi = x[2], x[3]
+        _, _, w = exact_stage(m, x, rng.normal(size=2))
+        b_d = m.dt * np.array([v * math.sin(phi), -v * math.cos(phi), 0.0, 0.0, 0.0])
+        assert_allclose(w, b_d * phi, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ALL_MODEL_IDS)
 def test_stage_jacobian_matches_finite_differences(name):
     m = q.get_model(name)
-    fd = fd_stage_jacobian(lambda x, u: q.eval_dynamics(m, x, u), m.dims.n_x, m.dims.n_u)
+    n_x = m.dims.n_x
+
+    def dynamics(xu):
+        return q.eval_dynamics(m, xu[:n_x], xu[n_x:])
+
     rng = np.random.default_rng(11)
     for _ in range(100):
-        x = rng.normal(scale=1.5, size=m.dims.n_x)
+        x = rng.normal(scale=1.5, size=n_x)
         u = rng.normal(scale=1.5, size=m.dims.n_u)
         ja = m.stage_jacobian(x, u)
-        jf = fd(x, u)
+        jf = q.fd_jacobian(dynamics, np.concatenate([x, u]), 1e-6)
         assert np.abs(ja - jf).max() <= 1e-5 * max(1.0, np.abs(jf).max())
 
 
-@pytest.mark.parametrize("name", ["unicycle", "tiny-qlpv"])
+@pytest.mark.parametrize("name", ALL_MODEL_IDS)
 def test_exact_extension_reproduces_dynamics(name):
-    # frozen extension with d evaluated at the same point must equal the
-    # plain dynamics
+    # the exact stage data with the offset evaluated at the same point
+    # must equal the plain dynamics
     m = q.get_model(name)
-    ext = m.exact_ext
     rng = np.random.default_rng(7)
     for _ in range(100):
         x = rng.normal(scale=2.0, size=m.dims.n_x)
         u = rng.normal(scale=2.0, size=m.dims.n_u)
-        rt = ext.rho_tilde(x, u)
-        lhs = ext.a_tilde(rt) @ x + ext.b_tilde(rt) @ u + ext.b_d_tilde(rt) @ ext.d_of_prev(x, u)
-        assert_allclose(lhs, q.eval_dynamics(m, x, u), atol=1e-12)
+        a, b, w = exact_stage(m, x, u)
+        assert_allclose(a @ x + b @ u + w, q.eval_dynamics(m, x, u), atol=1e-12)
 
 
 def test_adip_has_standin_note_and_no_extension():
     m = q.get_model("adip")
-    assert m.exact_ext is None
     assert m.note is not None
     assert m.dt == 0.01
 

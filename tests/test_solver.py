@@ -226,5 +226,5 @@ class TestSolveOcp:
         tr = q.solve_ocp(tiny_lti_problem, [1.0], q.initial_guess(tiny_lti_problem, [1.0]),
                          q.SolverOptions())
         assert tr.iterations == len(tr.iterates) - 1
-        assert tr.iterates[0].step_time == 0.0
-        assert tr.iterates[1].step_time >= tr.iterates[1].qp_time >= 0.0
+        assert tr.iterates[0].prep_time + tr.iterates[0].qp_time == 0.0
+        assert tr.iterates[1].prep_time + tr.iterates[1].qp_time >= tr.iterates[1].qp_time >= 0.0

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qlmpc as q
+from qlmpc.stacked import stage_data
 
 ALL_MODEL_IDS = ["unicycle", "adip", "tiny-lti", "tiny-qlpv"]
 
@@ -151,18 +152,16 @@ def test_linearized_constraint_identities(name):
 
 
 def test_linearized_constraint_matches_unicycle_extension(unicycle_problem):
-    ext = unicycle_problem.model.exact_ext
+    # the dense Jacobian holds the exact variant's stage matrices
     rng = np.random.default_rng(8)
     y = rng.normal(size=unicycle_problem.n_y)
     jac, _ = q.linearized_constraint(unicycle_problem, y)
-    xs = unicycle_problem.states(y)
-    us = unicycle_problem.inputs(y)
+    stages = stage_data(unicycle_problem, y, "exact")
     for k in range(unicycle_problem.n_horizon):
-        rt = ext.rho_tilde(xs[k], us[k])
         assert_allclose(jac[unicycle_problem.x_slice(k + 1), unicycle_problem.x_slice(k)],
-                        -ext.a_tilde(rt), atol=1e-14)
+                        -stages.a[k], atol=1e-14)
         assert_allclose(jac[unicycle_problem.x_slice(k + 1), unicycle_problem.u_slice(k)],
-                        -ext.b_tilde(rt), atol=1e-14)
+                        -stages.b[k], atol=1e-14)
 
 
 def test_cost_perturbation_zero_for_lti(tiny_lti_problem):

@@ -9,12 +9,12 @@ error, 3 numerical failure (partial outputs are still written, flagged).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import statistics
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -49,7 +49,7 @@ _MODE_ALIASES = {
 }
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Merged configuration for one CLI invocation."""
 
@@ -85,17 +85,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if args.config:
         file_cfg = _load_config_file(args.config)
-        known = {"scenario", "variant", "mode", "tol", "max_iter", "repeat", "seed", "out"}
+        known = {f.name for f in dataclasses.fields(RunConfig)}
         unknown = set(file_cfg) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
-    for key in ("scenario", "variant", "mode", "tol", "repeat", "out"):
+    for key in ("scenario", "variant", "mode", "tol", "max_iter", "repeat", "out"):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    if getattr(args, "max_iter", None) is not None:
-        merged["max_iter"] = args.max_iter
 
     env_seed = os.environ.get("QLMPC_SEED")
     if env_seed is not None:
@@ -153,12 +151,8 @@ def make_scenario(cfg: RunConfig) -> Scenario:
     name = fields.pop("name", "custom")
     if fields:
         raise ConfigError(f"unknown inline scenario keys: {sorted(fields)}")
-    opts = SolverOptions(
-        variant=cfg.variant,
-        mode=cfg.mode if cfg.mode is not None else "converge",
-        stop_tol=cfg.tol if cfg.tol is not None else 1e-6,
-        max_iter=cfg.max_iter if cfg.max_iter is not None else 30,
-    )
+    given = dict(mode=cfg.mode, stop_tol=cfg.tol, max_iter=cfg.max_iter)
+    opts = SolverOptions(variant=cfg.variant, **{k: v for k, v in given.items() if v is not None})
     get_model(model_id)  # rejects an unknown model id with ConfigError
     try:
         return Scenario(name=str(name), model_id=model_id, x0=x0, steps=steps,

@@ -214,12 +214,9 @@ def builtin_scenario(name: str, variant: str = "standard", mode: Optional[str] =
     if name not in presets:
         raise ConfigError(f"unknown scenario {name!r}, expected one of {SCENARIO_IDS}")
     p = presets[name]
-    opts = SolverOptions(
-        variant=variant,
-        mode=mode if mode is not None else p["default_mode"],
-        stop_tol=stop_tol if stop_tol is not None else 1e-6,
-        max_iter=max_iter if max_iter is not None else 30,
-    )
+    given = dict(mode=mode if mode is not None else p["default_mode"],
+                 stop_tol=stop_tol, max_iter=max_iter)
+    opts = SolverOptions(variant=variant, **{k: v for k, v in given.items() if v is not None})
     return Scenario(
         name=name,
         model_id=p["model_id"],

@@ -3,9 +3,9 @@
 Eliminating the states through the (affine) frozen dynamics turns the
 equality-constrained QP into an unconstrained quadratic in the stacked
 inputs, solved by a single positive-definite factorization.  The state
-prediction is ``x = Phi x0hat + Gamma u + Psi``; the affine term Psi is
-zero for the standard variant and carries the disturbance offset of the
-exact variant.
+prediction is ``x = free + Gamma u``, where the free response ``free``
+rolls out x0hat together with the stage offsets ``w_k`` (zero for the
+standard variant, the linearization offset for the exact variant).
 """
 
 from __future__ import annotations
@@ -25,15 +25,10 @@ _RESIDUAL_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class CondensedQp:
-    phi: Array     # state response to the initial condition
     gamma: Array   # state response to the stacked inputs
-    psi: Array     # affine state offset (disturbance rollout)
+    free: Array    # state response to x0hat and the stage offsets
     hess: Array    # quadratic coefficient, 2 (Gamma' Wx Gamma + Wu)
-    grad: Array    # linear coefficient
-    x0hat: Array
-    n_x: int
-    n_u: int
-    n_horizon: int
+    grad: Array    # linear coefficient, 2 (Wx Gamma)' free
 
 
 def condense(prob: StackedProblem, stages, x0hat) -> CondensedQp:
@@ -50,33 +45,29 @@ def condense(prob: StackedProblem, stages, x0hat) -> CondensedQp:
         stages = frozen_stages(prob.model, rho_traj)
     a, b, w = stages.a, stages.b, stages.w
 
-    n_states = (n + 1) * n_x
-    phi = np.zeros((n_states, n_x))
-    gamma = np.zeros((n_states, n * n_u))
-    psi = np.zeros(n_states)
-    # per-stage views of the stacked state rows
-    phi_k = phi.reshape(n + 1, n_x, n_x)
-    gamma_k = gamma.reshape(n + 1, n_x, n * n_u)
-    psi_k = psi.reshape(n + 1, n_x)
-    phi_k[0] = np.eye(n_x)
+    free = np.empty((n + 1, n_x))
+    gamma = np.zeros((n + 1, n_x, n * n_u))
+    free[0] = x0
     # diverged iterates can overflow the rollout products; the solve
     # rejects the resulting non-finite QP, so do not warn here
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             cols = k * n_u
-            phi_k[k + 1] = a[k] @ phi_k[k]
+            free[k + 1] = a[k] @ free[k] + w[k]
             # inputs from stage k on do not reach x_k
-            gamma_k[k + 1, :, :cols] = a[k] @ gamma_k[k, :, :cols]
-            gamma_k[k + 1, :, cols:cols + n_u] = b[k]
-            psi_k[k + 1] = a[k] @ psi_k[k] + w[k]
+            gamma[k + 1, :, :cols] = a[k] @ gamma[k, :, :cols]
+            gamma[k + 1, :, cols:cols + n_u] = b[k]
 
-        wx = prob.weight_matrix[:n_states, :n_states]
-        wu = prob.weight_matrix[n_states:, n_states:]
-        hess = 2.0 * (gamma.T @ wx @ gamma + wu)
+        # the state weight is block diagonal (Q, ..., Q, P)
+        n_states = (n + 1) * n_x
+        wx_gamma = np.concatenate([prob.weights.Q @ gamma[:n], prob.weights.P @ gamma[n:]])
+        wx_gamma = wx_gamma.reshape(n_states, n * n_u)
+        gamma = gamma.reshape(n_states, n * n_u)
+        free = free.ravel()
+        hess = 2.0 * (gamma.T @ wx_gamma + prob.weight_matrix[n_states:, n_states:])
         hess = 0.5 * (hess + hess.T)
-        grad = 2.0 * (gamma.T @ (wx @ (phi @ x0 + psi)))
-    return CondensedQp(phi=phi, gamma=gamma, psi=psi, hess=hess, grad=grad,
-                       x0hat=x0, n_x=n_x, n_u=n_u, n_horizon=n)
+        grad = 2.0 * (wx_gamma.T @ free)
+    return CondensedQp(gamma=gamma, free=free, hess=hess, grad=grad)
 
 
 def solve_condensed(qp: CondensedQp) -> Array:
@@ -108,10 +99,9 @@ def solve_condensed(qp: CondensedQp) -> Array:
 def expand(qp: CondensedQp, u) -> Array:
     """Recover the full decision vector from the condensed minimizer."""
     u = np.asarray(u, dtype=float).ravel()
-    if u.shape != (qp.n_horizon * qp.n_u,):
-        raise ValueError(f"input trajectory must have length {qp.n_horizon * qp.n_u}, got {u.shape}")
-    x = qp.phi @ qp.x0hat + qp.gamma @ u + qp.psi
-    return np.concatenate([x, u])
+    if u.shape != (qp.gamma.shape[1],):
+        raise ValueError(f"input trajectory must have length {qp.gamma.shape[1]}, got {u.shape}")
+    return np.concatenate([qp.free + qp.gamma @ u, u])
 
 
 def recover_multipliers(prob: StackedProblem, g_used, y) -> Array:
@@ -161,32 +151,21 @@ def stage_multipliers(prob: StackedProblem, stages: StageData, y) -> Array:
     """Least-squares multipliers of the QP frozen in ``stages``, stage by stage.
 
     Same value as ``recover_multipliers`` on the assembled G, i.e.
-    ``argmin |G' lam + 2 W y|``.  The adjoint recursion
-    ``lam_N = -2 P x_N``, ``lam_k = A_k' lam_{k+1} - 2 Q x_k`` zeroes
-    the state rows of the stationarity and is exact at a QP optimum.
-    Alone it would leave all of the condensed solve's rounding error in
-    the input rows, so least-squares corrections
-    ``d = argmin |G' d + s|`` of its stationarity residual s follow,
-    from the banded normal equations ``G G' d = -G s``.  The normal
-    equations square the conditioning of G; a second correction removes
-    the error this leaves in the first, as d is small.
+    ``argmin |G' lam + 2 W y|``.  Starting from ``lam = 0``, each
+    correction ``d = argmin |G' d + s|`` of the stationarity residual s
+    comes from the banded normal equations ``G G' d = -G s``.  The
+    normal equations square the conditioning of G; a second correction
+    removes the error this leaves in the first.
     """
-    xs = prob.states(y)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(stages.a))
             and np.all(np.isfinite(stages.b))):
         raise SolverError("multiplier recovery received non-finite data")
-    n = prob.n_horizon
-    lam = np.empty((n + 1, prob.n_x))
-    lam[n] = -2.0 * (prob.weights.P @ xs[n])
-    qx = 2.0 * (xs[:-1] @ prob.weights.Q)
-    for k in range(n - 1, -1, -1):
-        lam[k] = lam[k + 1] @ stages.a[k] - qx[k]
-
     try:
         factor = scipy.linalg.cholesky_banded(_normal_band(stages), lower=True,
                                               check_finite=False)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
         raise SolverError("constraint Gram matrix G G' is not numerically positive definite") from None
+    lam = np.zeros((prob.n_horizon + 1, prob.n_x))
     for _ in range(2):
         s_x, s_u = stage_stationarity(prob, stages, y, lam)
         g_s = s_x.copy()

@@ -89,7 +89,7 @@ class ContractionEstimate:
 _ENVELOPE_SLACK = 5e-11
 
 
-def _envelope_lstsq(design, target, slack, cons=None, cons_target=None):
+def _envelope_lstsq(design, target, slack, cons, cons_target):
     """Exact minimizer of |design @ x - target|^2 over x >= 0 with the
     one-sided constraints cons @ x >= cons_target - slack.
 
@@ -97,8 +97,6 @@ def _envelope_lstsq(design, target, slack, cons=None, cons_target=None):
     sets: the unconstrained minimizer, each constraint boundary, and
     each boundary intersection.
     """
-    if cons is None:
-        cons, cons_target = design, target
     cons = np.vstack([np.eye(2), cons])
     bounds = np.concatenate([np.zeros(2), cons_target - slack])
     row_tol = 1e-12 * (1.0 + np.abs(bounds))

@@ -33,6 +33,7 @@ from .condensing import condense, expand, solve_condensed, stage_multipliers
 from .errors import SolverError
 from .models import eval_dynamics
 from .stacked import (
+    VARIANTS,
     KktPoint,
     StackedProblem,
     StageData,
@@ -44,7 +45,6 @@ from .stacked import (
 
 Array = np.ndarray
 
-VARIANTS = ("standard", "exact")
 MODES = ("converge", "real_time_single_iteration")
 
 
@@ -156,8 +156,6 @@ def _solve_qp(prob, x0hat, stages: StageData):
 
 def qlmpc_iterate(prob: StackedProblem, z: KktPoint, x0hat, variant: str = "standard") -> KktPoint:
     """Solve one frozen QP and return the next primal-dual iterate."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     y = prob.check_y(z.y)
     x0 = prob.check_x0(x0hat)
     z_next, _ = _solve_qp(prob, x0, stage_data(prob, y, variant))
@@ -210,9 +208,8 @@ def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> Itera
     entries = [TraceEntry(z, res, 0.0, 0.0)]
 
     single = opts.mode == "real_time_single_iteration"
-    converged = bool(res <= opts.stop_tol) and not single
-    while (single and len(entries) == 1) or (not single and not converged
-                                             and len(entries) - 1 < opts.max_iter):
+    max_iter = 1 if single else opts.max_iter
+    while len(entries) <= max_iter and (single or res > opts.stop_tol):
         t0 = perf_counter()
         z, qp_s = _solve_qp(prob, x0, stages)
         # stage data at the new point serves both the residual and the
@@ -223,5 +220,4 @@ def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> Itera
         if not np.isfinite(res):
             raise SolverError(f"iteration diverged after {len(entries)} steps")
         entries.append(TraceEntry(z, res, total - qp_s, qp_s))
-        converged = bool(res <= opts.stop_tol)
-    return IterateTrace(entries, converged=converged)
+    return IterateTrace(entries, converged=bool(res <= opts.stop_tol))

@@ -31,6 +31,8 @@ from .models import LpvModel
 
 Array = np.ndarray
 
+VARIANTS = ("standard", "exact")
+
 _PSD_EIG_FLOOR = -1e-10
 
 
@@ -196,6 +198,8 @@ def stage_data(prob: StackedProblem, y, variant: str) -> StageData:
     ``w_k = f(x_k, u_k) - J_k [x_k; u_k]``, i.e. the linearization of
     the dynamics at y.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     frozen = frozen_stages(prob.model, prob.rho_trajectory(y))
     if variant == "standard":
         return frozen

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import qlmpc as q
 from qlmpc.condensing import stage_multipliers
-from qlmpc.stacked import stage_data
+from qlmpc.stacked import StageData, stage_data
 
 
 def gaussian_elimination(a, b):
@@ -30,7 +30,8 @@ def test_condense_tiny_lti(tiny_lti_problem):
     qp = q.condense(tiny_lti_problem, np.zeros((1, 1)), [1.0])
     assert_allclose(qp.hess, [[4.0]])
     assert_allclose(qp.grad, [2.0])
-    assert np.all(qp.psi == 0.0)
+    assert_allclose(qp.gamma, [[0.0], [1.0]])
+    assert_allclose(qp.free, [1.0, 1.0])
 
 
 def test_condense_zero_initial_state(tiny_lti_problem):
@@ -67,25 +68,22 @@ def test_solve_condensed_against_gaussian_elimination():
         m = rng.normal(size=(n, n))
         hess = m @ m.T + n * np.eye(n)
         grad = rng.normal(size=n)
-        qp = q.CondensedQp(phi=np.zeros((1, 1)), gamma=np.zeros((1, n)), psi=np.zeros(1),
-                           hess=hess, grad=grad, x0hat=np.zeros(1), n_x=1, n_u=1, n_horizon=n)
+        qp = q.CondensedQp(gamma=np.zeros((1, n)), free=np.zeros(1), hess=hess, grad=grad)
         u = q.solve_condensed(qp)
         assert_allclose(u, gaussian_elimination(hess, -grad), atol=1e-12, rtol=1e-12)
 
 
 def test_solve_condensed_rejects_indefinite():
-    qp = q.CondensedQp(phi=np.zeros((1, 1)), gamma=np.zeros((1, 2)), psi=np.zeros(1),
-                       hess=np.diag([1.0, -1.0]), grad=np.zeros(2),
-                       x0hat=np.zeros(1), n_x=1, n_u=1, n_horizon=2)
+    qp = q.CondensedQp(gamma=np.zeros((1, 2)), free=np.zeros(1),
+                       hess=np.diag([1.0, -1.0]), grad=np.zeros(2))
     with pytest.raises(q.SolverError) as err:
         q.solve_condensed(qp)
     assert err.value.min_eigenvalue == pytest.approx(-1.0)
 
 
 def test_solve_condensed_rejects_nonfinite():
-    qp = q.CondensedQp(phi=np.zeros((1, 1)), gamma=np.zeros((1, 1)), psi=np.zeros(1),
-                       hess=np.array([[np.nan]]), grad=np.zeros(1),
-                       x0hat=np.zeros(1), n_x=1, n_u=1, n_horizon=1)
+    qp = q.CondensedQp(gamma=np.zeros((1, 1)), free=np.zeros(1),
+                       hess=np.array([[np.nan]]), grad=np.zeros(1))
     with pytest.raises(q.SolverError):
         q.solve_condensed(qp)
 
@@ -165,19 +163,40 @@ def test_condense_from_stages_equals_condense_from_rho(unicycle_problem):
     qp_stages = q.condense(unicycle_problem, stage_data(unicycle_problem, y, "standard"), x0)
     assert_allclose(qp_rho.hess, qp_stages.hess)
     assert_allclose(qp_rho.grad, qp_stages.grad)
-    assert np.all(qp_stages.psi == 0.0)
+    assert_allclose(qp_rho.gamma, qp_stages.gamma)
+    assert_allclose(qp_rho.free, qp_stages.free)
 
 
 def test_condense_exact_offset_shifts_prediction(tiny_qlpv_problem):
-    # disturbance offset enters the affine prediction term; the dense
+    # the disturbance offset enters the free response; the dense
     # linearized constraint is the feasibility oracle
     y_lin = np.array([0.5, 0.25, 0.0])
-    qp = q.condense(tiny_qlpv_problem, stage_data(tiny_qlpv_problem, y_lin, "exact"), [0.5])
-    assert np.any(qp.psi != 0.0)
+    stages = stage_data(tiny_qlpv_problem, y_lin, "exact")
+    qp = q.condense(tiny_qlpv_problem, stages, [0.5])
+    no_offset = StageData(stages.a, stages.b, np.zeros_like(stages.w))
+    qp_no_offset = q.condense(tiny_qlpv_problem, no_offset, [0.5])
+    assert np.any(qp.free != qp_no_offset.free)
     y = q.expand(qp, q.solve_condensed(qp))
     jac, dist = q.linearized_constraint(tiny_qlpv_problem, y_lin)
     resid = jac @ y + dist @ y_lin + tiny_qlpv_problem.x0_map @ np.array([0.5])
     assert np.abs(resid).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", ["standard", "exact"])
+@pytest.mark.parametrize("name", ["unicycle", "adip"])
+def test_expand_zero_input_is_free_rollout(request, name, variant):
+    # with u = 0 the prediction is the free response: x0hat rolled out
+    # through x_{k+1} = a_k x_k + w_k
+    prob = request.getfixturevalue(f"{name}_problem")
+    rng = np.random.default_rng(3)
+    stages = stage_data(prob, rng.normal(size=prob.n_y), variant)
+    x0 = rng.normal(size=prob.n_x)
+    y = q.expand(q.condense(prob, stages, x0), np.zeros(prob.n_horizon * prob.n_u))
+    xs = [x0]
+    for k in range(prob.n_horizon):
+        xs.append(stages.a[k] @ xs[-1] + stages.w[k])
+    assert_allclose(prob.states(y), xs, rtol=1e-12, atol=1e-12)
+    assert np.all(prob.inputs(y) == 0.0)
 
 
 def test_stage_multipliers_reject_nonfinite(tiny_qlpv_problem):

@@ -201,6 +201,19 @@ class TestSolveOcp:
                           np.zeros(unicycle_problem.n_y), opts)
         assert tr0.iterations == 1
 
+    @pytest.mark.parametrize("variant", ["standard", "exact"])
+    def test_loop_rule_at_a_converged_point(self, unicycle_problem, unicycle_x0, variant):
+        tight = q.SolverOptions(variant=variant, stop_tol=1e-10, max_iter=100)
+        start = q.solve_ocp(unicycle_problem, unicycle_x0,
+                            q.initial_guess(unicycle_problem, unicycle_x0), tight)
+        assert start.converged
+        y = start.final.y
+        tr = q.solve_ocp(unicycle_problem, unicycle_x0, y, q.SolverOptions(variant=variant))
+        assert tr.iterations == 0 and tr.converged
+        rti = q.SolverOptions(variant=variant, mode="real_time_single_iteration")
+        tr = q.solve_ocp(unicycle_problem, unicycle_x0, y, rti)
+        assert tr.iterations == 1 and tr.converged
+
     def test_exact_fixpoint_costs_no_more_than_standard(self, unicycle_problem, unicycle_x0):
         y0 = q.initial_guess(unicycle_problem, unicycle_x0)
         cost = {}

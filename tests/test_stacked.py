@@ -197,3 +197,13 @@ def test_linearized_constraint_identity_property(vals):
     jac, dist = q.linearized_constraint(prob, y)
     g = q.constraint_matrix(prob, prob.rho_trajectory(y))
     assert np.abs((jac + dist) - g).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", ["Standard", "bogus"])
+def test_unknown_variant_rejected(unicycle_problem, variant):
+    y = np.zeros(unicycle_problem.n_y)
+    with pytest.raises(ValueError, match="variant"):
+        stage_data(unicycle_problem, y, variant)
+    z = q.KktPoint(y, np.zeros(unicycle_problem.n_eq))
+    with pytest.raises(ValueError, match="variant"):
+        q.stopping_residual(unicycle_problem, z, np.zeros(5), variant)

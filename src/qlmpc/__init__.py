@@ -32,9 +32,7 @@ from .models import (
     builtin_adip,
     builtin_tiny,
     builtin_unicycle,
-    euler_discretize,
     eval_dynamics,
-    eval_rho,
     get_model,
 )
 from .solver import (
@@ -44,7 +42,6 @@ from .solver import (
     qlmpc_iterate,
     solve_ocp,
     sqp_step,
-    stopping_residual,
     warm_shift,
 )
 from .stacked import (
@@ -91,9 +88,7 @@ __all__ = [
     "cost_perturbation",
     "coupling_correction",
     "dr_series",
-    "euler_discretize",
     "eval_dynamics",
-    "eval_rho",
     "expand",
     "fd_jacobian",
     "fonc_jacobian",
@@ -111,7 +106,6 @@ __all__ = [
     "solve_ocp",
     "sqp_equivalence_max_deviation",
     "sqp_step",
-    "stopping_residual",
     "trace_for_contraction",
     "true_fonc_residual",
     "verify_fixpoint_perturbation",

@@ -36,17 +36,13 @@ from .diagnostics import (
 from .errors import ConfigError, SolverError
 from .models import get_model
 from .solver import SolverOptions, initial_guess, solve_ocp
-from .stacked import StackedProblem, Weights
+from .stacked import StackedProblem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_MODE_ALIASES = {
-    "rti": "real_time_single_iteration",
-    "converge": "converge",
-    "real_time_single_iteration": "real_time_single_iteration",
-}
+_MODE_ALIASES = {"rti": "real_time_single_iteration"}
 
 
 @dataclasses.dataclass
@@ -63,8 +59,11 @@ class RunConfig:
     out: str = "results"
 
     def __post_init__(self):
+        self.mode = _MODE_ALIASES.get(self.mode, self.mode)
         if self.repeat < 1:
             raise ConfigError(f"repeat must be >= 1, got {self.repeat}")
+        if not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -102,63 +101,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"QLMPC_SEED must be an integer, got {env_seed!r}") from exc
 
-    if "mode" in merged and merged["mode"] is not None:
-        mode = str(merged["mode"])
-        if mode not in _MODE_ALIASES:
-            raise ConfigError(f"mode must be one of {sorted(set(_MODE_ALIASES))}, got {mode!r}")
-        merged["mode"] = _MODE_ALIASES[mode]
     try:
-        cfg = RunConfig(**merged)
+        return RunConfig(**merged)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.variant not in ("standard", "exact"):
-        raise ConfigError(f"variant must be 'standard' or 'exact', got {cfg.variant!r}")
-    return cfg
-
-
-def _weight_matrix_from_config(value, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return arr.reshape(1, 1)
-    if arr.ndim == 1:
-        return np.diag(arr)
-    if arr.ndim == 2:
-        return arr
-    raise ConfigError(f"{what} must be a scalar, vector (diagonal) or matrix")
 
 
 def make_scenario(cfg: RunConfig) -> Scenario:
-    if isinstance(cfg.scenario, str):
-        return builtin_scenario(cfg.scenario, variant=cfg.variant, mode=cfg.mode,
-                                stop_tol=cfg.tol, max_iter=cfg.max_iter)
-    if not isinstance(cfg.scenario, dict):
-        raise ConfigError("scenario must be a builtin name or an inline object")
-    fields = dict(cfg.scenario)
-    try:
-        model_id = fields.pop("model")
-        x0 = np.asarray(fields.pop("x0"), dtype=float)
-        steps = int(fields.pop("steps"))
-        horizon = int(fields.pop("horizon"))
-        weights = Weights(
-            Q=_weight_matrix_from_config(fields.pop("q"), "q"),
-            R=_weight_matrix_from_config(fields.pop("r"), "r"),
-            P=_weight_matrix_from_config(fields.pop("p"), "p"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"inline scenario is missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid inline scenario: {exc}") from exc
-    name = fields.pop("name", "custom")
-    if fields:
-        raise ConfigError(f"unknown inline scenario keys: {sorted(fields)}")
-    given = dict(mode=cfg.mode, stop_tol=cfg.tol, max_iter=cfg.max_iter)
-    opts = SolverOptions(variant=cfg.variant, **{k: v for k, v in given.items() if v is not None})
-    get_model(model_id)  # rejects an unknown model id with ConfigError
-    try:
-        return Scenario(name=str(name), model_id=model_id, x0=x0, steps=steps,
-                        horizon=horizon, weights=weights, controller=opts)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return builtin_scenario(cfg.scenario, variant=cfg.variant, mode=cfg.mode,
+                            stop_tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +205,10 @@ def run_simulate(cfg: RunConfig) -> int:
         "final_dr": float(res.dr[-1]) if res.dr.size else None,
         "final_rcso": final_rcso,
         "iterations_total": int(sum(s.iterations for s in res.per_step)),
+        # real-time mode never iterates to tolerance by design
+        "unconverged_steps": (None if scn.controller.mode == "real_time_single_iteration"
+                              else sum(not s.converged for s in res.per_step)),
+        "reference_unconverged_steps": sum(not s.converged for s in res.reference_per_step),
         "solve_time_s": _time_stats(solve_means),
         "prep_time_s": _time_stats(prep_means),
         "qp_time_s": _time_stats(qp_means),
@@ -296,7 +251,7 @@ def run_diagnose(cfg: RunConfig) -> int:
     ref_trace = solve_ocp(prob, scn.x0, initial_guess(prob, scn.x0), ref_opts)
     estimate = contraction_fit(fit_trace, ref_trace.final)
 
-    sqp_dev = sqp_equivalence_max_deviation(prob, scn.x0, n_samples=50, seed=cfg.seed)
+    sqp_dev = sqp_equivalence_max_deviation(prob, scn.x0, seed=cfg.seed)
 
     payload = {
         "scenario": scn.name,
@@ -311,6 +266,7 @@ def run_diagnose(cfg: RunConfig) -> int:
         "radius_bound": estimate.radius_bound,
         "fit_residual_inf": estimate.fit_residual_inf,
         "contraction_errors": estimate.errors,
+        "contraction_reference_converged": ref_trace.converged,
         "sqp_equivalence_max_dev": sqp_dev,
         "note": model.note,
     }

@@ -26,7 +26,25 @@ Array = np.ndarray
 
 REFERENCE_OPTIONS = SolverOptions(variant="exact", mode="converge", stop_tol=1e-10, max_iter=100)
 
-SCENARIO_IDS = ("unicycle", "adip", "tiny-lti", "tiny-qlpv")
+# Each preset is the inline scenario object ``--config`` accepts, paired
+# with its default mode: the unicycle benchmark runs real-time single
+# iterations, the others iterate to convergence.
+_UNICYCLE_Q = [1.0, 1.0, 0.1, 1.0, 0.1]
+_ADIP_Q = [200.0, 1000.0, 0.1, 10.0]
+PRESETS = {
+    "unicycle": ({"model": "unicycle", "x0": [1.0, 2.0, 0.0, math.pi, 0.0], "steps": 100,
+                  "horizon": 20, "q": _UNICYCLE_Q, "r": [1.0, 1.0], "p": _UNICYCLE_Q},
+                 "real_time_single_iteration"),
+    "adip": ({"model": "adip", "x0": [math.pi / 3.0, 0.0, 0.0, 0.0], "steps": 200,
+              "horizon": 40, "q": _ADIP_Q, "r": 2000.0, "p": _ADIP_Q},
+             "converge"),
+    "tiny-lti": ({"model": "tiny-lti", "x0": [1.0], "steps": 5, "horizon": 3,
+                  "q": 1.0, "r": 1.0, "p": 1.0},
+                 "converge"),
+    "tiny-qlpv": ({"model": "tiny-qlpv", "x0": [0.5], "steps": 5, "horizon": 1,
+                   "q": 1.0, "r": 1.0, "p": 1.0},
+                  "converge"),
+}
 
 
 @dataclass(frozen=True)
@@ -38,7 +56,6 @@ class Scenario:
     horizon: int
     weights: Weights
     controller: SolverOptions
-    reference_controller: SolverOptions = REFERENCE_OPTIONS
 
     def __post_init__(self):
         if self.steps < 1:
@@ -51,6 +68,7 @@ class PerStepStats:
     solve_time_s: float
     prep_time_s: float
     qp_time_s: float
+    converged: bool
 
 
 @dataclass
@@ -61,6 +79,7 @@ class ScenarioResult:
     rcso: Array          # relative excess over the reference, nan if undefined
     per_step: list
     reference_dr: Array
+    reference_per_step: list
     failed: bool = False
     failure_step: Optional[int] = None
     failure_message: Optional[str] = None
@@ -123,6 +142,7 @@ def run_control_loop(prob: StackedProblem, x0, steps: int, opts: SolverOptions):
             solve_time_s=solve_s,
             prep_time_s=float(sum(e.prep_time for e in trace.iterates)),
             qp_time_s=float(sum(e.qp_time for e in trace.iterates)),
+            converged=trace.converged,
         ))
         y_prev = z.y
     return states, inputs, stats, None, None
@@ -140,8 +160,8 @@ def simulate(scn: Scenario) -> ScenarioResult:
 
     states, inputs, stats, fail_step, fail_msg = run_control_loop(
         prob, scn.x0, scn.steps, scn.controller)
-    ref_states, ref_inputs, _, ref_fail, ref_msg = run_control_loop(
-        prob, scn.x0, scn.steps, scn.reference_controller)
+    ref_states, ref_inputs, ref_stats, ref_fail, ref_msg = run_control_loop(
+        prob, scn.x0, scn.steps, REFERENCE_OPTIONS)
 
     q, r = scn.weights.Q, scn.weights.R
     dr = dr_series(states, inputs, q, r)
@@ -159,6 +179,7 @@ def simulate(scn: Scenario) -> ScenarioResult:
         rcso=rcso_vals,
         per_step=stats,
         reference_dr=dr_ref,
+        reference_per_step=ref_stats,
         failed=failed,
         failure_step=step,
         failure_message=message,
@@ -166,63 +187,56 @@ def simulate(scn: Scenario) -> ScenarioResult:
     )
 
 
-def builtin_scenario(name: str, variant: str = "standard", mode: Optional[str] = None,
-                     stop_tol: Optional[float] = None, max_iter: Optional[int] = None) -> Scenario:
-    """Benchmark scenarios by name; mode defaults follow the benchmark setup.
+def _weight_matrix(value, what: str) -> Array:
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        return arr.reshape(1, 1)
+    if arr.ndim == 1:
+        return np.diag(arr)
+    if arr.ndim == 2:
+        return arr
+    raise ConfigError(f"{what} must be a scalar, vector (diagonal) or matrix")
 
-    The unicycle runs in real-time single-iteration mode by default, the
-    other scenarios iterate to convergence.
+
+def builtin_scenario(scenario, variant: str = "standard", mode: Optional[str] = None,
+                     stop_tol: Optional[float] = None, max_iter: Optional[int] = None) -> Scenario:
+    """Build a scenario from a preset name or an inline scenario object.
+
+    An inline object has the keys of ``PRESETS`` entries (``model``,
+    ``x0``, ``steps``, ``horizon``, ``q``, ``r``, ``p``) and an optional
+    ``name``; weights are a scalar, a diagonal vector or a matrix.  Mode
+    defaults to the preset's (``converge`` for inline objects); options
+    left None take the ``SolverOptions`` defaults.  Invalid input raises
+    ConfigError.
     """
-    presets = {
-        "unicycle": dict(
-            model_id="unicycle",
-            x0=np.array([1.0, 2.0, 0.0, math.pi, 0.0]),
-            steps=100,
-            horizon=20,
-            weights=Weights(Q=np.diag([1.0, 1.0, 0.1, 1.0, 0.1]),
-                            R=np.diag([1.0, 1.0]),
-                            P=np.diag([1.0, 1.0, 0.1, 1.0, 0.1])),
-            default_mode="real_time_single_iteration",
-        ),
-        "adip": dict(
-            model_id="adip",
-            x0=np.array([math.pi / 3.0, 0.0, 0.0, 0.0]),
-            steps=200,
-            horizon=40,
-            weights=Weights(Q=np.diag([200.0, 1000.0, 0.1, 10.0]),
-                            R=np.array([[2000.0]]),
-                            P=np.diag([200.0, 1000.0, 0.1, 10.0])),
-            default_mode="converge",
-        ),
-        "tiny-lti": dict(
-            model_id="tiny-lti",
-            x0=np.array([1.0]),
-            steps=5,
-            horizon=3,
-            weights=Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)),
-            default_mode="converge",
-        ),
-        "tiny-qlpv": dict(
-            model_id="tiny-qlpv",
-            x0=np.array([0.5]),
-            steps=5,
-            horizon=1,
-            weights=Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)),
-            default_mode="converge",
-        ),
-    }
-    if name not in presets:
-        raise ConfigError(f"unknown scenario {name!r}, expected one of {SCENARIO_IDS}")
-    p = presets[name]
-    given = dict(mode=mode if mode is not None else p["default_mode"],
+    if isinstance(scenario, str):
+        if scenario not in PRESETS:
+            raise ConfigError(f"unknown scenario {scenario!r}, expected one of {tuple(PRESETS)}")
+        fields, default_mode = PRESETS[scenario]
+        fields = dict(fields, name=scenario)
+    elif isinstance(scenario, dict):
+        fields, default_mode = dict(scenario), "converge"
+    else:
+        raise ConfigError("scenario must be a builtin name or an inline object")
+    given = dict(mode=mode if mode is not None else default_mode,
                  stop_tol=stop_tol, max_iter=max_iter)
-    opts = SolverOptions(variant=variant, **{k: v for k, v in given.items() if v is not None})
-    return Scenario(
-        name=name,
-        model_id=p["model_id"],
-        x0=p["x0"],
-        steps=p["steps"],
-        horizon=p["horizon"],
-        weights=p["weights"],
-        controller=opts,
-    )
+    try:
+        controller = SolverOptions(variant=variant,
+                                   **{k: v for k, v in given.items() if v is not None})
+        model_id = fields.pop("model")
+        x0 = np.asarray(fields.pop("x0"), dtype=float)
+        steps = int(fields.pop("steps"))
+        horizon = int(fields.pop("horizon"))
+        weights = Weights(Q=_weight_matrix(fields.pop("q"), "q"),
+                          R=_weight_matrix(fields.pop("r"), "r"),
+                          P=_weight_matrix(fields.pop("p"), "p"))
+        name = str(fields.pop("name", "custom"))
+        if fields:
+            raise ConfigError(f"unknown inline scenario keys: {sorted(fields)}")
+        get_model(model_id)  # rejects an unknown model id
+        return Scenario(name=name, model_id=model_id, x0=x0, steps=steps, horizon=horizon,
+                        weights=weights, controller=controller)
+    except KeyError as exc:
+        raise ConfigError(f"inline scenario is missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc

@@ -10,7 +10,7 @@ The finite-difference Jacobian oracle is ``stacked.fd_jacobian``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
@@ -18,12 +18,10 @@ import scipy.optimize
 from .solver import (
     IterateTrace,
     SolverOptions,
-    TraceEntry,
     initial_guess,
     qlmpc_iterate,
     solve_ocp,
     sqp_step,
-    stopping_residual,
 )
 from .stacked import (
     KktPoint,
@@ -193,28 +191,25 @@ def contraction_fit(trace: IterateTrace, z_bar: KktPoint) -> ContractionEstimate
     )
 
 
-def trace_for_contraction(prob: StackedProblem, x0hat, opts: SolverOptions,
-                          min_points: int = 3) -> IterateTrace:
-    """Solve from the zero-input rollout, padding to ``min_points`` iterates.
+def trace_for_contraction(prob: StackedProblem, x0hat, opts: SolverOptions) -> IterateTrace:
+    """Solve from the zero-input rollout, padding to the 3 iterates a fit needs.
 
     Problems that terminate in one step (LTI degeneration) yield traces
-    too short to fit; extra iterations just sit at the fixpoint and keep
-    the fit well posed.
+    too short to fit; the padding iterates are single real-time steps
+    from the last one, which just sit at the fixpoint.
     """
     trace = solve_ocp(prob, x0hat, initial_guess(prob, x0hat), opts)
     entries = list(trace.iterates)
-    while len(entries) < min_points:
-        z = qlmpc_iterate(prob, entries[-1].z, x0hat, opts.variant)
-        res = stopping_residual(prob, z, x0hat, opts.variant)
-        entries.append(TraceEntry(z, res, 0.0, 0.0))
+    one_step = replace(opts, mode="real_time_single_iteration")
+    while len(entries) < 3:
+        entries.append(solve_ocp(prob, x0hat, entries[-1].z.y, one_step).iterates[-1])
     return IterateTrace(entries, trace.converged)
 
 
-def sqp_equivalence_max_deviation(prob: StackedProblem, x0hat, n_samples: int = 50,
-                                  seed: int = 0, scale: float = 1.0) -> float:
+def sqp_equivalence_max_deviation(prob: StackedProblem, x0hat, seed: int = 0) -> float:
     """Largest normalized gap between the SQP step and the exact iterate.
 
-    Samples Gaussian iterates around the origin and returns
+    Samples 50 standard-normal iterates and returns
     ``max_i |sqp(z_i) - exact(z_i)|_inf / (1 + |z_i|_inf)``; the two
     paths solve the same QP through different factorizations, so this
     measures numerical agreement of the whole pipeline.
@@ -222,9 +217,8 @@ def sqp_equivalence_max_deviation(prob: StackedProblem, x0hat, n_samples: int = 
     rng = np.random.default_rng(seed)
     x0 = prob.check_x0(x0hat)
     worst = 0.0
-    for _ in range(n_samples):
-        z = KktPoint(scale * rng.standard_normal(prob.n_y),
-                     scale * rng.standard_normal(prob.n_eq))
+    for _ in range(50):
+        z = KktPoint(rng.standard_normal(prob.n_y), rng.standard_normal(prob.n_eq))
         a = sqp_step(prob, z, x0)
         b = qlmpc_iterate(prob, z, x0, "exact")
         dev = float(np.max(np.abs(a.stack() - b.stack())))

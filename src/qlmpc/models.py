@@ -69,13 +69,6 @@ def _as_vector(v, n, what):
     return arr
 
 
-def eval_rho(model: LpvModel, x, u) -> Array:
-    """Evaluate the scheduling parameter at a state/input pair."""
-    x = _as_vector(x, model.dims.n_x, "state")
-    u = _as_vector(u, model.dims.n_u, "input")
-    return _as_vector(model.rho(x, u), model.dims.n_rho, "parameter")
-
-
 def eval_dynamics(model: LpvModel, x, u) -> Array:
     """One step of the discrete dynamics, A(rho(x,u)) x + B(rho(x,u)) u."""
     x = _as_vector(x, model.dims.n_x, "state")
@@ -84,27 +77,13 @@ def eval_dynamics(model: LpvModel, x, u) -> Array:
     return model.a_of_rho(r) @ x + model.b_of_rho(r) @ u
 
 
-def euler_discretize(f: Callable[[Array, Array], Array], dt: float) -> Callable[[Array, Array], Array]:
-    """Forward-Euler discretization of a continuous vector field.
-
-    Returns the map ``(x, u) -> x + dt * f(x, u)``.
-    """
-    if dt <= 0:
-        raise ValueError(f"sampling time must be positive, got {dt}")
-
-    def step(x, u):
-        x = np.asarray(x, dtype=float)
-        return x + dt * np.asarray(f(x, u), dtype=float)
-
-    return step
-
-
 # ---------------------------------------------------------------------------
 # Dynamic unicycle: x = (s, q, v, phi, omega), u = (F, tau), rho = phi.
 
-def builtin_unicycle(dt: float = 0.1) -> LpvModel:
-    """Euler-discretized dynamic unicycle with analytic stage Jacobian."""
+def builtin_unicycle() -> LpvModel:
+    """Euler-discretized dynamic unicycle (T = 0.1 s) with analytic stage Jacobian."""
     dims = ModelDims(n_x=5, n_u=2, n_rho=1)
+    dt = 0.1
 
     b_mat = np.zeros((5, 2))
     b_mat[2, 0] = dt
@@ -168,22 +147,20 @@ ADIP_PARAMS = {
 ADIP_NOTE = "ADIP physical parameters are package stand-ins, not identified hardware values"
 
 
-def builtin_adip(dt: float = 0.01, params: Optional[dict] = None) -> LpvModel:
-    """Euler-discretized arm-driven inverted pendulum.
+def builtin_adip() -> LpvModel:
+    """Euler-discretized arm-driven inverted pendulum (T = 0.01 s).
 
     The gravity terms enter through sin(th)/th factors so the embedding
     is exact and the upright origin stays an equilibrium of the frozen
     parameter model.  rho is the full state.
     """
     dims = ModelDims(n_x=4, n_u=1, n_rho=4)
-    p = dict(ADIP_PARAMS)
-    if params:
-        p.update(params)
-    m1 = p["arm_mass"]
-    l1 = p["arm_length"]
-    m2 = p["pend_mass"]
-    l2 = p["pend_length"]
-    g = p["gravity"]
+    dt = 0.01
+    m1 = ADIP_PARAMS["arm_mass"]
+    l1 = ADIP_PARAMS["arm_length"]
+    m2 = ADIP_PARAMS["pend_mass"]
+    l2 = ADIP_PARAMS["pend_length"]
+    g = ADIP_PARAMS["gravity"]
 
     m11 = (m1 + m2) * l1 * l1
     m22 = m2 * l2 * l2

@@ -36,7 +36,6 @@ from .stacked import (
     VARIANTS,
     KktPoint,
     StackedProblem,
-    StageData,
     constraint_matrix,
     linearized_constraint,
     stage_data,
@@ -132,34 +131,10 @@ def warm_shift(prob: StackedProblem, y_prev, x0hat_new) -> Array:
     return np.concatenate([xs_new.ravel(), us_new.ravel()])
 
 
-def stopping_residual(prob: StackedProblem, z: KktPoint, x0hat, variant: str) -> float:
-    """Infinity norm of the variant's own optimality residual.
-
-    The optimality residual of the QP the variant freezes at z.y: the
-    refreshed frozen-parameter residual for standard, the true-NLP
-    residual for exact.
-    """
-    y = prob.check_y(z.y)
-    return stage_residual(prob, stage_data(prob, y, variant), KktPoint(y, z.lam),
-                          prob.check_x0(x0hat))
-
-
-def _solve_qp(prob, x0hat, stages: StageData):
-    """Condensed solve of the QP frozen in ``stages``."""
-    qp = condense(prob, stages, x0hat)
-    t1 = perf_counter()
-    u = solve_condensed(qp)
-    qp_seconds = perf_counter() - t1
-    y_next = expand(qp, u)
-    return KktPoint(y_next, stage_multipliers(prob, stages, y_next)), qp_seconds
-
-
 def qlmpc_iterate(prob: StackedProblem, z: KktPoint, x0hat, variant: str = "standard") -> KktPoint:
     """Solve one frozen QP and return the next primal-dual iterate."""
-    y = prob.check_y(z.y)
-    x0 = prob.check_x0(x0hat)
-    z_next, _ = _solve_qp(prob, x0, stage_data(prob, y, variant))
-    return z_next
+    opts = SolverOptions(variant=variant, mode="real_time_single_iteration")
+    return solve_ocp(prob, x0hat, z.y, opts).final
 
 
 def sqp_step(prob: StackedProblem, z: KktPoint, x0hat) -> KktPoint:
@@ -211,7 +186,12 @@ def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> Itera
     max_iter = 1 if single else opts.max_iter
     while len(entries) <= max_iter and (single or res > opts.stop_tol):
         t0 = perf_counter()
-        z, qp_s = _solve_qp(prob, x0, stages)
+        qp = condense(prob, stages, x0)
+        t1 = perf_counter()
+        u = solve_condensed(qp)
+        qp_s = perf_counter() - t1
+        y = expand(qp, u)
+        z = KktPoint(y, stage_multipliers(prob, stages, y))
         # stage data at the new point serves both the residual and the
         # next QP build
         stages = stage_data(prob, z.y, opts.variant)

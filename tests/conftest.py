@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qlmpc as q
+from qlmpc.closed_loop import REFERENCE_OPTIONS
 
 
 @pytest.fixture(scope="session")
@@ -61,5 +62,5 @@ def adip_loops(adip_problem, adip_x0):
     for variant in ("standard", "exact"):
         opts = q.SolverOptions(variant=variant, mode="converge", stop_tol=1e-6, max_iter=30)
         out[variant] = q.run_control_loop(adip_problem, adip_x0, scn.steps, opts)
-    out["reference"] = q.run_control_loop(adip_problem, adip_x0, scn.steps, scn.reference_controller)
+    out["reference"] = q.run_control_loop(adip_problem, adip_x0, scn.steps, REFERENCE_OPTIONS)
     return out

@@ -1,9 +1,14 @@
 import csv
+import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qlmpc.cli import main
+from qlmpc.cli import build_parser, main, make_scenario, resolve_config
+from qlmpc.closed_loop import PRESETS, Scenario
 
 TINY_INLINE = {
     "scenario": {
@@ -66,6 +71,15 @@ class TestExitCodes:
         cfg = write_config(tmp_path, TINY_INLINE)
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key", ["max_iter", "tol", "seed"])
+    def test_wrong_type_in_config(self, tmp_path, key):
+        cfg = write_config(tmp_path, dict(TINY_INLINE, **{key: "abc"}))
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_max_iter_zero(self, tmp_path):
+        assert main(["simulate", "--scenario", "tiny-lti", "--max-iter", "0",
+                     "--out", str(tmp_path)]) == 2
+
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
@@ -114,6 +128,8 @@ class TestSimulateOutputs:
         assert summary["repeat"] == 2
         assert isinstance(summary["final_rcso"], float)
         assert set(summary["solve_time_s"]) == {"median", "min", "max"}
+        assert summary["unconverged_steps"] == 0
+        assert summary["reference_unconverged_steps"] == 0
 
 
 def test_unicycle_csv_has_one_row_per_step(tmp_path):
@@ -155,6 +171,15 @@ class TestDiagnose:
         assert payload["fixpoint_tol"] == 1e-10
         assert payload["kappa_hat"] < 1.0
         assert payload["sqp_equivalence_max_dev"] <= 1e-9
+        assert payload["contraction_reference_converged"] is True
+
+    def test_adip_contraction_reference_is_unconverged(self, tmp_path):
+        # the tol-1e-12 ADIP reference stalls near 5e-9 and runs out of
+        # iterations; the report must say so
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--scenario", "adip", "--out", str(out)]) == 0
+        payload = json.loads((out / "adip_diagnostics.json").read_text())
+        assert payload["contraction_reference_converged"] is False
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QLMPC_SEED", "7")
@@ -180,6 +205,7 @@ class TestFlagPrecedence:
         summary = json.loads((out / "tiny-lti_standard_summary.json").read_text())
         assert summary["mode"] == "real_time_single_iteration"
         assert summary["iterations_total"] == 5
+        assert summary["unconverged_steps"] is None
 
 
 def test_help_exits_zero():
@@ -188,3 +214,39 @@ def test_help_exits_zero():
 
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 2
+
+
+def _scenario_from(tmp_path, argv, payload=None):
+    if payload is not None:
+        argv = argv + ["--config", write_config(tmp_path, payload)]
+    return make_scenario(resolve_config(build_parser().parse_args(["simulate"] + argv)))
+
+
+@pytest.mark.parametrize("variant", ["standard", "exact"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_equals_its_inline_object(tmp_path, name, variant):
+    fields, mode = PRESETS[name]
+    inline = _scenario_from(tmp_path, [], {"scenario": dict(fields, name=name),
+                                           "variant": variant, "mode": mode})
+    builtin = _scenario_from(tmp_path, ["--scenario", name, "--variant", variant])
+    for f in dataclasses.fields(Scenario):
+        a, b = getattr(inline, f.name), getattr(builtin, f.name)
+        if f.name == "weights":
+            for m in ("Q", "R", "P"):
+                np.testing.assert_array_equal(getattr(a, m), getattr(b, m), strict=True)
+        elif isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b, strict=True)
+        else:
+            assert a == b, f.name
+
+
+def test_run_benchmarks_script(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_benchmarks.py"
+    spec = importlib.util.spec_from_file_location("run_benchmarks", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "SCENARIOS", ("tiny-lti", "tiny-qlpv"))
+    assert script.main(["--out", str(tmp_path), "--repeat", "1"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["tiny-lti"], ["tiny-qlpv"])]
+    assert len(rows) == 4

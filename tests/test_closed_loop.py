@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qlmpc as q
+from qlmpc.closed_loop import REFERENCE_OPTIONS
 
 
 def tiny_scenario(**overrides):
@@ -85,6 +86,17 @@ def test_simulate_shapes_and_stats():
     assert len(res.per_step) == scn.steps
     assert all(s.iterations >= 0 for s in res.per_step)
     assert all(s.solve_time_s >= s.qp_time_s >= 0.0 for s in res.per_step)
+    assert len(res.reference_per_step) == scn.steps
+    assert all(s.converged for s in res.per_step + res.reference_per_step)
+
+
+def test_adip_reference_has_unconverged_steps(adip_loops):
+    # the ADIP reference stops at max_iter at some steps; per-step stats
+    # must say so rather than pass those solves off as converged
+    stats = adip_loops["reference"][2]
+    unconverged = [s for s in stats if not s.converged]
+    assert unconverged
+    assert all(s.iterations == REFERENCE_OPTIONS.max_iter for s in unconverged)
 
 
 def test_simulate_truncates_on_failure():
@@ -119,8 +131,8 @@ def test_builtin_scenario_defaults():
     adip = q.builtin_scenario("adip", variant="exact")
     assert adip.controller.mode == "converge"
     assert adip.steps == 200 and adip.horizon == 40
-    assert adip.reference_controller.stop_tol == 1e-10
-    assert adip.reference_controller.variant == "exact"
+    assert REFERENCE_OPTIONS.stop_tol == 1e-10
+    assert REFERENCE_OPTIONS.variant == "exact"
 
 
 class TestUnicycleClosedLoop:

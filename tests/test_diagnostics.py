@@ -129,7 +129,7 @@ class TestContractionFit:
 
 
 def test_sqp_equivalence_helper(unicycle_problem, unicycle_x0):
-    dev = q.sqp_equivalence_max_deviation(unicycle_problem, unicycle_x0, n_samples=10, seed=3)
+    dev = q.sqp_equivalence_max_deviation(unicycle_problem, unicycle_x0, seed=3)
     assert dev <= 1e-9
 
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import qlmpc as q
@@ -19,26 +18,19 @@ def exact_stage(m, x, u):
     return stages.a[0], stages.b[0], stages.w[0]
 
 
-def test_eval_rho_unicycle_is_heading():
+def test_rho_unicycle_is_heading():
     m = q.builtin_unicycle()
-    rho = q.eval_rho(m, [1.0, 2.0, 0.0, math.pi, 0.0], [0.0, 0.0])
-    assert_allclose(rho, [math.pi])
-    assert_allclose(q.eval_rho(m, np.zeros(5), np.zeros(2)), [0.0])
+    assert_allclose(m.rho(np.array([1.0, 2.0, 0.0, math.pi, 0.0]), np.zeros(2)), [math.pi])
+    assert_allclose(m.rho(np.zeros(5), np.zeros(2)), [0.0])
 
 
-def test_eval_rho_tiny_qlpv_is_state():
+def test_rho_tiny_qlpv_is_state():
     m = q.builtin_tiny("qlpv")
-    assert_allclose(q.eval_rho(m, [0.5], [0.0]), [0.5])
-
-
-def test_eval_rho_dimension_mismatch():
-    m = q.builtin_unicycle()
-    with pytest.raises(ValueError):
-        q.eval_rho(m, [1.0, 2.0], [0.0, 0.0])
+    assert_allclose(m.rho(np.array([0.5]), np.zeros(1)), [0.5])
 
 
 def test_eval_dynamics_unicycle_drives_forward():
-    m = q.builtin_unicycle(dt=0.1)
+    m = q.builtin_unicycle()
     x_next = q.eval_dynamics(m, [0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0])
     assert_allclose(x_next, [0.1, 0.0, 1.0, 0.0, 0.0], atol=1e-15)
 
@@ -55,36 +47,18 @@ def test_origin_is_equilibrium(name):
     assert np.all(x_next == 0.0)
 
 
-def test_euler_discretize_reproduces_unicycle_matrices():
-    # continuous unicycle field; its Euler map must match the builtin model
+def test_unicycle_is_euler_step_of_its_field():
+    # continuous unicycle field; its Euler step must match the builtin model
     def field(x, u):
         s, qq, v, phi, omega = x
         return np.array([v * math.cos(phi), v * math.sin(phi), u[0], omega, u[1]])
 
-    step = q.euler_discretize(field, 0.1)
-    m = q.builtin_unicycle(dt=0.1)
+    m = q.builtin_unicycle()
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.normal(size=5)
         u = rng.normal(size=2)
-        assert_allclose(step(x, u), q.eval_dynamics(m, x, u), atol=1e-14)
-
-
-def test_euler_discretize_scalar_integrator():
-    step = q.euler_discretize(lambda x, u: u, 0.01)
-    assert_allclose(step(np.array([2.0]), np.array([3.0])), [2.03])
-
-
-def test_euler_discretize_zero_field_is_identity():
-    step = q.euler_discretize(lambda x, u: np.zeros_like(x), 0.5)
-    x = np.array([1.0, -2.0])
-    assert_allclose(step(x, None), x)
-
-
-@pytest.mark.parametrize("dt", [0.0, -0.1])
-def test_euler_discretize_rejects_nonpositive_dt(dt):
-    with pytest.raises(ValueError):
-        q.euler_discretize(lambda x, u: x, dt)
+        assert_allclose(x + 0.1 * field(x, u), q.eval_dynamics(m, x, u), atol=1e-14)
 
 
 # The exact variant's offset w is the paper's disturbance input: for the
@@ -93,12 +67,12 @@ def test_euler_discretize_rejects_nonpositive_dt(dt):
 
 def test_unicycle_disturbance_column():
     phi = math.pi / 2.0
-    _, _, w = exact_stage(q.builtin_unicycle(dt=0.1), np.array([0.0, 0.0, 1.0, phi, 0.0]), np.zeros(2))
+    _, _, w = exact_stage(q.builtin_unicycle(), np.array([0.0, 0.0, 1.0, phi, 0.0]), np.zeros(2))
     assert_allclose(w / phi, [0.1, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_unicycle_linearized_matrix_entries():
-    a, _, _ = exact_stage(q.builtin_unicycle(dt=0.1), np.array([0.0, 0.0, 1.0, 0.0, 0.0]), np.zeros(2))
+    a, _, _ = exact_stage(q.builtin_unicycle(), np.array([0.0, 0.0, 1.0, 0.0, 0.0]), np.zeros(2))
     assert a[0, 3] == 0.0
     assert a[1, 3] == pytest.approx(0.1, abs=1e-15)
 
@@ -150,13 +124,6 @@ def test_adip_has_standin_note_and_no_extension():
     assert m.dt == 0.01
 
 
-def test_adip_accepts_parameter_overrides():
-    heavy = q.builtin_adip(params={"pend_mass": 0.5})
-    base = q.builtin_adip()
-    r = np.array([0.3, -0.1, 0.0, 0.0])
-    assert not np.allclose(heavy.a_of_rho(r), base.a_of_rho(r))
-
-
 def test_model_dims_validation():
     with pytest.raises(ValueError):
         q.ModelDims(n_x=0, n_u=1, n_rho=1)
@@ -170,10 +137,3 @@ def test_get_model_unknown_id():
 def test_builtin_tiny_unknown_kind():
     with pytest.raises(q.ConfigError):
         q.builtin_tiny("nonlinear")
-
-
-@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(1e-6, 10.0))
-def test_euler_step_is_affine_in_the_field(x0, u0, dt):
-    step = q.euler_discretize(lambda x, u: np.atleast_1d(u), dt)
-    out = step(np.array([x0]), np.array([u0]))
-    assert out[0] == pytest.approx(x0 + dt * u0, rel=1e-12, abs=1e-12)

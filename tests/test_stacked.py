@@ -204,6 +204,3 @@ def test_unknown_variant_rejected(unicycle_problem, variant):
     y = np.zeros(unicycle_problem.n_y)
     with pytest.raises(ValueError, match="variant"):
         stage_data(unicycle_problem, y, variant)
-    z = q.KktPoint(y, np.zeros(unicycle_problem.n_eq))
-    with pytest.raises(ValueError, match="variant"):
-        q.stopping_residual(unicycle_problem, z, np.zeros(5), variant)

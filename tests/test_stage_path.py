@@ -69,7 +69,6 @@ def test_stage_residual_matches_dense_residual(problems, name, variant):
         res = stage_residual(prob, stage_data(prob, y, variant), z, x0)
         ref = float(np.max(np.abs(dense(prob, z, x0))))
         assert abs(res - ref) <= 1e-12 * max(1.0, ref)
-        assert q.stopping_residual(prob, z, x0, variant) == res
 
     check()
 

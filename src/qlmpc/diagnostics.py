@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.optimize
 
+from .errors import SolverError
 from .solver import (
     IterateTrace,
     SolverOptions,
@@ -128,7 +129,7 @@ def _envelope_lstsq(design, target, slack, cons, cons_target):
         if val < best_val:
             best, best_val = np.maximum(x, 0.0), val
     if best is None:
-        raise ValueError("contraction envelope fit is infeasible")
+        raise SolverError("contraction envelope fit is infeasible")
     return best
 
 

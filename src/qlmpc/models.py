@@ -7,6 +7,12 @@ matrices at a frozen parameter trajectory yields an ordinary linear
 time-varying model.  All builtin instances keep the origin as an
 unforced equilibrium.
 
+The model closures broadcast over leading stage axes, so the stacked OCP
+calls each once per trajectory with the ``(N, n_x)`` states and
+``(N, n_u)`` inputs (or ``(N, n_rho)`` parameters); 1-D arrays give one
+point.  A result of the per-stage shape is a constant, broadcast over
+the stages; any other shape is rejected.
+
 The exact solver variant freezes the linearization of the dynamics
 instead, ``x+ = J_x x + J_u u + w`` with ``w = f(xb, ub) - J [xb; ub]``
 at the previous iterate ``(xb, ub)``.  This is the paper's
@@ -21,7 +27,6 @@ from ``stage_jacobian`` alone, so models carry no separate extension.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -50,7 +55,13 @@ class ModelDims:
 
 @dataclass(frozen=True)
 class LpvModel:
-    """Immutable quasi-LPV model; all evaluation maps are pure."""
+    """Immutable quasi-LPV model; all evaluation maps are pure.
+
+    The closures broadcast over leading stage axes: ``rho(xs, us)`` gives
+    ``(..., n_rho)``, ``a_of_rho(r)`` ``(..., n_x, n_x)``, ``b_of_rho(r)``
+    ``(..., n_x, n_u)`` and ``stage_jacobian(xs, us)`` ``(..., n_x, n_x + n_u)``.
+    A result of the per-stage shape alone is a constant for every stage.
+    """
 
     name: str
     dims: ModelDims
@@ -93,13 +104,14 @@ def builtin_unicycle() -> LpvModel:
     a_base[3, 4] = dt
 
     def rho(x, u):
-        return np.array([x[3]])
+        return x[..., 3:4]
 
     def a_of_rho(r):
-        phi = r[0]
-        a = a_base.copy()
-        a[0, 2] = dt * math.cos(phi)
-        a[1, 2] = dt * math.sin(phi)
+        phi = r[..., 0]
+        a = np.empty(phi.shape + (5, 5))
+        a[...] = a_base
+        a[..., 0, 2] = dt * np.cos(phi)
+        a[..., 1, 2] = dt * np.sin(phi)
         return a
 
     def b_of_rho(r):
@@ -109,23 +121,17 @@ def builtin_unicycle() -> LpvModel:
 
     def stage_jacobian(x, u):
         # d/d(x,u) of A(phi(x)) x + B u: A(phi) plus the heading column
-        v, phi = x[2], x[3]
-        jac = jac_base.copy()
-        jac[0, 2] = dt * math.cos(phi)
-        jac[1, 2] = dt * math.sin(phi)
-        jac[0, 3] = -dt * v * math.sin(phi)
-        jac[1, 3] = dt * v * math.cos(phi)
+        v, phi = x[..., 2], x[..., 3]
+        cos, sin = np.cos(phi), np.sin(phi)
+        jac = np.empty(phi.shape + (5, 7))
+        jac[...] = jac_base
+        jac[..., 0, 2] = dt * cos
+        jac[..., 1, 2] = dt * sin
+        jac[..., 0, 3] = -dt * v * sin
+        jac[..., 1, 3] = dt * v * cos
         return jac
 
-    return LpvModel(
-        name="unicycle",
-        dims=dims,
-        rho=rho,
-        a_of_rho=a_of_rho,
-        b_of_rho=b_of_rho,
-        stage_jacobian=stage_jacobian,
-        dt=dt,
-    )
+    return LpvModel("unicycle", dims, rho, a_of_rho, b_of_rho, stage_jacobian, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +173,7 @@ def builtin_adip() -> LpvModel:
     m12_amp = m2 * l1 * l2
     kg1 = (m1 + m2) * g * l1
     kg2 = m2 * g * l2
+    kg = np.array([kg1, kg2])
 
     a_base = np.eye(4)
     a_base[0, 2] = dt
@@ -174,9 +181,8 @@ def builtin_adip() -> LpvModel:
 
     def _sinc(t):
         # sin(t)/t with the removable singularity filled by its series
-        if abs(t) < 1e-6:
-            return 1.0 - t * t / 6.0
-        return math.sin(t) / t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(np.abs(t) < 1e-6, 1.0 - t * t / 6.0, np.sin(t) / t)
 
     def rho(x, u):
         return np.asarray(x, dtype=float)
@@ -187,29 +193,31 @@ def builtin_adip() -> LpvModel:
         return m22 / det, -m12 / det, m11 / det
 
     def a_of_rho(r):
-        th1, th2, w1, w2 = r
-        c12 = math.cos(th1 - th2)
-        cw = m12_amp * math.sin(th1 - th2)
-        i11, i12, i22 = _mass_inverse_entries(c12)
-        g1 = kg1 * _sinc(th1)
-        g2 = kg2 * _sinc(th2)
-        a = a_base.copy()
-        a[2, 0] = dt * i11 * g1
-        a[2, 1] = dt * i12 * g2
-        a[3, 0] = dt * i12 * g1
-        a[3, 1] = dt * i22 * g2
+        th12 = r[..., 0] - r[..., 1]
+        w1, w2 = r[..., 2], r[..., 3]
+        cw = m12_amp * np.sin(th12)
+        i11, i12, i22 = (dt * i for i in _mass_inverse_entries(np.cos(th12)))  # of dt M^-1
+        g = kg * _sinc(r[..., :2])
+        g1, g2 = g[..., 0], g[..., 1]
+        i12_cw = i12 * cw
+        a = np.empty(th12.shape + (4, 4))
+        a[...] = a_base
+        a[..., 2, 0] = i11 * g1
+        a[..., 2, 1] = i12 * g2
+        a[..., 3, 0] = i12 * g1
+        a[..., 3, 1] = i22 * g2
         # coriolis block -dt * Minv @ [[0, cw*w2], [-cw*w1, 0]]
-        a[2, 2] += dt * i12 * cw * w1
-        a[2, 3] = -dt * i11 * cw * w2
-        a[3, 2] += dt * i22 * cw * w1
-        a[3, 3] += -dt * i12 * cw * w2
+        a[..., 2, 2] += i12_cw * w1
+        a[..., 2, 3] = -(i11 * cw * w2)
+        a[..., 3, 2] = i22 * cw * w1
+        a[..., 3, 3] -= i12_cw * w2
         return a
 
     def b_of_rho(r):
-        i11, i12, _ = _mass_inverse_entries(math.cos(r[0] - r[1]))
-        b = np.zeros((4, 1))
-        b[2, 0] = dt * i11
-        b[3, 0] = dt * i12
+        i11, i12, _ = _mass_inverse_entries(np.cos(r[..., 0] - r[..., 1]))
+        b = np.zeros(i11.shape + (4, 1))
+        b[..., 2, 0] = dt * i11
+        b[..., 3, 0] = dt * i12
         return b
 
     jac_base = np.zeros((4, 5))
@@ -219,45 +227,35 @@ def builtin_adip() -> LpvModel:
         # Jacobian of x + dt * (w1, w2, acc) with acc = M(th)^{-1} F and
         # F = tau e1 - coriolis(th, w) + gravity(th); uses
         # d(M^{-1} F)/dq = M^{-1} (dF/dq - dM/dq acc).
-        th1, th2, w1, w2 = x
-        tau = u[0]
-        c12 = math.cos(th1 - th2)
-        s12 = math.sin(th1 - th2)
+        w1, w2, tau = x[..., 2], x[..., 3], u[..., 0]
+        th12 = x[..., 0] - x[..., 1]
+        c12 = np.cos(th12)
         mc = m12_amp * c12
-        cw = m12_amp * s12
+        cw = m12_amp * np.sin(th12)
         i11, i12, i22 = _mass_inverse_entries(c12)
-        f1 = tau - cw * w2 * w2 + kg1 * math.sin(th1)
-        f2 = cw * w1 * w1 + kg2 * math.sin(th2)
+        kg_sin = kg * np.sin(x[..., :2])
+        kg_cos = kg * np.cos(x[..., :2])
+        f1 = tau - cw * w2 * w2 + kg_sin[..., 0]
+        f2 = cw * w1 * w1 + kg_sin[..., 1]
         acc1 = i11 * f1 + i12 * f2
         acc2 = i12 * f1 + i22 * f2
-        # dM/dth1 @ acc = (-cw*acc2, -cw*acc1); dM/dth2 is its negative
-        df = np.array([
-            [kg1 * math.cos(th1) - mc * w2 * w2 + cw * acc2,
-             mc * w2 * w2 - cw * acc2,
-             0.0,
-             -2.0 * cw * w2,
-             1.0],
-            [mc * w1 * w1 + cw * acc1,
-             kg2 * math.cos(th2) - mc * w1 * w1 - cw * acc1,
-             2.0 * cw * w1,
-             0.0,
-             0.0],
-        ])
-        jac = jac_base.copy()
-        jac[2] += dt * (i11 * df[0] + i12 * df[1])
-        jac[3] += dt * (i12 * df[0] + i22 * df[1])
+        # rows dF/d(th1, th2, w1, w2, tau); dM/dth1 @ acc = (-cw*acc2,
+        # -cw*acc1) and dM/dth2 is its negative
+        df = np.zeros(th12.shape + (2, 5))
+        df[..., 0, 0] = kg_cos[..., 0] - mc * w2 * w2 + cw * acc2
+        df[..., 0, 1] = mc * w2 * w2 - cw * acc2
+        df[..., 0, 3] = -2.0 * cw * w2
+        df[..., 0, 4] = 1.0
+        df[..., 1, 0] = mc * w1 * w1 + cw * acc1
+        df[..., 1, 1] = kg_cos[..., 1] - mc * w1 * w1 - cw * acc1
+        df[..., 1, 2] = 2.0 * cw * w1
+        jac = np.empty(th12.shape + (4, 5))
+        jac[...] = jac_base
+        jac[..., 2, :] += dt * (i11[..., None] * df[..., 0, :] + i12[..., None] * df[..., 1, :])
+        jac[..., 3, :] += dt * (i12[..., None] * df[..., 0, :] + i22[..., None] * df[..., 1, :])
         return jac
 
-    return LpvModel(
-        name="adip",
-        dims=dims,
-        rho=rho,
-        a_of_rho=a_of_rho,
-        b_of_rho=b_of_rho,
-        stage_jacobian=stage_jacobian,
-        dt=dt,
-        note=ADIP_NOTE,
-    )
+    return LpvModel("adip", dims, rho, a_of_rho, b_of_rho, stage_jacobian, dt=dt, note=ADIP_NOTE)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +279,10 @@ def builtin_tiny(kind: str) -> LpvModel:
         return LpvModel(
             name="tiny-qlpv",
             dims=dims,
-            rho=lambda x, u: np.array([x[0]]),
-            a_of_rho=lambda r: np.array([[r[0]]]),
+            rho=lambda x, u: x[..., :1],
+            a_of_rho=lambda r: r[..., None],
             b_of_rho=lambda r: one,
-            stage_jacobian=lambda x, u: np.array([[2.0 * x[0], 1.0]]),
+            stage_jacobian=lambda x, u: np.stack([2.0 * x, np.ones_like(x)], axis=-1),
         )
     raise ConfigError(f"unknown tiny model kind {kind!r}, expected 'lti' or 'qlpv'")
 
@@ -295,8 +293,6 @@ def get_model(name: str) -> LpvModel:
         return builtin_unicycle()
     if name == "adip":
         return builtin_adip()
-    if name == "tiny-lti":
-        return builtin_tiny("lti")
-    if name == "tiny-qlpv":
-        return builtin_tiny("qlpv")
+    if name in ("tiny-lti", "tiny-qlpv"):
+        return builtin_tiny(name.removeprefix("tiny-"))
     raise ConfigError(f"unknown model id {name!r}, expected one of {MODEL_IDS}")

@@ -159,7 +159,10 @@ def sqp_step(prob: StackedProblem, z: KktPoint, x0hat) -> KktPoint:
         -2.0 * (prob.weight_matrix @ y),
         -(g @ y + prob.x0_map @ x0),
     ])
-    sol = np.linalg.solve(kkt, rhs)
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"SQP step KKT solve failed: {exc}") from None
     return KktPoint(y + sol[:n_y], sol[n_y:])
 
 

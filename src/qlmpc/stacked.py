@@ -163,10 +163,20 @@ class StackedProblem:
         return x0
 
     def rho_trajectory(self, y: Array) -> Array:
-        """Scheduling parameters extracted stage-wise from y."""
-        xs = self.states(y)
-        us = self.inputs(y)
-        return np.array([self.model.rho(xs[k], us[k]) for k in range(self.n_horizon)])
+        """Scheduling parameters of the N stages of y, shape (N, n_rho)."""
+        rho = self.model.rho(self.states(y)[:-1], self.inputs(y))
+        return per_stage("rho", rho, self.n_horizon, (self.model.dims.n_rho,))
+
+
+def per_stage(closure: str, out, n: int, shape: tuple) -> Array:
+    """A closure's result for n stages as (n, *shape); a ``shape`` result is a constant."""
+    out = np.asarray(out, dtype=float)
+    if out.shape == (n, *shape):
+        return out
+    if out.shape == shape:
+        return np.broadcast_to(out, (n, *shape))
+    raise ValueError(f"model closure {closure} returned shape {out.shape}; "
+                     f"expected {(n, *shape)} for {n} stages or the per-stage {shape}")
 
 
 @dataclass(frozen=True)
@@ -184,9 +194,10 @@ class StageData:
 
 def frozen_stages(model: LpvModel, rho_traj) -> StageData:
     """Frozen-parameter stage data (A(rho_k), B(rho_k), 0) of a parameter trajectory."""
-    a = np.array([model.a_of_rho(r) for r in rho_traj])
-    b = np.array([model.b_of_rho(r) for r in rho_traj])
-    return StageData(a, b, np.zeros(a.shape[:2]))
+    n, n_x, n_u = len(rho_traj), model.dims.n_x, model.dims.n_u
+    a = per_stage("a_of_rho", model.a_of_rho(rho_traj), n, (n_x, n_x))
+    b = per_stage("b_of_rho", model.b_of_rho(rho_traj), n, (n_x, n_u))
+    return StageData(a, b, np.zeros((n, n_x)))
 
 
 def stage_data(prob: StackedProblem, y, variant: str) -> StageData:
@@ -205,7 +216,8 @@ def stage_data(prob: StackedProblem, y, variant: str) -> StageData:
         return frozen
     xs = prob.states(y)
     us = prob.inputs(y)
-    jac = np.array([prob.model.stage_jacobian(xs[k], us[k]) for k in range(prob.n_horizon)])
+    jac = per_stage("stage_jacobian", prob.model.stage_jacobian(xs[:-1], us),
+                    prob.n_horizon, (prob.n_x, prob.n_x + prob.n_u))
     stage_points = np.concatenate([xs[:-1], us], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         w = _dynamics(frozen, xs[:-1], us) - (jac @ stage_points[:, :, None])[:, :, 0]

@@ -7,6 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qlmpc.cli as cli
+import qlmpc.diagnostics as diagnostics
+import qlmpc.solver as solver
 from qlmpc.cli import build_parser, main, make_scenario, resolve_config
 from qlmpc.closed_loop import PRESETS, Scenario
 
@@ -79,6 +82,25 @@ class TestExitCodes:
     def test_max_iter_zero(self, tmp_path):
         assert main(["simulate", "--scenario", "tiny-lti", "--max-iter", "0",
                      "--out", str(tmp_path)]) == 2
+
+    def test_infeasible_contraction_fit_is_exit_3(self, tmp_path, monkeypatch):
+        # a trace that returns to the reference after leaving it has an
+        # error pair (0, e > 0) that no nonnegative envelope bounds
+        def fit_with_return(trace, z_bar):
+            at_ref = solver.TraceEntry(z_bar, 0.0, 0.0, 0.0)
+            away = solver.IterateTrace([at_ref, trace.iterates[0], at_ref], False)
+            return diagnostics.contraction_fit(away, z_bar)
+
+        monkeypatch.setattr(cli, "contraction_fit", fit_with_return)
+        assert main(["diagnose", "--scenario", "tiny-qlpv", "--out", str(tmp_path)]) == 3
+
+    def test_singular_sqp_kkt_is_exit_3(self, tmp_path, monkeypatch):
+        # a zero constraint Jacobian makes the SQP step's KKT matrix singular
+        def zero_jacobian(prob, y):
+            return np.zeros((prob.n_eq, prob.n_y)), None
+
+        monkeypatch.setattr(solver, "linearized_constraint", zero_jacobian)
+        assert main(["diagnose", "--scenario", "tiny-qlpv", "--out", str(tmp_path)]) == 3
 
 
 @pytest.fixture(scope="module")

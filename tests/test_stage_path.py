@@ -2,10 +2,15 @@
 
 ``solve_ocp`` and ``qlmpc_iterate`` work on per-stage data only; the
 dense stacked matrices (G, the KKT matrix, the SQP step) are kept as
-independent oracles.  The property tests check the stage-wise
-multipliers and residual against those oracles at arbitrary points; the
-guard test checks that the solver never calls them.
+independent oracles.  The property tests check the stage data against a
+per-stage loop over the model closures, and the stage-wise multipliers
+and residual against the dense oracles, at arbitrary points; the guard
+tests check that the solver never calls the dense oracles and evaluates
+each model closure once per trajectory, not once per stage.
 """
+
+import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -39,6 +44,35 @@ def dense_constraint(prob, y, variant):
     if variant == "standard":
         return q.constraint_matrix(prob, prob.rho_trajectory(y))
     return q.linearized_constraint(prob, y)[0]
+
+
+def looped_stage_data(prob, y, variant):
+    """Stage data from one call of each model closure per stage."""
+    m = prob.model
+    xs, us = prob.states(y)[:-1], prob.inputs(y)
+    if variant == "standard":
+        rhos = [m.rho(x, u) for x, u in zip(xs, us)]
+        a = np.array([m.a_of_rho(r) for r in rhos])
+        return a, np.array([m.b_of_rho(r) for r in rhos]), np.zeros(xs.shape)
+    jac = np.array([m.stage_jacobian(x, u) for x, u in zip(xs, us)])
+    w = [q.eval_dynamics(m, x, u) - j @ np.concatenate([x, u]) for x, u, j in zip(xs, us, jac)]
+    return jac[:, :, :prob.n_x], jac[:, :, prob.n_x:], np.array(w)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", MODELS)
+def test_stage_data_matches_per_stage_loop(problems, name, variant):
+    prob = problems[name]
+
+    @settings(max_examples=25, deadline=None)
+    @given(points(prob.n_y))
+    def check(y):
+        stages = stage_data(prob, y, variant)
+        for got, ref in zip((stages.a, stages.b, stages.w), looped_stage_data(prob, y, variant)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+    check()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -99,3 +133,33 @@ def test_solver_calls_no_dense_stacked_function(monkeypatch, unicycle_problem, u
             assert tr.iterations >= 1 and np.all(np.isfinite(tr.final.stack()))
         z = q.qlmpc_iterate(prob, q.KktPoint(y0, np.zeros(prob.n_eq)), x0, variant)
         assert np.all(np.isfinite(z.stack()))
+
+
+def counted(model, calls):
+    """Copy of a model whose closures count their calls in ``calls``."""
+    def wrap(field, fn):
+        def counting(*args):
+            calls[field] += 1
+            return fn(*args)
+        return counting
+
+    fields = ("rho", "a_of_rho", "b_of_rho", "stage_jacobian")
+    return dataclasses.replace(model, **{f: wrap(f, getattr(model, f)) for f in fields})
+
+
+@pytest.mark.parametrize("name", ["adip", "unicycle"])
+def test_model_closures_run_once_per_trajectory(name, adip_problem, adip_x0,
+                                                unicycle_problem, unicycle_x0):
+    base, x0 = {"adip": (adip_problem, adip_x0), "unicycle": (unicycle_problem, unicycle_x0)}[name]
+    calls = collections.Counter()
+    prob = q.StackedProblem.build(counted(base.model, calls), base.n_horizon, base.weights)
+    y0 = q.initial_guess(base, x0)
+    for variant in VARIANTS:
+        calls.clear()
+        stage_data(prob, y0, variant)
+        assert max(calls.values()) == 1
+        calls.clear()
+        tr = q.solve_ocp(prob, x0, y0, q.SolverOptions(variant=variant, mode="converge"))
+        # one stage-data evaluation at the start and one per iteration
+        assert tr.iterations >= 1
+        assert max(calls.values()) <= tr.iterations + 1

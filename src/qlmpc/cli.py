@@ -171,23 +171,16 @@ def run_simulate(cfg: RunConfig) -> int:
     res = simulate(scn)
 
     # timing repeats rerun only the configured controller loop
-    solve_samples = [np.array([s.solve_time_s for s in res.per_step])]
-    prep_samples = [np.array([s.prep_time_s for s in res.per_step])]
-    qp_samples = [np.array([s.qp_time_s for s in res.per_step])]
+    runs = [res.per_step]
     if not res.failed:
-        model = get_model(scn.model_id)
-        prob = StackedProblem.build(model, scn.horizon, scn.weights)
+        prob = StackedProblem.build(get_model(scn.model_id), scn.horizon, scn.weights)
         for _ in range(cfg.repeat - 1):
             _, _, stats, fail, _ = run_control_loop(prob, scn.x0, scn.steps, scn.controller)
             if fail is not None:
                 break
-            solve_samples.append(np.array([s.solve_time_s for s in stats]))
-            prep_samples.append(np.array([s.prep_time_s for s in stats]))
-            qp_samples.append(np.array([s.qp_time_s for s in stats]))
-
-    solve_means = np.mean(solve_samples, axis=0) if solve_samples[0].size else np.array([])
-    prep_means = np.mean(prep_samples, axis=0) if prep_samples[0].size else np.array([])
-    qp_means = np.mean(qp_samples, axis=0) if qp_samples[0].size else np.array([])
+            runs.append(stats)
+    times = [[[s.solve_time_s, s.prep_time_s, s.qp_time_s] for s in run] for run in runs]
+    solve_means, prep_means, qp_means = np.mean(np.reshape(times, (len(runs), -1, 3)), axis=0).T
 
     stem = f"{scn.name}_{scn.controller.variant}"
     write_trajectory_csv(out_dir / f"{stem}_trajectory.csv", res, solve_means, prep_means)

@@ -10,7 +10,7 @@ The finite-difference Jacobian oracle is ``stacked.fd_jacobian``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -19,6 +19,7 @@ from .errors import SolverError
 from .solver import (
     IterateTrace,
     SolverOptions,
+    TraceEntry,
     initial_guess,
     qlmpc_iterate,
     solve_ocp,
@@ -196,14 +197,14 @@ def trace_for_contraction(prob: StackedProblem, x0hat, opts: SolverOptions) -> I
     """Solve from the zero-input rollout, padding to the 3 iterates a fit needs.
 
     Problems that terminate in one step (LTI degeneration) yield traces
-    too short to fit; the padding iterates are single real-time steps
-    from the last one, which just sit at the fixpoint.
+    too short to fit; the padding iterates are untimed ``qlmpc_iterate``
+    steps from the last one, which just sit at the fixpoint.
     """
     trace = solve_ocp(prob, x0hat, initial_guess(prob, x0hat), opts)
     entries = list(trace.iterates)
-    one_step = replace(opts, mode="real_time_single_iteration")
     while len(entries) < 3:
-        entries.append(solve_ocp(prob, x0hat, entries[-1].z.y, one_step).iterates[-1])
+        z = qlmpc_iterate(prob, entries[-1].z, x0hat, opts.variant)
+        entries.append(TraceEntry(z, np.nan, 0.0, 0.0))
     return IterateTrace(entries, trace.converged)
 
 

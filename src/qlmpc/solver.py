@@ -75,7 +75,8 @@ class TraceEntry:
 
 @dataclass
 class IterateTrace:
-    """Iteration record; entry 0 is the initial point, untimed."""
+    """Iteration record; entry 0 is the initial point, untimed.  A real-time
+    trace is the start and one QP solution: lam None, NaN residuals, unconverged."""
 
     iterates: list
     converged: bool
@@ -131,10 +132,23 @@ def warm_shift(prob: StackedProblem, y_prev, x0hat_new) -> Array:
     return np.concatenate([xs_new.ravel(), us_new.ravel()])
 
 
+def _qp_step(prob: StackedProblem, stages, x0) -> tuple:
+    """Solve the QP frozen in ``stages``; return y and the seconds of its SPD solve."""
+    qp = condense(prob, stages, x0)
+    t0 = perf_counter()
+    u = solve_condensed(qp)
+    qp_s = perf_counter() - t0
+    y = expand(qp, u)
+    if not np.all(np.isfinite(y)):
+        raise SolverError("QP solution is non-finite")
+    return y, qp_s
+
+
 def qlmpc_iterate(prob: StackedProblem, z: KktPoint, x0hat, variant: str = "standard") -> KktPoint:
-    """Solve one frozen QP and return the next primal-dual iterate."""
-    opts = SolverOptions(variant=variant, mode="real_time_single_iteration")
-    return solve_ocp(prob, x0hat, z.y, opts).final
+    """Solve the QP frozen at z.y; return its solution and multipliers there."""
+    stages = stage_data(prob, prob.check_y(z.y), variant)
+    y, _ = _qp_step(prob, stages, x0hat)
+    return KktPoint(y, stage_multipliers(prob, stages, y))
 
 
 def sqp_step(prob: StackedProblem, z: KktPoint, x0hat) -> KktPoint:
@@ -169,9 +183,10 @@ def sqp_step(prob: StackedProblem, z: KktPoint, x0hat) -> KktPoint:
 def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> IterateTrace:
     """Iterate the chosen variant from y_init until its residual passes stop_tol.
 
-    In real-time mode exactly one iteration is performed regardless of
-    the residual.  Non-convergence within max_iter yields a trace with
-    ``converged=False``; numerical failures raise SolverError.
+    Stops at max_iter with ``converged=False``; numerical failures raise
+    SolverError.  Real-time mode solves one QP and traces the start and its
+    solution with lam None, NaN residuals and ``converged=False``;
+    ``qlmpc_iterate`` gives the primal-dual step.
     """
     x0 = prob.check_x0(x0hat)
     y = prob.check_y(y_init)
@@ -179,28 +194,24 @@ def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> Itera
         raise SolverError("solve_ocp received non-finite initial data")
 
     stages = stage_data(prob, y, opts.variant)
-    z = KktPoint(y, stage_multipliers(prob, stages, y))
-    res = stage_residual(prob, stages, z, x0)
-    if not np.isfinite(res):
-        raise SolverError("optimality residual is non-finite at the initial guess")
-    entries = [TraceEntry(z, res, 0.0, 0.0)]
-
-    single = opts.mode == "real_time_single_iteration"
-    max_iter = 1 if single else opts.max_iter
-    while len(entries) <= max_iter and (single or res > opts.stop_tol):
+    if opts.mode == "real_time_single_iteration":
         t0 = perf_counter()
-        qp = condense(prob, stages, x0)
-        t1 = perf_counter()
-        u = solve_condensed(qp)
-        qp_s = perf_counter() - t1
-        y = expand(qp, u)
-        z = KktPoint(y, stage_multipliers(prob, stages, y))
-        # stage data at the new point serves both the residual and the
-        # next QP build
-        stages = stage_data(prob, z.y, opts.variant)
+        y_next, qp_s = _qp_step(prob, stages, x0)
+        prep_s = perf_counter() - t0 - qp_s
+        step = TraceEntry(KktPoint(y_next, None), np.nan, prep_s, qp_s)
+        return IterateTrace([TraceEntry(KktPoint(y, None), np.nan, 0.0, 0.0), step], converged=False)
+
+    # lam is that of the QP that produced y; the residual reads y's own stages
+    frozen, t0, qp_s, entries = stages, None, 0.0, []
+    while True:
+        z = KktPoint(y, stage_multipliers(prob, frozen, y))
         res = stage_residual(prob, stages, z, x0)
-        total = perf_counter() - t0
+        prep_s = 0.0 if t0 is None else perf_counter() - t0 - qp_s
         if not np.isfinite(res):
-            raise SolverError(f"iteration diverged after {len(entries)} steps")
-        entries.append(TraceEntry(z, res, total - qp_s, qp_s))
-    return IterateTrace(entries, converged=bool(res <= opts.stop_tol))
+            raise SolverError(f"optimality residual is non-finite after {len(entries)} steps")
+        entries.append(TraceEntry(z, res, prep_s, qp_s))
+        if res <= opts.stop_tol or len(entries) > opts.max_iter:
+            return IterateTrace(entries, converged=bool(res <= opts.stop_tol))
+        t0 = perf_counter()
+        y, qp_s = _qp_step(prob, stages, x0)
+        frozen, stages = stages, stage_data(prob, y, opts.variant)

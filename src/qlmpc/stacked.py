@@ -77,7 +77,7 @@ class Weights:
 
 @dataclass(frozen=True)
 class KktPoint:
-    """Primal-dual pair z = (y, lambda)."""
+    """Primal-dual pair z = (y, lambda); ``lam`` is None in a real-time trace."""
 
     y: Array
     lam: Array

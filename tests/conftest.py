@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import qlmpc as q
 from qlmpc.closed_loop import REFERENCE_OPTIONS
+
+# a failing property prints a @reproduce_failure blob: printed floats can
+# lose the digits that make a point fail (e.g. 1.1244175e-76)
+settings.register_profile("qlmpc", print_blob=True)
+settings.load_profile("qlmpc")
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qlmpc as q
+import qlmpc.solver as solver
 
 
 class TestInitialGuess:
@@ -210,9 +211,10 @@ class TestSolveOcp:
         y = start.final.y
         tr = q.solve_ocp(unicycle_problem, unicycle_x0, y, q.SolverOptions(variant=variant))
         assert tr.iterations == 0 and tr.converged
+        # real-time mode solves one QP and evaluates no residual or multipliers
         rti = q.SolverOptions(variant=variant, mode="real_time_single_iteration")
         tr = q.solve_ocp(unicycle_problem, unicycle_x0, y, rti)
-        assert tr.iterations == 1 and tr.converged
+        assert tr.iterations == 1 and not tr.converged and tr.final.lam is None
 
     def test_exact_fixpoint_costs_no_more_than_standard(self, unicycle_problem, unicycle_x0):
         y0 = q.initial_guess(unicycle_problem, unicycle_x0)
@@ -234,6 +236,33 @@ class TestSolveOcp:
         with pytest.raises(q.SolverError):
             q.solve_ocp(tiny_qlpv_problem, [1e200], q.initial_guess(tiny_qlpv_problem, [1.0]),
                         q.SolverOptions())
+
+    def test_nonfinite_qp_solution_raises(self, monkeypatch, unicycle_problem, unicycle_x0):
+        monkeypatch.setattr(solver, "expand", lambda qp, u: np.full(unicycle_problem.n_y, np.inf))
+        y0 = q.initial_guess(unicycle_problem, unicycle_x0)
+        for mode in ("converge", "real_time_single_iteration"):
+            with pytest.raises(q.SolverError, match="non-finite"):
+                q.solve_ocp(unicycle_problem, unicycle_x0, y0, q.SolverOptions(mode=mode))
+        with pytest.raises(q.SolverError, match="non-finite"):
+            q.qlmpc_iterate(unicycle_problem, q.KktPoint(y0, np.zeros(unicycle_problem.n_eq)),
+                            unicycle_x0)
+
+    def test_nonfinite_qp_solution_is_a_failed_step(self, monkeypatch, unicycle_problem,
+                                                    unicycle_x0):
+        # the third QP solution is non-finite: steps 0 and 1 complete
+        expand, calls = solver.expand, []
+
+        def expand_inf_from_third_call(qp, u):
+            calls.append(None)
+            y = expand(qp, u)
+            return y if len(calls) < 3 else np.full_like(y, np.inf)
+
+        monkeypatch.setattr(solver, "expand", expand_inf_from_third_call)
+        opts = q.SolverOptions(variant="exact", mode="real_time_single_iteration")
+        states, inputs, stats, step, msg = q.run_control_loop(unicycle_problem, unicycle_x0, 5, opts)
+        assert step == 2 and "non-finite" in msg
+        assert len(states) == 3 and len(inputs) == len(stats) == 2
+        assert np.all(np.isfinite(states))
 
     def test_trace_bookkeeping(self, tiny_lti_problem):
         tr = q.solve_ocp(tiny_lti_problem, [1.0], q.initial_guess(tiny_lti_problem, [1.0]),

@@ -5,8 +5,10 @@ dense stacked matrices (G, the KKT matrix, the SQP step) are kept as
 independent oracles.  The property tests check the stage data against a
 per-stage loop over the model closures, and the stage-wise multipliers
 and residual against the dense oracles, at arbitrary points; the guard
-tests check that the solver never calls the dense oracles and evaluates
-each model closure once per trajectory, not once per stage.
+tests check that the solver never calls the dense oracles, evaluates
+each model closure once per trajectory, not once per stage, and solves a
+real-time step from one stage-data evaluation without multipliers or a
+residual.
 """
 
 import collections
@@ -14,7 +16,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qlmpc as q
@@ -75,6 +77,13 @@ def test_stage_data_matches_per_stage_loop(problems, name, variant):
     check()
 
 
+# A tiny-qlpv (N = 4) point where the dense oracle returns [0, 0, 0, 0,
+# 5.6e-77] and the exact least-squares multipliers are [-2 y_0, 0, 0, 0, 0]:
+# both leave the same residual |G' lam + 2 W y| = 2.83, so lam is only
+# determined to the scale of 2 W y, not to that of either solution.
+TINY_SMALL_Y = np.array([1.1244175e-76, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("name", MODELS)
 def test_stage_multipliers_match_dense_least_squares(problems, name, variant):
@@ -84,9 +93,16 @@ def test_stage_multipliers_match_dense_least_squares(problems, name, variant):
     @given(points(prob.n_y))
     def check(y):
         lam = stage_multipliers(prob, stage_data(prob, y, variant), y)
+        if np.array_equal(y, TINY_SMALL_Y):
+            exact = np.zeros(prob.n_eq)
+            exact[0] = -2.0 * y[0]
+            assert np.abs(lam - exact).max() <= 1e-12 * np.abs(exact).max()
         ref = q.recover_multipliers(prob, dense_constraint(prob, y, variant), y)
-        assert np.abs(lam - ref).max() <= 1e-9 * np.abs(ref).max()
+        scale = max(np.abs(ref).max(), np.abs(2.0 * prob.weight_matrix @ y).max())
+        assert np.abs(lam - ref).max() <= 1e-9 * scale
 
+    if name == "tiny-qlpv":
+        check = example(TINY_SMALL_Y)(check)
     check()
 
 
@@ -128,9 +144,11 @@ def test_solver_calls_no_dense_stacked_function(monkeypatch, unicycle_problem, u
     prob, x0 = unicycle_problem, unicycle_x0
     y0 = q.initial_guess(prob, x0)
     for variant in VARIANTS:
-        for mode in ("converge", "real_time_single_iteration"):
-            tr = q.solve_ocp(prob, x0, y0, q.SolverOptions(variant=variant, mode=mode))
-            assert tr.iterations >= 1 and np.all(np.isfinite(tr.final.stack()))
+        tr = q.solve_ocp(prob, x0, y0, q.SolverOptions(variant=variant, mode="converge"))
+        assert tr.iterations >= 1 and np.all(np.isfinite(tr.final.stack()))
+        rti = q.SolverOptions(variant=variant, mode="real_time_single_iteration")
+        tr = q.solve_ocp(prob, x0, y0, rti)
+        assert np.all(np.isfinite(tr.final.y)) and tr.final.lam is None
         z = q.qlmpc_iterate(prob, q.KktPoint(y0, np.zeros(prob.n_eq)), x0, variant)
         assert np.all(np.isfinite(z.stack()))
 
@@ -163,3 +181,28 @@ def test_model_closures_run_once_per_trajectory(name, adip_problem, adip_x0,
         # one stage-data evaluation at the start and one per iteration
         assert tr.iterations >= 1
         assert max(calls.values()) <= tr.iterations + 1
+
+
+@pytest.mark.parametrize("name", ["adip", "unicycle"])
+def test_real_time_step_is_one_qp(monkeypatch, name, adip_problem, adip_x0,
+                                  unicycle_problem, unicycle_x0):
+    base, x0 = {"adip": (adip_problem, adip_x0), "unicycle": (unicycle_problem, unicycle_x0)}[name]
+    calls = collections.Counter()
+    prob = q.StackedProblem.build(counted(base.model, calls), base.n_horizon, base.weights)
+    y0 = q.initial_guess(base, x0)
+    z0 = q.KktPoint(y0, np.zeros(base.n_eq))
+    expected = {v: q.qlmpc_iterate(base, z0, x0, v).y for v in VARIANTS}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a real-time step evaluated multipliers or a residual")
+
+    monkeypatch.setattr(solver, "stage_multipliers", forbidden)
+    monkeypatch.setattr(solver, "stage_residual", forbidden)
+    for variant in VARIANTS:
+        calls.clear()
+        rti = q.SolverOptions(variant=variant, mode="real_time_single_iteration")
+        tr = q.solve_ocp(prob, x0, y0, rti)
+        # one stage-data evaluation: every closure it uses runs once
+        assert set(calls.values()) == {1}
+        assert calls["stage_jacobian"] == (variant == "exact")
+        assert np.array_equal(tr.final.y, expected[variant])

@@ -16,7 +16,7 @@ from .closed_loop import (
     run_control_loop,
     simulate,
 )
-from .condensing import CondensedQp, condense, expand, recover_multipliers, solve_condensed
+from .condensing import CondensedQp, condense, expand, solve_condensed
 from .diagnostics import (
     ContractionEstimate,
     PerturbationReport,
@@ -41,7 +41,6 @@ from .solver import (
     initial_guess,
     qlmpc_iterate,
     solve_ocp,
-    sqp_step,
     warm_shift,
 )
 from .stacked import (
@@ -56,6 +55,8 @@ from .stacked import (
     fonc_residual,
     kkt_matrix,
     linearized_constraint,
+    recover_multipliers,
+    sqp_step,
     true_fonc_residual,
 )
 

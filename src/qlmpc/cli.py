@@ -165,6 +165,10 @@ def _time_stats(values) -> dict:
 
 def run_simulate(cfg: RunConfig) -> int:
     scn = make_scenario(cfg)
+    ignored = [key for key in ("tol", "max_iter") if getattr(cfg, key) is not None]
+    if ignored and scn.controller.mode == "real_time_single_iteration":
+        raise ConfigError(f"{' and '.join(ignored)} apply to converge mode only; "
+                          f"scenario {scn.name!r} runs in real-time mode")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -281,8 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="builtin scenario name")
         p.add_argument("--variant", choices=["standard", "exact"])
         p.add_argument("--mode", choices=["converge", "rti"])
-        p.add_argument("--tol", type=float, help="solver stopping tolerance")
-        p.add_argument("--max-iter", dest="max_iter", type=int)
+        p.add_argument("--tol", type=float,
+                       help="stopping tolerance, converge mode only (diagnose: fit tolerance)")
+        p.add_argument("--max-iter", dest="max_iter", type=int,
+                       help="iteration cap, converge mode only")
         p.add_argument("--repeat", type=int, help="timing repetitions (simulate only)")
         p.add_argument("--out", help="output directory")
     return parser
@@ -299,9 +305,6 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return run_simulate(cfg)
         return run_diagnose(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -64,7 +64,11 @@ def condense(prob: StackedProblem, stages, x0hat) -> CondensedQp:
         wx_gamma = wx_gamma.reshape(n_states, n * n_u)
         gamma = gamma.reshape(n_states, n * n_u)
         free = free.ravel()
-        hess = 2.0 * (gamma.T @ wx_gamma + prob.weight_matrix[n_states:, n_states:])
+        # the input weight is block diagonal (R, ..., R): add R through
+        # einsum's writeable view of the diagonal blocks
+        hess = (gamma.T @ wx_gamma).reshape(n, n_u, n, n_u)
+        np.einsum("kikj->kij", hess)[...] += prob.weights.R
+        hess = 2.0 * hess.reshape(n * n_u, n * n_u)
         hess = 0.5 * (hess + hess.T)
         grad = 2.0 * (wx_gamma.T @ free)
     return CondensedQp(gamma=gamma, free=free, hess=hess, grad=grad)
@@ -104,29 +108,6 @@ def expand(qp: CondensedQp, u) -> Array:
     return np.concatenate([qp.free + qp.gamma @ u, u])
 
 
-def recover_multipliers(prob: StackedProblem, g_used, y) -> Array:
-    """Least-squares multipliers from the stationarity conditions.
-
-    Computes lam = -(G G')^{-1} G (2 W y), evaluated through a QR-based
-    least-squares solve of ``G' lam = -2 W y`` (same value, avoids
-    squaring the conditioning); exact at a QP optimum because the
-    stationarity system is consistent there.
-    """
-    g = np.asarray(g_used, dtype=float)
-    y = prob.check_y(y)
-    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(y)):
-        raise SolverError("multiplier recovery received non-finite data")
-    rhs = -2.0 * (prob.weight_matrix @ y)
-    lam, _, rank = scipy.linalg.lstsq(g.T, rhs, lapack_driver="gelsy", check_finite=False)[:3]
-    if rank < g.shape[0]:
-        smallest = float(np.linalg.svd(g, compute_uv=False).min())
-        raise SolverError(
-            f"constraint matrix is rank deficient (smallest singular value {smallest:.3e})",
-            smallest_singular_value=smallest,
-        )
-    return lam
-
-
 def _normal_band(stages: StageData) -> Array:
     """G G' in LAPACK lower band storage.
 
@@ -150,8 +131,8 @@ def _normal_band(stages: StageData) -> Array:
 def stage_multipliers(prob: StackedProblem, stages: StageData, y) -> Array:
     """Least-squares multipliers of the QP frozen in ``stages``, stage by stage.
 
-    Same value as ``recover_multipliers`` on the assembled G, i.e.
-    ``argmin |G' lam + 2 W y|``.  Starting from ``lam = 0``, each
+    The least-squares multipliers ``argmin |G' lam + 2 W y|`` of the
+    stage-built constraint matrix G.  Starting from ``lam = 0``, each
     correction ``d = argmin |G' d + s|`` of the stationarity residual s
     comes from the banded normal equations ``G G' d = -G s``.  The
     normal equations square the conditioning of G; a second correction

@@ -23,12 +23,12 @@ from .solver import (
     initial_guess,
     qlmpc_iterate,
     solve_ocp,
-    sqp_step,
 )
 from .stacked import (
     KktPoint,
     StackedProblem,
     cost_perturbation,
+    sqp_step,
     true_fonc_residual,
 )
 

@@ -12,8 +12,7 @@ solves one equality-constrained QP through the condensed path:
   a Gauss-Newton SQP step, so fixpoints satisfy the true first-order
   conditions.
 
-The QP data, residual and multipliers are all per stage; the dense
-``sqp_step`` below is an independent oracle, not part of the iteration.
+The QP data, residual and multipliers are all per stage.
 
 Stopping is variant-specific: the standard variant monitors the
 refreshed frozen-parameter residual (the root function its own
@@ -36,8 +35,6 @@ from .stacked import (
     VARIANTS,
     KktPoint,
     StackedProblem,
-    constraint_matrix,
-    linearized_constraint,
     stage_data,
     stage_residual,
 )
@@ -149,35 +146,6 @@ def qlmpc_iterate(prob: StackedProblem, z: KktPoint, x0hat, variant: str = "stan
     stages = stage_data(prob, prob.check_y(z.y), variant)
     y, _ = _qp_step(prob, stages, x0hat)
     return KktPoint(y, stage_multipliers(prob, stages, y))
-
-
-def sqp_step(prob: StackedProblem, z: KktPoint, x0hat) -> KktPoint:
-    """Gauss-Newton SQP step in the update variable p, via a dense KKT solve.
-
-    Solves for p with the constraint linearized at y[l] and the cost
-    Hessian replaced by 2W, then returns (y[l] + p, lam).  Agrees with
-    the exact variant's iterate up to solver tolerance; kept on a
-    separate dense solve path so the equivalence is a real cross-check.
-    """
-    x0 = prob.check_x0(x0hat)
-    y = prob.check_y(z.y)
-    rho_traj = prob.rho_trajectory(y)
-    g = constraint_matrix(prob, rho_traj)
-    jac, _ = linearized_constraint(prob, y)
-    n_y, n_eq = prob.n_y, prob.n_eq
-    kkt = np.zeros((n_y + n_eq, n_y + n_eq))
-    kkt[:n_y, :n_y] = 2.0 * prob.weight_matrix
-    kkt[:n_y, n_y:] = jac.T
-    kkt[n_y:, :n_y] = jac
-    rhs = np.concatenate([
-        -2.0 * (prob.weight_matrix @ y),
-        -(g @ y + prob.x0_map @ x0),
-    ])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"SQP step KKT solve failed: {exc}") from None
-    return KktPoint(y + sol[:n_y], sol[n_y:])
 
 
 def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> IterateTrace:

@@ -16,9 +16,11 @@ The solver works on per-stage data only: ``stage_data`` gives the QP
 that a variant freezes at an iterate as
 ``x_{k+1} = A_k x_k + B_k u_k + w_k``, and ``stage_residual`` evaluates
 its optimality residual stage by stage.  The dense stacked functions
-(``constraint_matrix``, ``linearized_constraint``, ``kkt_matrix``, the
-residuals and their Jacobian) are independent oracles for tests and
-diagnostics.
+below them (``constraint_matrix``, ``linearized_constraint``,
+``coupling_correction``, ``kkt_matrix``, the residuals and their
+Jacobian, the least-squares multipliers ``recover_multipliers`` and the
+Gauss-Newton ``sqp_step``) are independent oracles for tests and
+diagnostics; the solver never calls them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
+from .errors import SolverError
 from .models import LpvModel
 
 Array = np.ndarray
@@ -105,17 +109,9 @@ class StackedProblem:
             raise ValueError(f"Q must be {n_x}x{n_x}, got {weights.Q.shape}")
         if weights.R.shape != (n_u, n_u):
             raise ValueError(f"R must be {n_u}x{n_u}, got {weights.R.shape}")
-        n_states = (horizon + 1) * n_x
-        n_y = n_states + horizon * n_u
-        w = np.zeros((n_y, n_y))
-        for k in range(horizon):
-            w[k * n_x:(k + 1) * n_x, k * n_x:(k + 1) * n_x] = weights.Q
-        w[horizon * n_x:n_states, horizon * n_x:n_states] = weights.P
-        for k in range(horizon):
-            i = n_states + k * n_u
-            w[i:i + n_u, i:i + n_u] = weights.R
-        c = np.zeros((n_states, n_x))
-        c[:n_x, :] = -np.eye(n_x)
+        w = scipy.linalg.block_diag(*[weights.Q] * horizon, weights.P, *[weights.R] * horizon)
+        c = np.zeros(((horizon + 1) * n_x, n_x))
+        c[:n_x] = -np.eye(n_x)
         return cls(model=model, n_horizon=horizon, weights=weights,
                    weight_matrix=w, x0_map=c)
 
@@ -280,6 +276,23 @@ def constraint_matrix(prob: StackedProblem, rho_traj) -> Array:
     return _assemble_g(prob, frozen_stages(prob.model, rho_traj))
 
 
+def _kkt(prob: StackedProblem, top: Array, bottom: Array) -> Array:
+    """Saddle-point matrix [[2W, top], [bottom, 0]] acting on (y, lam)."""
+    n_y, n_eq = prob.n_y, prob.n_eq
+    out = np.zeros((n_y + n_eq, n_y + n_eq))
+    out[:n_y, :n_y] = 2.0 * prob.weight_matrix
+    out[:n_y, n_y:] = top
+    out[n_y:, :n_y] = bottom
+    return out
+
+
+def _residual(prob: StackedProblem, top: Array, bottom: Array, y: Array, lam, x0: Array) -> Array:
+    """Optimality residual [2 W y + top lam; bottom y + C x0hat]."""
+    stat = 2.0 * (prob.weight_matrix @ y) + top @ lam
+    feas = bottom @ y + prob.x0_map @ x0
+    return np.concatenate([stat, feas])
+
+
 def fonc_residual(prob: StackedProblem, z: KktPoint, x0hat) -> Array:
     """First-order optimality residual with the parameter refreshed from y.
 
@@ -290,9 +303,7 @@ def fonc_residual(prob: StackedProblem, z: KktPoint, x0hat) -> Array:
     y = prob.check_y(z.y)
     x0 = prob.check_x0(x0hat)
     g = constraint_matrix(prob, prob.rho_trajectory(y))
-    stat = 2.0 * (prob.weight_matrix @ y) + g.T @ z.lam
-    feas = g @ y + prob.x0_map @ x0
-    return np.concatenate([stat, feas])
+    return _residual(prob, g.T, g, y, z.lam, x0)
 
 
 def kkt_matrix(prob: StackedProblem, z: KktPoint) -> Array:
@@ -303,12 +314,7 @@ def kkt_matrix(prob: StackedProblem, z: KktPoint) -> Array:
     """
     y = prob.check_y(z.y)
     g = constraint_matrix(prob, prob.rho_trajectory(y))
-    n_y, n_eq = prob.n_y, prob.n_eq
-    j = np.zeros((n_y + n_eq, n_y + n_eq))
-    j[:n_y, :n_y] = 2.0 * prob.weight_matrix
-    j[:n_y, n_y:] = g.T
-    j[n_y:, :n_y] = g
-    return j
+    return _kkt(prob, g.T, g)
 
 
 def coupling_correction(prob: StackedProblem, y) -> Array:
@@ -360,7 +366,6 @@ def fonc_jacobian(prob: StackedProblem, z: KktPoint) -> Array:
     """
     y = prob.check_y(z.y)
     lam = np.asarray(z.lam, dtype=float)
-    n_y, n_eq = prob.n_y, prob.n_eq
 
     def gt_lam(yv):
         g = constraint_matrix(prob, prob.rho_trajectory(yv))
@@ -369,10 +374,8 @@ def fonc_jacobian(prob: StackedProblem, z: KktPoint) -> Array:
     curvature = fd_jacobian(gt_lam, y, 1e-6)
     g = constraint_matrix(prob, prob.rho_trajectory(y))
     jac_constraint, _ = linearized_constraint(prob, y)
-    out = np.zeros((n_y + n_eq, n_y + n_eq))
-    out[:n_y, :n_y] = 2.0 * prob.weight_matrix + curvature
-    out[:n_y, n_y:] = g.T
-    out[n_y:, :n_y] = jac_constraint
+    out = _kkt(prob, g.T, jac_constraint)
+    out[:prob.n_y, :prob.n_y] += curvature
     return out
 
 
@@ -392,6 +395,47 @@ def true_fonc_residual(prob: StackedProblem, z: KktPoint, x0hat) -> Array:
     y = prob.check_y(z.y)
     x0 = prob.check_x0(x0hat)
     jac, dist = linearized_constraint(prob, y)
-    stat = 2.0 * (prob.weight_matrix @ y) + jac.T @ z.lam
-    feas = (jac + dist) @ y + prob.x0_map @ x0
-    return np.concatenate([stat, feas])
+    return _residual(prob, jac.T, jac + dist, y, z.lam, x0)
+
+
+def recover_multipliers(prob: StackedProblem, g_used, y) -> Array:
+    """Least-squares multipliers from the stationarity conditions.
+
+    Computes lam = -(G G')^{-1} G (2 W y), evaluated through a QR-based
+    least-squares solve of ``G' lam = -2 W y`` (same value, avoids
+    squaring the conditioning); exact at a QP optimum because the
+    stationarity system is consistent there.
+    """
+    g = np.asarray(g_used, dtype=float)
+    y = prob.check_y(y)
+    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(y)):
+        raise SolverError("multiplier recovery received non-finite data")
+    rhs = -2.0 * (prob.weight_matrix @ y)
+    lam, _, rank = scipy.linalg.lstsq(g.T, rhs, lapack_driver="gelsy", check_finite=False)[:3]
+    if rank < g.shape[0]:
+        smallest = float(np.linalg.svd(g, compute_uv=False).min())
+        raise SolverError(
+            f"constraint matrix is rank deficient (smallest singular value {smallest:.3e})",
+            smallest_singular_value=smallest,
+        )
+    return lam
+
+
+def sqp_step(prob: StackedProblem, z: KktPoint, x0hat) -> KktPoint:
+    """Gauss-Newton SQP step in the update variable p, via a dense KKT solve.
+
+    Solves for p with the constraint linearized at y[l] and the cost
+    Hessian replaced by 2W, then returns (y[l] + p, lam).  The
+    right-hand side is the negated frozen-parameter residual at lam = 0.
+    Agrees with the exact variant's iterate up to solver tolerance; kept
+    on a separate dense solve path so the equivalence is a real
+    cross-check.
+    """
+    y = prob.check_y(z.y)
+    jac, _ = linearized_constraint(prob, y)
+    rhs = -fonc_residual(prob, KktPoint(y, np.zeros(prob.n_eq)), x0hat)
+    try:
+        sol = np.linalg.solve(_kkt(prob, jac.T, jac), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"SQP step KKT solve failed: {exc}") from None
+    return KktPoint(y + sol[:prob.n_y], sol[prob.n_y:])

@@ -10,6 +10,7 @@ import pytest
 import qlmpc.cli as cli
 import qlmpc.diagnostics as diagnostics
 import qlmpc.solver as solver
+import qlmpc.stacked as stacked
 from qlmpc.cli import build_parser, main, make_scenario, resolve_config
 from qlmpc.closed_loop import PRESETS, Scenario
 
@@ -83,6 +84,26 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", "tiny-lti", "--max-iter", "0",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("args,payload", [
+        (["--mode", "rti", "--tol", "1e-3"], None),
+        (["--max-iter", "5"], None),
+        ([], {"scenario": "unicycle", "tol": 1e-3}),
+    ], ids=["tol-flag", "max-iter-flag", "tol-config"])
+    def test_converge_options_in_real_time_mode(self, tmp_path, capsys, args, payload):
+        # the unicycle preset runs in real time, one QP per step
+        if payload is not None:
+            args = ["--config", write_config(tmp_path, payload)]
+        else:
+            args = ["--scenario", "unicycle", *args]
+        out = tmp_path / "res"
+        assert main(["simulate", *args, "--repeat", "1", "--out", str(out)]) == 2
+        assert "converge mode only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diagnose_reads_tol_as_fit_tolerance(self, tmp_path):
+        assert main(["diagnose", "--scenario", "unicycle", "--tol", "1e-7",
+                     "--out", str(tmp_path)]) == 0
+
     def test_infeasible_contraction_fit_is_exit_3(self, tmp_path, monkeypatch):
         # a trace that returns to the reference after leaving it has an
         # error pair (0, e > 0) that no nonnegative envelope bounds
@@ -94,13 +115,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "contraction_fit", fit_with_return)
         assert main(["diagnose", "--scenario", "tiny-qlpv", "--out", str(tmp_path)]) == 3
 
-    def test_singular_sqp_kkt_is_exit_3(self, tmp_path, monkeypatch):
-        # a zero constraint Jacobian makes the SQP step's KKT matrix singular
+    def test_singular_sqp_kkt_is_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a zero constraint Jacobian makes the SQP step's KKT matrix
+        # singular; the zero disturbance lets the fixpoint check run first
         def zero_jacobian(prob, y):
-            return np.zeros((prob.n_eq, prob.n_y)), None
+            zero = np.zeros((prob.n_eq, prob.n_y))
+            return zero, zero
 
-        monkeypatch.setattr(solver, "linearized_constraint", zero_jacobian)
+        monkeypatch.setattr(stacked, "linearized_constraint", zero_jacobian)
         assert main(["diagnose", "--scenario", "tiny-qlpv", "--out", str(tmp_path)]) == 3
+        assert "SQP step KKT solve failed" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

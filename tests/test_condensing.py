@@ -53,6 +53,22 @@ def test_condense_adip_pd(adip_problem, adip_x0):
     assert np.linalg.eigvalsh(qp.hess).min() > 0.0
 
 
+@pytest.mark.parametrize("variant", ["standard", "exact"])
+def test_condensed_hessian_equals_dense_weight_product(unicycle_problem, variant):
+    # a non-diagonal R has entries off the diagonal of each input block;
+    # with R = I an R entry added at the wrong place could not show
+    w = unicycle_problem.weights
+    r = np.array([[2.0, 0.7], [0.7, 1.5]])
+    prob = q.StackedProblem.build(unicycle_problem.model, unicycle_problem.n_horizon,
+                                  q.Weights(Q=w.Q, R=r, P=w.P))
+    rng = np.random.default_rng(4)
+    stages = stage_data(prob, rng.normal(size=prob.n_y), variant)
+    qp = q.condense(prob, stages, rng.normal(size=prob.n_x))
+    n_s, dense = prob.n_eq, prob.weight_matrix
+    ref = 2.0 * (qp.gamma.T @ (dense[:n_s, :n_s] @ qp.gamma) + dense[n_s:, n_s:])
+    assert np.array_equal(qp.hess, 0.5 * (ref + ref.T))
+
+
 def test_solve_condensed_tiny_lti(tiny_lti_problem):
     qp = q.condense(tiny_lti_problem, np.zeros((1, 1)), [1.0])
     u = q.solve_condensed(qp)

@@ -125,9 +125,8 @@ def test_stage_residual_matches_dense_residual(problems, name, variant):
 
 DENSE = {
     stacked: ("constraint_matrix", "linearized_constraint", "coupling_correction",
-              "kkt_matrix", "fonc_residual", "true_fonc_residual", "fonc_jacobian"),
-    condensing: ("recover_multipliers",),
-    solver: ("sqp_step",),
+              "kkt_matrix", "fonc_residual", "true_fonc_residual", "fonc_jacobian",
+              "recover_multipliers", "sqp_step"),
 }
 
 
@@ -138,8 +137,9 @@ def test_solver_calls_no_dense_stacked_function(monkeypatch, unicycle_problem, u
     for module, names in DENSE.items():
         for name in names:
             monkeypatch.setattr(module, name, forbidden)
-            if hasattr(solver, name):
-                monkeypatch.setattr(solver, name, forbidden)
+            for binder in (solver, condensing):
+                if hasattr(binder, name):
+                    monkeypatch.setattr(binder, name, forbidden)
 
     prob, x0 = unicycle_problem, unicycle_x0
     y0 = q.initial_guess(prob, x0)

@@ -50,7 +50,7 @@ class RunConfig:
     """Merged configuration for one CLI invocation."""
 
     scenario: object = "unicycle"   # builtin name or inline scenario dict
-    variant: str = "standard"
+    variant: Optional[str] = None   # None -> standard
     mode: Optional[str] = None      # None -> scenario default
     tol: Optional[float] = None
     max_iter: Optional[int] = None
@@ -108,7 +108,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def make_scenario(cfg: RunConfig) -> Scenario:
-    return builtin_scenario(cfg.scenario, variant=cfg.variant, mode=cfg.mode,
+    return builtin_scenario(cfg.scenario, variant=cfg.variant or "standard", mode=cfg.mode,
                             stop_tol=cfg.tol, max_iter=cfg.max_iter)
 
 
@@ -220,6 +220,10 @@ def run_simulate(cfg: RunConfig) -> int:
 
 
 def run_diagnose(cfg: RunConfig) -> int:
+    ignored = [key for key in ("variant", "mode", "max_iter") if getattr(cfg, key) is not None]
+    if ignored:
+        raise ConfigError(f"diagnose does not read {', '.join(ignored)}: it runs its own "
+                          f"standard-variant converge solves")
     scn = make_scenario(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

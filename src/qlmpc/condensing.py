@@ -6,6 +6,14 @@ inputs, solved by a single positive-definite factorization.  The state
 prediction is ``x = free + Gamma u``, where the free response ``free``
 rolls out x0hat together with the stage offsets ``w_k`` (zero for the
 standard variant, the linearization offset for the exact variant).
+
+Both are rolled out together as ``X[k] = [Gamma_k | free_k]``, which
+solves ``X[k+1] = A_k X[k] + E[k+1]``.  Rather than one stage at a time,
+``condense`` runs a prefix scan by recursive doubling: ``ceil(log2(N+1))``
+levels of two batched matrix products each, one that adds the terms
+``d`` stages back and one that doubles the transition products to
+``2d`` stages.  The factorizations call LAPACK (``dpotrf``/``dpotrs``,
+``dpbtrf``/``dpbtrs``) without scipy's checking wrappers.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
 
 from .errors import SolverError
 from .stacked import StackedProblem, StageData, frozen_stages, stage_stationarity
@@ -45,18 +53,25 @@ def condense(prob: StackedProblem, stages, x0hat) -> CondensedQp:
         stages = frozen_stages(prob.model, rho_traj)
     a, b, w = stages.a, stages.b, stages.w
 
-    free = np.empty((n + 1, n_x))
-    gamma = np.zeros((n + 1, n_x, n * n_u))
-    free[0] = x0
+    # X[k] = [Gamma_k | free_k] solves X[k+1] = a_k X[k] + E[k+1] with
+    # E[0] = [0 | x0hat] and E[k+1] = [b_k in block column k | w_k]
+    x = np.zeros((n + 1, n_x, n * n_u + 1))
+    x[0, :, -1] = x0
+    x[1:, :, -1] = w
+    # b_k into block column k through einsum's writeable diagonal view
+    np.einsum("kiku->kiu", x[1:, :, :-1].reshape(n, n_x, n, n_u))[...] = b
     # diverged iterates can overflow the rollout products; the solve
     # rejects the resulting non-finite QP, so do not warn here
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            cols = k * n_u
-            free[k + 1] = a[k] @ free[k] + w[k]
-            # inputs from stage k on do not reach x_k
-            gamma[k + 1, :, :cols] = a[k] @ gamma[k, :, :cols]
-            gamma[k + 1, :, cols:cols + n_u] = b[k]
+        # doubling: at offset d, phi[k] holds a_k ... a_{k-d+1} and x[k]
+        # the sum of its last d rollout terms; each level doubles both
+        phi = a.copy()
+        d = 1
+        while d <= n:
+            x[d:] += phi[d - 1:] @ x[:n + 1 - d]
+            phi[2 * d - 1:] = phi[2 * d - 1:] @ phi[d - 1:n - d]
+            d *= 2
+        gamma, free = x[:, :, :-1], x[:, :, -1]
 
         # the state weight is block diagonal (Q, ..., Q, P)
         n_states = (n + 1) * n_x
@@ -78,20 +93,19 @@ def solve_condensed(qp: CondensedQp) -> Array:
     """Minimize the condensed quadratic via a Cholesky factorization."""
     if not (np.all(np.isfinite(qp.hess)) and np.all(np.isfinite(qp.grad))):
         raise SolverError("condensed QP contains non-finite entries")
-    try:
-        factor = scipy.linalg.cho_factor(qp.hess, lower=True, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    factor, info = dpotrf(qp.hess, lower=True, clean=False)
+    if info != 0:
         min_eig = float(np.linalg.eigvalsh(qp.hess).min())
         raise SolverError(
             f"condensed Hessian is not positive definite (min eigenvalue {min_eig:.3e})",
             min_eigenvalue=min_eig,
-        ) from None
-    u = scipy.linalg.cho_solve(factor, -qp.grad, check_finite=False)
+        )
+    u, _ = dpotrs(factor, -qp.grad, lower=True)
     scale = max(1.0, float(np.max(np.abs(qp.grad), initial=0.0)))
     resid = qp.hess @ u + qp.grad
     if np.max(np.abs(resid), initial=0.0) > _RESIDUAL_RTOL * scale:
         # one step of iterative refinement before giving up
-        u = u - scipy.linalg.cho_solve(factor, resid, check_finite=False)
+        u = u - dpotrs(factor, resid, lower=True)[0]
         resid = qp.hess @ u + qp.grad
         if np.max(np.abs(resid), initial=0.0) > _RESIDUAL_RTOL * scale:
             raise SolverError(
@@ -141,16 +155,17 @@ def stage_multipliers(prob: StackedProblem, stages: StageData, y) -> Array:
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(stages.a))
             and np.all(np.isfinite(stages.b))):
         raise SolverError("multiplier recovery received non-finite data")
-    try:
-        factor = scipy.linalg.cholesky_banded(_normal_band(stages), lower=True,
-                                              check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        raise SolverError("constraint Gram matrix G G' is not numerically positive definite") from None
+    # an overflowing band is caught below, like a band that fails to factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = _normal_band(stages)
+    factor, info = dpbtrf(band, lower=True)
+    if info != 0 or not np.all(np.isfinite(band)):
+        raise SolverError("constraint Gram matrix G G' is not numerically positive definite")
     lam = np.zeros((prob.n_horizon + 1, prob.n_x))
     for _ in range(2):
         s_x, s_u = stage_stationarity(prob, stages, y, lam)
         g_s = s_x.copy()
         g_s[1:] -= (stages.a @ s_x[:-1, :, None] + stages.b @ s_u[:, :, None])[:, :, 0]
-        d = scipy.linalg.cho_solve_banded((factor, True), -g_s.ravel(), check_finite=False)
+        d, _ = dpbtrs(factor, -g_s.ravel(), lower=True)
         lam += d.reshape(lam.shape)
     return lam.ravel()

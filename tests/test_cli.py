@@ -80,6 +80,12 @@ class TestExitCodes:
         cfg = write_config(tmp_path, dict(TINY_INLINE, **{key: "abc"}))
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_wrong_type_max_iter_in_simulate_config(self, tmp_path, capsys):
+        # diagnose rejects max_iter by name, so its type is checked here
+        cfg = write_config(tmp_path, dict(TINY_INLINE, max_iter="abc"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_max_iter_zero(self, tmp_path):
         assert main(["simulate", "--scenario", "tiny-lti", "--max-iter", "0",
                      "--out", str(tmp_path)]) == 2
@@ -98,6 +104,24 @@ class TestExitCodes:
         out = tmp_path / "res"
         assert main(["simulate", *args, "--repeat", "1", "--out", str(out)]) == 2
         assert "converge mode only" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,payload,named", [
+        (["--max-iter", "5"], None, "max_iter"),
+        (["--variant", "exact"], None, "variant"),
+        (["--mode", "rti"], None, "mode"),
+        (["--max-iter", "5", "--variant", "exact", "--mode", "rti"], None, "variant, mode, max_iter"),
+        ([], {"scenario": "unicycle", "variant": "standard", "mode": "converge"}, "variant, mode"),
+    ], ids=["max-iter-flag", "variant-flag", "mode-flag", "all-flags", "config-keys"])
+    def test_diagnose_rejects_solver_options(self, tmp_path, capsys, args, payload, named):
+        # diagnose runs its own standard-variant converge solves
+        if payload is not None:
+            args = ["--config", write_config(tmp_path, payload)]
+        else:
+            args = ["--scenario", "unicycle", *args]
+        out = tmp_path / "res"
+        assert main(["diagnose", *args, "--out", str(out)]) == 2
+        assert f"diagnose does not read {named}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_diagnose_reads_tol_as_fit_tolerance(self, tmp_path):

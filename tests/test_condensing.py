@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import qlmpc as q
-from qlmpc.condensing import stage_multipliers
-from qlmpc.stacked import StageData, stage_data
+from qlmpc.condensing import _normal_band, stage_multipliers
+from qlmpc.stacked import StageData, stage_data, stage_stationarity
 
 
 def gaussian_elimination(a, b):
@@ -220,3 +221,68 @@ def test_stage_multipliers_reject_nonfinite(tiny_qlpv_problem):
     stages = stage_data(tiny_qlpv_problem, np.zeros(3), "standard")
     with pytest.raises(q.SolverError):
         stage_multipliers(tiny_qlpv_problem, stages, y)
+
+
+def test_stage_multipliers_reject_overflowing_gram_band(unicycle_problem):
+    # A A' overflows to inf; the band must be rejected, not factored into
+    # NaN multipliers (and the overflow must not warn)
+    scn = q.builtin_scenario("unicycle")
+    prob = q.StackedProblem.build(unicycle_problem.model, 4, scn.weights)
+    stages = StageData(a=np.full((4, 5, 5), 1e160), b=np.zeros((4, 5, 2)), w=np.zeros((4, 5)))
+    with pytest.raises(q.SolverError, match="Gram matrix"):
+        stage_multipliers(prob, stages, np.ones(prob.n_y))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 40])
+@pytest.mark.parametrize("name", ["unicycle", "adip"])
+def test_condense_matches_sequential_rollout(request, name, horizon):
+    # the doubling levels must cover every stage for each horizon on either
+    # side of a power of two; the oracle rolls out one stage at a time
+    base = request.getfixturevalue(f"{name}_problem")
+    prob = q.StackedProblem.build(base.model, horizon, base.weights)
+    n, n_x, n_u = prob.n_horizon, prob.n_x, prob.n_u
+    rng = np.random.default_rng(horizon)
+    # near-identity transitions keep the N = 40 products at a moderate scale
+    a = np.eye(n_x) + 0.3 * rng.normal(size=(n, n_x, n_x)) / np.sqrt(n_x)
+    stages = StageData(a=a, b=rng.normal(size=(n, n_x, n_u)), w=rng.normal(size=(n, n_x)))
+    x0 = rng.normal(size=n_x)
+
+    free = [x0]
+    gamma = [np.zeros((n_x, n * n_u))]
+    for k in range(n):
+        free.append(stages.a[k] @ free[k] + stages.w[k])
+        nxt = stages.a[k] @ gamma[k]
+        nxt[:, k * n_u:(k + 1) * n_u] += stages.b[k]
+        gamma.append(nxt)
+    free, gamma = np.concatenate(free), np.concatenate(gamma)
+    n_s, dense = prob.n_eq, prob.weight_matrix
+    hess = 2.0 * (gamma.T @ dense[:n_s, :n_s] @ gamma + dense[n_s:, n_s:])
+    grad = 2.0 * (gamma.T @ dense[:n_s, :n_s] @ free)
+
+    qp = q.condense(prob, stages, x0)
+    for got, want in ((qp.gamma, gamma), (qp.free, free), (qp.hess, hess), (qp.grad, grad)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("variant", ["standard", "exact"])
+@pytest.mark.parametrize("name", ["unicycle", "adip"])
+def test_lapack_solves_equal_scipy_wrappers(request, name, variant):
+    # the wrappers call the same LAPACK routines, so results agree bit for bit
+    prob = request.getfixturevalue(f"{name}_problem")
+    rng = np.random.default_rng(5)
+    y = q.initial_guess(prob, request.getfixturevalue(f"{name}_x0"))
+    stages = stage_data(prob, y, variant)
+    qp = q.condense(prob, stages, rng.normal(size=prob.n_x))
+
+    factor = scipy.linalg.cho_factor(qp.hess, lower=True)
+    assert np.array_equal(q.solve_condensed(qp), scipy.linalg.cho_solve(factor, -qp.grad))
+
+    band = scipy.linalg.cholesky_banded(_normal_band(stages), lower=True)
+    lam = np.zeros((prob.n_horizon + 1, prob.n_x))
+    for _ in range(2):
+        s_x, s_u = stage_stationarity(prob, stages, y, lam)
+        g_s = s_x.copy()
+        g_s[1:] -= (stages.a @ s_x[:-1, :, None] + stages.b @ s_u[:, :, None])[:, :, 0]
+        lam += scipy.linalg.cho_solve_banded((band, True), -g_s.ravel()).reshape(lam.shape)
+    assert np.array_equal(stage_multipliers(prob, stages, y), lam.ravel())

@@ -22,7 +22,6 @@ from .diagnostics import (
     PerturbationReport,
     contraction_fit,
     sqp_equivalence_max_deviation,
-    trace_for_contraction,
     verify_fixpoint_perturbation,
 )
 from .errors import ConfigError, QlmpcError, SolverError
@@ -107,7 +106,6 @@ __all__ = [
     "solve_ocp",
     "sqp_equivalence_max_deviation",
     "sqp_step",
-    "trace_for_contraction",
     "true_fonc_residual",
     "verify_fixpoint_perturbation",
     "warm_shift",

@@ -30,12 +30,18 @@ from .closed_loop import (
 from .diagnostics import (
     contraction_fit,
     sqp_equivalence_max_deviation,
-    trace_for_contraction,
     verify_fixpoint_perturbation,
 )
 from .errors import ConfigError, SolverError
 from .models import get_model
-from .solver import SolverOptions, initial_guess, solve_ocp
+from .solver import (
+    IterateTrace,
+    SolverOptions,
+    TraceEntry,
+    initial_guess,
+    qlmpc_iterate,
+    solve_ocp,
+)
 from .stacked import StackedProblem
 
 EXIT_OK = 0
@@ -60,10 +66,12 @@ class RunConfig:
 
     def __post_init__(self):
         self.mode = _MODE_ALIASES.get(self.mode, self.mode)
-        if self.repeat < 1:
-            raise ConfigError(f"repeat must be >= 1, got {self.repeat}")
+        if not isinstance(self.repeat, int) or self.repeat < 1:
+            raise ConfigError(f"repeat must be an integer >= 1, got {self.repeat!r}")
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -169,6 +177,8 @@ def run_simulate(cfg: RunConfig) -> int:
     if ignored and scn.controller.mode == "real_time_single_iteration":
         raise ConfigError(f"{' and '.join(ignored)} apply to converge mode only; "
                           f"scenario {scn.name!r} runs in real-time mode")
+    prob = StackedProblem.build(get_model(scn.model_id), scn.horizon, scn.weights)
+    prob.check_x0(scn.x0)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -177,7 +187,6 @@ def run_simulate(cfg: RunConfig) -> int:
     # timing repeats rerun only the configured controller loop
     runs = [res.per_step]
     if not res.failed:
-        prob = StackedProblem.build(get_model(scn.model_id), scn.horizon, scn.weights)
         for _ in range(cfg.repeat - 1):
             _, _, stats, fail, _ = run_control_loop(prob, scn.x0, scn.steps, scn.controller)
             if fail is not None:
@@ -219,37 +228,45 @@ def run_simulate(cfg: RunConfig) -> int:
     return EXIT_NUMERICAL if res.failed else EXIT_OK
 
 
+def _solve_prefix(trace: IterateTrace, tol: float, cap: int) -> IterateTrace:
+    """The trace of a ``stop_tol=tol, max_iter=cap`` solve from the start of the
+    longer, tighter ``trace``: iterates do not depend on the tolerance."""
+    for i, entry in enumerate(trace.iterates[:cap + 1]):
+        if entry.fonc_inf <= tol:
+            return IterateTrace(trace.iterates[:i + 1], converged=True)
+    return IterateTrace(trace.iterates[:cap + 1], converged=False)
+
+
 def run_diagnose(cfg: RunConfig) -> int:
     ignored = [key for key in ("variant", "mode", "max_iter") if getattr(cfg, key) is not None]
     if ignored:
         raise ConfigError(f"diagnose does not read {', '.join(ignored)}: it runs its own "
-                          f"standard-variant converge solves")
+                          f"standard-variant converge solve")
     scn = make_scenario(cfg)
+    prob = StackedProblem.build(get_model(scn.model_id), scn.horizon, scn.weights)
+    prob.check_x0(scn.x0)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = get_model(scn.model_id)
-    prob = StackedProblem.build(model, scn.horizon, scn.weights)
+    # one solve serves every check: each reads the prefix its own
+    # (tol, max_iter) solve would return
+    fit_tol = cfg.tol if cfg.tol is not None else 1e-6
+    trace = solve_ocp(prob, scn.x0, initial_guess(prob, scn.x0),
+                      SolverOptions(variant="standard", stop_tol=min(fit_tol, 1e-12), max_iter=400))
 
     # multiplier-recovery accuracy bounds the reachable residual; fall
     # back one decade at a time if 1e-10 sits below that floor
-    tight_trace = None
-    tight_tol = None
-    for tol in (1e-10, 1e-9, 1e-8):
-        trace = solve_ocp(prob, scn.x0, initial_guess(prob, scn.x0),
-                          SolverOptions(variant="standard", mode="converge",
-                                        stop_tol=tol, max_iter=300))
-        if trace.converged:
-            tight_trace, tight_tol = trace, tol
-            break
-    if tight_trace is None:
+    tight_tol = next((tol for tol in (1e-10, 1e-9, 1e-8)
+                      if _solve_prefix(trace, tol, 300).converged), None)
+    if tight_tol is None:
         raise SolverError("standard variant did not converge to tol 1e-8 at the first timestep")
-    report = verify_fixpoint_perturbation(prob, tight_trace, scn.x0)
+    report = verify_fixpoint_perturbation(prob, _solve_prefix(trace, tight_tol, 300), scn.x0)
 
-    fit_tol = cfg.tol if cfg.tol is not None else 1e-6
-    fit_opts = SolverOptions(variant="standard", mode="converge", stop_tol=fit_tol, max_iter=100)
-    fit_trace = trace_for_contraction(prob, scn.x0, fit_opts)
-    ref_opts = SolverOptions(variant="standard", mode="converge", stop_tol=1e-12, max_iter=400)
-    ref_trace = solve_ocp(prob, scn.x0, initial_guess(prob, scn.x0), ref_opts)
+    # pad a one-step solve (LTI degeneration) with iterates at the fixpoint
+    fit_trace = _solve_prefix(trace, fit_tol, 100)
+    while len(fit_trace.iterates) < 3:
+        z = qlmpc_iterate(prob, fit_trace.final, scn.x0)
+        fit_trace.iterates.append(TraceEntry(z, np.nan, 0.0, 0.0))
+    ref_trace = _solve_prefix(trace, 1e-12, 400)
     estimate = contraction_fit(fit_trace, ref_trace.final)
 
     sqp_dev = sqp_equivalence_max_deviation(prob, scn.x0, seed=cfg.seed)
@@ -269,7 +286,7 @@ def run_diagnose(cfg: RunConfig) -> int:
         "contraction_errors": estimate.errors,
         "contraction_reference_converged": ref_trace.converged,
         "sqp_equivalence_max_dev": sqp_dev,
-        "note": model.note,
+        "note": prob.model.note,
     }
     (out_dir / f"{scn.name}_diagnostics.json").write_text(
         json.dumps(_json_safe(payload), indent=2) + "\n", encoding="utf-8", newline="\n")

@@ -58,8 +58,12 @@ class Scenario:
     controller: SolverOptions
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        for name in ("steps", "horizon"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not np.all(np.isfinite(self.x0)):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
 
 
 @dataclass(frozen=True)
@@ -225,8 +229,8 @@ def builtin_scenario(scenario, variant: str = "standard", mode: Optional[str] = 
                                    **{k: v for k, v in given.items() if v is not None})
         model_id = fields.pop("model")
         x0 = np.asarray(fields.pop("x0"), dtype=float)
-        steps = int(fields.pop("steps"))
-        horizon = int(fields.pop("horizon"))
+        steps = fields.pop("steps")
+        horizon = fields.pop("horizon")
         weights = Weights(Q=_weight_matrix(fields.pop("q"), "q"),
                           R=_weight_matrix(fields.pop("r"), "r"),
                           P=_weight_matrix(fields.pop("p"), "p"))

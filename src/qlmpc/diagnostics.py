@@ -16,14 +16,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import SolverError
-from .solver import (
-    IterateTrace,
-    SolverOptions,
-    TraceEntry,
-    initial_guess,
-    qlmpc_iterate,
-    solve_ocp,
-)
+from .solver import IterateTrace, qlmpc_iterate
 from .stacked import (
     KktPoint,
     StackedProblem,
@@ -191,21 +184,6 @@ def contraction_fit(trace: IterateTrace, z_bar: KktPoint) -> ContractionEstimate
         radius_bound=radius,
         fit_residual_inf=fit_residual,
     )
-
-
-def trace_for_contraction(prob: StackedProblem, x0hat, opts: SolverOptions) -> IterateTrace:
-    """Solve from the zero-input rollout, padding to the 3 iterates a fit needs.
-
-    Problems that terminate in one step (LTI degeneration) yield traces
-    too short to fit; the padding iterates are untimed ``qlmpc_iterate``
-    steps from the last one, which just sit at the fixpoint.
-    """
-    trace = solve_ocp(prob, x0hat, initial_guess(prob, x0hat), opts)
-    entries = list(trace.iterates)
-    while len(entries) < 3:
-        z = qlmpc_iterate(prob, entries[-1].z, x0hat, opts.variant)
-        entries.append(TraceEntry(z, np.nan, 0.0, 0.0))
-    return IterateTrace(entries, trace.converged)
 
 
 def sqp_equivalence_max_deviation(prob: StackedProblem, x0hat, seed: int = 0) -> float:

@@ -56,8 +56,8 @@ class SolverOptions:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not self.stop_tol > 0:
             raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
 

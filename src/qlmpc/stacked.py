@@ -26,6 +26,7 @@ diagnostics; the solver never calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -92,28 +93,41 @@ class KktPoint:
 
 @dataclass(frozen=True)
 class StackedProblem:
-    """Immutable problem data for one horizon; all operations are pure."""
+    """Immutable problem data for one horizon; all operations are pure.
+
+    The dense cost and initial-condition matrices are derived from the
+    weights and dimensions on first use, so they cannot disagree with them.
+    """
 
     model: LpvModel
     n_horizon: int
     weights: Weights
-    weight_matrix: Array   # block-diagonal cost matrix acting on y
-    x0_map: Array          # injects x0hat into the constraint stack
+
+    def __post_init__(self):
+        if self.n_horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.n_horizon}")
+        n_x, n_u = self.model.dims.n_x, self.model.dims.n_u
+        if self.weights.Q.shape != (n_x, n_x):
+            raise ValueError(f"Q must be {n_x}x{n_x}, got {self.weights.Q.shape}")
+        if self.weights.R.shape != (n_u, n_u):
+            raise ValueError(f"R must be {n_u}x{n_u}, got {self.weights.R.shape}")
 
     @classmethod
     def build(cls, model: LpvModel, horizon: int, weights: Weights) -> "StackedProblem":
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
-        n_x, n_u = model.dims.n_x, model.dims.n_u
-        if weights.Q.shape != (n_x, n_x):
-            raise ValueError(f"Q must be {n_x}x{n_x}, got {weights.Q.shape}")
-        if weights.R.shape != (n_u, n_u):
-            raise ValueError(f"R must be {n_u}x{n_u}, got {weights.R.shape}")
-        w = scipy.linalg.block_diag(*[weights.Q] * horizon, weights.P, *[weights.R] * horizon)
-        c = np.zeros(((horizon + 1) * n_x, n_x))
-        c[:n_x] = -np.eye(n_x)
-        return cls(model=model, n_horizon=horizon, weights=weights,
-                   weight_matrix=w, x0_map=c)
+        return cls(model=model, n_horizon=horizon, weights=weights)
+
+    @cached_property
+    def weight_matrix(self) -> Array:
+        """Block-diagonal cost matrix acting on y."""
+        w, n = self.weights, self.n_horizon
+        return scipy.linalg.block_diag(*[w.Q] * n, w.P, *[w.R] * n)
+
+    @cached_property
+    def x0_map(self) -> Array:
+        """Injects x0hat into the constraint stack."""
+        c = np.zeros((self.n_eq, self.n_x))
+        c[:self.n_x] = -np.eye(self.n_x)
+        return c
 
     # -- layout helpers ----------------------------------------------------
 

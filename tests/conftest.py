@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -53,11 +54,19 @@ def adip_x0():
 # heavy closed-loop runs shared across acceptance and behavior tests
 
 @pytest.fixture(scope="session")
-def unicycle_sims():
-    return {
+def timed_unicycle_sims():
+    """Both unicycle variants' simulations and their wall time in seconds."""
+    t0 = time.perf_counter()
+    sims = {
         "standard": q.simulate(q.builtin_scenario("unicycle", variant="standard")),
         "exact": q.simulate(q.builtin_scenario("unicycle", variant="exact")),
     }
+    return sims, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def unicycle_sims(timed_unicycle_sims):
+    return timed_unicycle_sims[0]
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS/FAIL lines with the measured values.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -18,16 +16,6 @@ def _verdict(num, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"\n[criterion {num}] {status}: {detail}")
     assert ok, f"criterion {num} failed: {detail}"
-
-
-@pytest.fixture(scope="module")
-def timed_unicycle_sims():
-    t0 = time.perf_counter()
-    sims = {
-        "standard": q.simulate(q.builtin_scenario("unicycle", variant="standard")),
-        "exact": q.simulate(q.builtin_scenario("unicycle", variant="exact")),
-    }
-    return sims, time.perf_counter() - t0
 
 
 def test_criterion_1_unicycle_suboptimality(timed_unicycle_sims):

@@ -2,11 +2,13 @@ import csv
 import dataclasses
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qlmpc as q
 import qlmpc.cli as cli
 import qlmpc.diagnostics as diagnostics
 import qlmpc.solver as solver
@@ -85,6 +87,32 @@ class TestExitCodes:
         cfg = write_config(tmp_path, dict(TINY_INLINE, max_iter="abc"))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("repeat", 2.5),
+        ("out", 5),
+        ("steps", 2.7),
+        ("horizon", "3"),
+        ("max_iter", 2.5),
+        ("x0", [math.inf]),
+    ], ids=["repeat", "out", "steps", "horizon", "max_iter", "x0"])
+    def test_wrong_value_type_writes_nothing(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)
+        payload = json.loads(json.dumps(TINY_INLINE))
+        target = payload["scenario"] if key in payload["scenario"] else payload
+        target[key] = value
+        cfg = write_config(tmp_path, payload)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_x0_dimension_error_writes_nothing(self, tmp_path, capsys, command):
+        payload = {"scenario": dict(PRESETS["unicycle"][0], x0=[1.0])}
+        out = tmp_path / "res"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert "initial state must have length 5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_max_iter_zero(self, tmp_path):
         assert main(["simulate", "--scenario", "tiny-lti", "--max-iter", "0",
@@ -243,13 +271,30 @@ class TestDiagnose:
         assert payload["sqp_equivalence_max_dev"] <= 1e-9
         assert payload["contraction_reference_converged"] is True
 
-    def test_adip_contraction_reference_is_unconverged(self, tmp_path):
+    def test_adip_contraction_reference_is_unconverged(self, tmp_path, monkeypatch):
         # the tol-1e-12 ADIP reference stalls near 5e-9 and runs out of
-        # iterations; the report must say so
+        # iterations; the report must say so.  All checks read one solve.
+        traces = []
+
+        def recording_solve(*args):
+            traces.append(solver.solve_ocp(*args))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "solve_ocp", recording_solve)
         out = tmp_path / "diag"
         assert main(["diagnose", "--scenario", "adip", "--out", str(out)]) == 0
         payload = json.loads((out / "adip_diagnostics.json").read_text())
         assert payload["contraction_reference_converged"] is False
+        assert [t.iterations for t in traces] == [400]
+
+    def test_lti_one_step_convergence_gives_zero_rate(self, tmp_path):
+        # the solve stops after one step; the fit pads it to three iterates
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--scenario", "tiny-lti", "--out", str(out)]) == 0
+        payload = json.loads((out / "tiny-lti_diagnostics.json").read_text())
+        assert len(payload["contraction_errors"]) == 3
+        assert payload["kappa_hat"] == 0.0
+        assert payload["omega_hat"] == 0.0
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QLMPC_SEED", "7")
@@ -257,6 +302,38 @@ class TestDiagnose:
         assert main(["diagnose", "--scenario", "tiny-lti", "--out", str(out)]) == 0
         payload = json.loads((out / "tiny-lti_diagnostics.json").read_text())
         assert payload["seed"] == 7
+
+
+def _tiny_qlpv_horizon_2():
+    prob = q.StackedProblem.build(q.builtin_tiny("qlpv"), 2,
+                                  q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
+    return prob, np.array([0.8])
+
+
+@pytest.mark.parametrize("scenario,pairs", [
+    ("adip", [(1e-10, 60), (1e-9, 100), (1e-6, 100), (1e-6, 10), (1e-8, 3)]),
+    ("unicycle", [(1e-10, 300), (1e-12, 100), (1e-3, 100), (1e-6, 1)]),
+    ("tiny-qlpv", [(1e-10, 300), (1e-6, 100), (1e-6, 4), (1e-12, 10), (1e-12, 9)]),
+])
+def test_solve_prefix_equals_its_own_solve(request, scenario, pairs):
+    # diagnose reads each check's trace off one tighter, longer solve
+    if scenario == "tiny-qlpv":
+        prob, x0 = _tiny_qlpv_horizon_2()
+    else:
+        prob = request.getfixturevalue(f"{scenario}_problem")
+        x0 = request.getfixturevalue(f"{scenario}_x0")
+    y0 = q.initial_guess(prob, x0)
+    cap = max(c for _, c in pairs)
+    full = q.solve_ocp(prob, x0, y0, q.SolverOptions(stop_tol=1e-12, max_iter=cap))
+    for tol, max_iter in pairs:
+        own = q.solve_ocp(prob, x0, y0, q.SolverOptions(stop_tol=tol, max_iter=max_iter))
+        read = cli._solve_prefix(full, tol, max_iter)
+        assert read.converged == own.converged, (tol, max_iter)
+        assert len(read.iterates) == len(own.iterates), (tol, max_iter)
+        for a, b in zip(read.iterates, own.iterates):
+            np.testing.assert_array_equal(a.z.y, b.z.y)
+            np.testing.assert_array_equal(a.z.lam, b.z.lam)
+            assert a.fonc_inf == b.fonc_inf
 
 
 class TestFlagPrecedence:

@@ -95,14 +95,6 @@ class TestContractionFit:
         assert est.omega_hat == pytest.approx(0.1, abs=1e-8)
         assert est.radius_bound == pytest.approx(2.0 * 0.75 / 0.1, rel=1e-6)
 
-    def test_lti_one_step_convergence_gives_zero_rate(self, tiny_lti_problem):
-        opts = q.SolverOptions(variant="standard", stop_tol=1e-9)
-        trace = q.trace_for_contraction(tiny_lti_problem, [1.0], opts)
-        assert trace.iterations >= 2
-        est = q.contraction_fit(trace, trace.final)
-        assert est.kappa_hat == 0.0
-        assert est.omega_hat == 0.0
-
     def test_needs_three_iterates(self):
         tr, zbar = synthetic_trace([1.0, 0.5])
         with pytest.raises(ValueError):

@@ -61,10 +61,14 @@ class TestSolverOptions:
         dict(mode="sometimes"),
         dict(max_iter=0),
         dict(stop_tol=0.0),
+        dict(max_iter=2.5),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             q.SolverOptions(**kwargs)
+
+    def test_numpy_integer_max_iter(self):
+        assert q.SolverOptions(max_iter=np.int64(3)).max_iter == 3
 
 
 class TestIterate:

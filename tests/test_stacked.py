@@ -41,6 +41,11 @@ class TestWeights:
             q.Weights(Q=np.array([[1.0, 0.5], [0.0, 1.0]]), R=np.eye(1), P=np.eye(2))
 
 
+def test_direct_construction_checks_horizon(unit_weights):
+    with pytest.raises(ValueError, match="horizon"):
+        q.StackedProblem(q.builtin_tiny("lti"), 0, unit_weights)
+
+
 def test_constraint_matrix_tiny_lti(tiny_lti_problem):
     g = q.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
     assert_allclose(g, [[1.0, 0.0, 0.0], [-1.0, 1.0, -1.0]])

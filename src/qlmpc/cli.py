@@ -38,6 +38,7 @@ from .solver import (
     IterateTrace,
     SolverOptions,
     TraceEntry,
+    _is_int,
     initial_guess,
     qlmpc_iterate,
     solve_ocp,
@@ -66,9 +67,9 @@ class RunConfig:
 
     def __post_init__(self):
         self.mode = _MODE_ALIASES.get(self.mode, self.mode)
-        if not isinstance(self.repeat, int) or self.repeat < 1:
+        if not _is_int(self.repeat) or self.repeat < 1:
             raise ConfigError(f"repeat must be an integer >= 1, got {self.repeat!r}")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string, got {self.out!r}")
@@ -265,7 +266,7 @@ def run_diagnose(cfg: RunConfig) -> int:
     fit_trace = _solve_prefix(trace, fit_tol, 100)
     while len(fit_trace.iterates) < 3:
         z = qlmpc_iterate(prob, fit_trace.final, scn.x0)
-        fit_trace.iterates.append(TraceEntry(z, np.nan, 0.0, 0.0))
+        fit_trace.iterates.append(TraceEntry(z, np.nan, 0.0))
     ref_trace = _solve_prefix(trace, 1e-12, 400)
     estimate = contraction_fit(fit_trace, ref_trace.final)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .models import eval_dynamics, get_model
-from .solver import IterateTrace, SolverOptions, initial_guess, solve_ocp, warm_shift
+from .solver import IterateTrace, SolverOptions, _is_int, initial_guess, solve_ocp, warm_shift
 from .stacked import StackedProblem, Weights
 
 Array = np.ndarray
@@ -60,7 +60,7 @@ class Scenario:
     def __post_init__(self):
         for name in ("steps", "horizon"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not np.all(np.isfinite(self.x0)):
             raise ValueError(f"x0 must be finite, got {self.x0}")
@@ -141,11 +141,12 @@ def run_control_loop(prob: StackedProblem, x0, steps: int, opts: SolverOptions):
         u0 = z.y[prob.u_slice(0)].copy()
         inputs.append(u0)
         states.append(eval_dynamics(prob.model, xk, u0))
+        qp_s = float(sum(e.qp_time for e in trace.iterates))
         stats.append(PerStepStats(
             iterations=trace.iterations,
             solve_time_s=solve_s,
-            prep_time_s=float(sum(e.prep_time for e in trace.iterates)),
-            qp_time_s=float(sum(e.qp_time for e in trace.iterates)),
+            prep_time_s=solve_s - qp_s,
+            qp_time_s=qp_s,
             converged=trace.converged,
         ))
         y_prev = z.y

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import SolverError
 from .solver import IterateTrace, qlmpc_iterate
@@ -82,21 +81,20 @@ class ContractionEstimate:
 _ENVELOPE_SLACK = 5e-11
 
 
-def _envelope_lstsq(design, target, slack, cons, cons_target):
+def _envelope_lstsq(design, target, cons, cons_target):
     """Exact minimizer of |design @ x - target|^2 over x >= 0 with the
-    one-sided constraints cons @ x >= cons_target - slack.
+    one-sided constraints cons @ x >= cons_target - _ENVELOPE_SLACK.
 
     Two variables only, so the optimum is found by enumerating active
     sets: the unconstrained minimizer, each constraint boundary, and
-    each boundary intersection.
+    each boundary intersection.  It runs in column-scaled coefficients: at
+    small errors an unscaled least-squares solve drops the omega column.
     """
-    cons = np.vstack([np.eye(2), cons])
-    bounds = np.concatenate([np.zeros(2), cons_target - slack])
+    scale = np.linalg.norm(design, axis=0)
+    scale[scale == 0.0] = 1.0
+    design, cons = design / scale, np.vstack([np.eye(2), cons / scale])
+    bounds = np.concatenate([np.zeros(2), cons_target - _ENVELOPE_SLACK])
     row_tol = 1e-12 * (1.0 + np.abs(bounds))
-
-    def feasible(x):
-        return np.all(cons @ x >= bounds - row_tol)
-
     candidates = [np.linalg.lstsq(design, target, rcond=None)[0]]
     for i in range(cons.shape[0]):
         gi = cons[i]
@@ -117,14 +115,15 @@ def _envelope_lstsq(design, target, slack, cons, cons_target):
 
     best, best_val = None, np.inf
     for x in candidates:
-        if not np.all(np.isfinite(x)) or not feasible(x):
+        x = np.maximum(x, 0.0)  # score each candidate at its projection onto x >= 0
+        if not (np.all(np.isfinite(x)) and np.all(cons @ x >= bounds - row_tol)):
             continue
         val = float(np.sum((design @ x - target) ** 2))
         if val < best_val:
-            best, best_val = np.maximum(x, 0.0), val
+            best, best_val = x, val
     if best is None:
         raise SolverError("contraction envelope fit is infeasible")
-    return best
+    return best / scale
 
 
 def _contraction_tail(prev, nxt):
@@ -148,12 +147,14 @@ def contraction_fit(trace: IterateTrace, z_bar: KktPoint) -> ContractionEstimate
 
     Errors are Euclidean distances of the stacked iterates from z_bar,
     which should come from a fully converged run of the same variant.
-    The least-squares objective uses the contraction-regime tail of the
-    strictly positive error pairs (pre-asymptotic transients and
-    iterations that terminate exactly at the fixpoint carry no rate
-    information), while one-sided envelope constraints over all positive
-    pairs keep the fitted bound valid pairwise.  Needs at least 3
-    iterates (2 transitions).
+    One exact active-set solve gives the fit: least squares over the
+    contraction-regime tail of the strictly positive error pairs
+    (pre-asymptotic transients and iterations that terminate exactly at
+    the fixpoint carry no rate information), subject to one-sided
+    envelope constraints over all positive pairs, so the fitted bound
+    holds pairwise within ``_ENVELOPE_SLACK``.  Without a positive pair
+    every pair is used, and SolverError is raised when no nonnegative
+    envelope bounds them.  Needs at least 3 iterates (2 transitions).
     """
     ref = z_bar.stack()
     errors = np.array([float(np.linalg.norm(e.z.stack() - ref)) for e in trace.iterates])
@@ -161,21 +162,15 @@ def contraction_fit(trace: IterateTrace, z_bar: KktPoint) -> ContractionEstimate
         raise ValueError(f"contraction fit needs at least 3 iterates, got {errors.size}")
     keep = (errors[:-1] > 0.0) & (errors[1:] > 0.0)
     if np.any(keep):
-        prev = errors[:-1][keep]
-        nxt = errors[1:][keep]
+        prev, nxt = errors[:-1][keep], errors[1:][keep]
         start = _contraction_tail(prev, nxt)
-        fit_prev, fit_nxt = prev[start:], nxt[start:]
     else:
-        prev = errors[:-1]
-        nxt = errors[1:]
-        fit_prev, fit_nxt = prev, nxt
-    design = np.column_stack([fit_prev, 0.5 * fit_prev * fit_prev])
+        prev, nxt, start = errors[:-1], errors[1:], 0
     cons = np.column_stack([prev, 0.5 * prev * prev])
-    coeff, _ = scipy.optimize.nnls(design, fit_nxt)
-    if np.any(nxt - cons @ coeff > _ENVELOPE_SLACK):
-        coeff = _envelope_lstsq(design, fit_nxt, _ENVELOPE_SLACK, cons=cons, cons_target=nxt)
+    design, target = cons[start:], nxt[start:]
+    coeff = _envelope_lstsq(design, target, cons, nxt)
     kappa, omega = float(coeff[0]), float(coeff[1])
-    fit_residual = float(np.max(np.abs(design @ coeff - fit_nxt)))
+    fit_residual = float(np.max(np.abs(design @ coeff - target)))
     radius = 2.0 * (1.0 - kappa) / omega if omega > 0 else np.inf
     return ContractionEstimate(
         kappa_hat=kappa,

@@ -23,6 +23,7 @@ the cost perturbation, so a shared criterion would be meaningless.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -44,6 +45,12 @@ Array = np.ndarray
 MODES = ("converge", "real_time_single_iteration")
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer, not a boolean: ``bool`` subclasses ``int``
+    (``np.bool_`` is no ``np.integer``)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     variant: str = "standard"
@@ -56,17 +63,17 @@ class SolverOptions:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if not _is_int(self.max_iter) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not self.stop_tol > 0:
-            raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
+        tol = self.stop_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < np.inf:
+            raise ValueError(f"stop_tol must be a finite positive number, got {tol!r}")
 
 
 @dataclass(frozen=True)
 class TraceEntry:
     z: KktPoint
     fonc_inf: float
-    prep_time: float
     qp_time: float
 
 
@@ -163,23 +170,19 @@ def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> Itera
 
     stages = stage_data(prob, y, opts.variant)
     if opts.mode == "real_time_single_iteration":
-        t0 = perf_counter()
         y_next, qp_s = _qp_step(prob, stages, x0)
-        prep_s = perf_counter() - t0 - qp_s
-        step = TraceEntry(KktPoint(y_next, None), np.nan, prep_s, qp_s)
-        return IterateTrace([TraceEntry(KktPoint(y, None), np.nan, 0.0, 0.0), step], converged=False)
+        step = TraceEntry(KktPoint(y_next, None), np.nan, qp_s)
+        return IterateTrace([TraceEntry(KktPoint(y, None), np.nan, 0.0), step], converged=False)
 
     # lam is that of the QP that produced y; the residual reads y's own stages
-    frozen, t0, qp_s, entries = stages, None, 0.0, []
+    frozen, qp_s, entries = stages, 0.0, []
     while True:
         z = KktPoint(y, stage_multipliers(prob, frozen, y))
         res = stage_residual(prob, stages, z, x0)
-        prep_s = 0.0 if t0 is None else perf_counter() - t0 - qp_s
         if not np.isfinite(res):
             raise SolverError(f"optimality residual is non-finite after {len(entries)} steps")
-        entries.append(TraceEntry(z, res, prep_s, qp_s))
+        entries.append(TraceEntry(z, res, qp_s))
         if res <= opts.stop_tol or len(entries) > opts.max_iter:
             return IterateTrace(entries, converged=bool(res <= opts.stop_tol))
-        t0 = perf_counter()
         y, qp_s = _qp_step(prob, stages, x0)
         frozen, stages = stages, stage_data(prob, y, opts.variant)

@@ -47,6 +47,8 @@ def _check_square_symmetric(m, n, what):
         m = m.reshape(1, 1)
     if m.shape != (n, n):
         raise ValueError(f"{what} must be {n}x{n}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} must be finite")
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
         raise ValueError(f"{what} must be symmetric")
     return 0.5 * (m + m.T)

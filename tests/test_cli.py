@@ -95,7 +95,16 @@ class TestExitCodes:
         ("horizon", "3"),
         ("max_iter", 2.5),
         ("x0", [math.inf]),
-    ], ids=["repeat", "out", "steps", "horizon", "max_iter", "x0"])
+        # bool subclasses int, and an infinite tolerance stops every solve at once
+        ("repeat", True),
+        ("steps", True),
+        ("horizon", True),
+        ("max_iter", True),
+        ("seed", True),
+        ("tol", True),
+        ("tol", math.inf),
+    ], ids=["repeat", "out", "steps", "horizon", "max_iter", "x0", "repeat-true", "steps-true",
+            "horizon-true", "max_iter-true", "seed-true", "tol-true", "tol-inf"])
     def test_wrong_value_type_writes_nothing(self, tmp_path, monkeypatch, capsys, key, value):
         monkeypatch.chdir(tmp_path)
         payload = json.loads(json.dumps(TINY_INLINE))
@@ -105,6 +114,16 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg]) == 2
         assert f"{key} must be" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["Infinity", "NaN"])
+    @pytest.mark.parametrize("key", ["q", "r", "p"])
+    def test_non_finite_weights_write_nothing(self, tmp_path, capsys, key, value):
+        payload = json.loads(json.dumps(TINY_INLINE))
+        payload["scenario"][key] = value
+        out = tmp_path / "res"
+        assert main(["simulate", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert f"{key.upper()} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "diagnose"])
     def test_x0_dimension_error_writes_nothing(self, tmp_path, capsys, command):
@@ -160,7 +179,7 @@ class TestExitCodes:
         # a trace that returns to the reference after leaving it has an
         # error pair (0, e > 0) that no nonnegative envelope bounds
         def fit_with_return(trace, z_bar):
-            at_ref = solver.TraceEntry(z_bar, 0.0, 0.0, 0.0)
+            at_ref = solver.TraceEntry(z_bar, 0.0, 0.0)
             away = solver.IterateTrace([at_ref, trace.iterates[0], at_ref], False)
             return diagnostics.contraction_fit(away, z_bar)
 

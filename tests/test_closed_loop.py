@@ -86,6 +86,8 @@ def test_simulate_shapes_and_stats():
     assert len(res.per_step) == scn.steps
     assert all(s.iterations >= 0 for s in res.per_step)
     assert all(s.solve_time_s >= s.qp_time_s >= 0.0 for s in res.per_step)
+    # preparation is defined as solve time minus QP time, so the two add up
+    assert all(abs(s.prep_time_s + s.qp_time_s - s.solve_time_s) <= 1e-12 for s in res.per_step)
     assert len(res.reference_per_step) == scn.steps
     assert all(s.converged for s in res.per_step + res.reference_per_step)
 

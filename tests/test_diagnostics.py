@@ -1,9 +1,15 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.optimize
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qlmpc as q
+from qlmpc.diagnostics import _ENVELOPE_SLACK, _contraction_tail
 from qlmpc.solver import IterateTrace, TraceEntry
 
 
@@ -71,7 +77,7 @@ class TestFixpointPerturbation:
 def synthetic_trace(errors, direction=None):
     dim = 2 if direction is None else len(direction)
     v = np.array([1.0, 0.0]) if direction is None else np.asarray(direction)
-    entries = [TraceEntry(q.KktPoint(e * v, np.zeros(1)), 0.0, 0.0, 0.0) for e in errors]
+    entries = [TraceEntry(q.KktPoint(e * v, np.zeros(1)), 0.0, 0.0) for e in errors]
     return IterateTrace(entries, True), q.KktPoint(np.zeros(dim), np.zeros(1))
 
 
@@ -105,6 +111,40 @@ class TestContractionFit:
         est = q.contraction_fit(tr, zbar)
         assert_allclose(est.errors, [4.0, 2.0, 1.0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-12.0, 0.0), st.floats(0.0, 1.2), st.floats(0.0, 5.0),
+           st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=11))
+    # optima on the bound faces kappa = 0 and omega = 0
+    @example(-2.0, 0.0, 1.0, [0.125, 0.0])
+    @example(-10.0, 1.0, 0.0, [0.125, 0.0])
+    def test_exact_fit_matches_nnls_and_holds_envelope(self, log_e0, kappa, omega, noise):
+        # perturbed samples of err+ = kappa err + omega/2 err^2
+        errors = [10.0 ** log_e0]
+        for eta in noise:
+            e = errors[-1]
+            errors.append((kappa * e + 0.5 * omega * e * e) * (1.0 + eta))
+        errors = np.array(errors)
+        # errors below 1e-60 lie far under any trace's rounding floor; near
+        # 1e-154 and 1e154 their squares leave the normal double range
+        assume(np.all((errors > 1e-60) & (errors < 1e3)))
+        est = q.contraction_fit(*synthetic_trace(errors))
+        coeff = np.array([est.kappa_hat, est.omega_hat])
+        prev, nxt = errors[:-1], errors[1:]
+        cons = np.column_stack([prev, 0.5 * prev * prev])
+        # the slack plus the active-set solve's row tolerance 1e-12 (1 + |bound|)
+        assert np.all(nxt - cons @ coeff <= _ENVELOPE_SLACK + 2e-12 * (1.0 + nxt))
+
+        # where plain NNLS on the tail already satisfies the envelope it is
+        # the constrained optimum too; compare where that optimum is unique
+        # and well-conditioned, in the design's column scaling
+        start = _contraction_tail(prev, nxt)
+        design, target = cons[start:], nxt[start:]
+        ref, _ = scipy.optimize.nnls(design, target)
+        scale = np.linalg.norm(design, axis=0)
+        if (np.all(nxt - cons @ ref <= _ENVELOPE_SLACK) and len(target) >= 2
+                and np.all(scale > 0.0) and np.linalg.cond(design / scale) <= 1e3):
+            assert np.max(np.abs(coeff - ref) * scale) <= 1e-12 * np.max(np.abs(ref) * scale)
+
     @pytest.mark.parametrize("scenario", ["unicycle", "adip"])
     def test_benchmark_first_timestep(self, scenario, request):
         prob = request.getfixturevalue(f"{scenario}_problem")
@@ -118,6 +158,14 @@ class TestContractionFit:
         assert est.fit_residual_inf <= 0.05 * est.errors.max()
         pred = est.kappa_hat * est.errors[:-1] + 0.5 * est.omega_hat * est.errors[:-1] ** 2
         assert np.all(est.errors[1:] <= pred + 1e-10)
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = Path(q.__file__).resolve().parents[1]
+    code = "import sys, qlmpc; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sqp_equivalence_helper(unicycle_problem, unicycle_x0):

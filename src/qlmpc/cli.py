@@ -28,21 +28,14 @@ from .closed_loop import (
     simulate,
 )
 from .diagnostics import (
+    certificate_trace,
     contraction_fit,
     sqp_equivalence_max_deviation,
     verify_fixpoint_perturbation,
 )
 from .errors import ConfigError, SolverError
 from .models import get_model
-from .solver import (
-    IterateTrace,
-    SolverOptions,
-    TraceEntry,
-    _is_int,
-    initial_guess,
-    qlmpc_iterate,
-    solve_ocp,
-)
+from .solver import IterateTrace, TraceEntry, _is_int, initial_guess, qlmpc_iterate
 from .stacked import StackedProblem
 
 EXIT_OK = 0
@@ -121,6 +114,16 @@ def make_scenario(cfg: RunConfig) -> Scenario:
                             stop_tol=cfg.tol, max_iter=cfg.max_iter)
 
 
+def make_problem(scn: Scenario) -> StackedProblem:
+    """The scenario's problem; weights or x0 that do not fit its model are a config error."""
+    try:
+        prob = StackedProblem.build(get_model(scn.model_id), scn.horizon, scn.weights)
+        prob.check_x0(scn.x0)
+    except ValueError as exc:
+        raise ConfigError(f"invalid scenario: {exc}") from exc
+    return prob
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -178,8 +181,7 @@ def run_simulate(cfg: RunConfig) -> int:
     if ignored and scn.controller.mode == "real_time_single_iteration":
         raise ConfigError(f"{' and '.join(ignored)} apply to converge mode only; "
                           f"scenario {scn.name!r} runs in real-time mode")
-    prob = StackedProblem.build(get_model(scn.model_id), scn.horizon, scn.weights)
-    prob.check_x0(scn.x0)
+    prob = make_problem(scn)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -230,7 +232,7 @@ def run_simulate(cfg: RunConfig) -> int:
 
 
 def _solve_prefix(trace: IterateTrace, tol: float, cap: int) -> IterateTrace:
-    """The trace of a ``stop_tol=tol, max_iter=cap`` solve from the start of the
+    """The ``certificate_trace`` of tolerance tol and cap iterations, read off the
     longer, tighter ``trace``: iterates do not depend on the tolerance."""
     for i, entry in enumerate(trace.iterates[:cap + 1]):
         if entry.fonc_inf <= tol:
@@ -242,17 +244,16 @@ def run_diagnose(cfg: RunConfig) -> int:
     ignored = [key for key in ("variant", "mode", "max_iter") if getattr(cfg, key) is not None]
     if ignored:
         raise ConfigError(f"diagnose does not read {', '.join(ignored)}: it runs its own "
-                          f"standard-variant converge solve")
+                          f"standard-variant residual-stopped solve")
     scn = make_scenario(cfg)
-    prob = StackedProblem.build(get_model(scn.model_id), scn.horizon, scn.weights)
-    prob.check_x0(scn.x0)
+    prob = make_problem(scn)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # one solve serves every check: each reads the prefix its own
-    # (tol, max_iter) solve would return
+    # one residual-stopped solve serves every check: each reads the prefix
+    # its own (tol, max_iter) solve would return
     fit_tol = cfg.tol if cfg.tol is not None else 1e-6
-    trace = solve_ocp(prob, scn.x0, initial_guess(prob, scn.x0),
-                      SolverOptions(variant="standard", stop_tol=min(fit_tol, 1e-12), max_iter=400))
+    trace = certificate_trace(prob, scn.x0, initial_guess(prob, scn.x0),
+                              min(fit_tol, 1e-12), 400)
 
     # multiplier-recovery accuracy bounds the reachable residual; fall
     # back one decade at a time if 1e-10 sits below that floor
@@ -327,10 +328,11 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return run_simulate(cfg)
         return run_diagnose(cfg)
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverError as exc:
+    except (SolverError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, but it is a numerical failure
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

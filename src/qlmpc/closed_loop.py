@@ -137,8 +137,8 @@ def run_control_loop(prob: StackedProblem, x0, steps: int, opts: SolverOptions):
             solve_s = perf_counter() - t0
         except SolverError as exc:
             return states, inputs, stats, k, str(exc)
-        z = trace.final
-        u0 = z.y[prob.u_slice(0)].copy()
+        y = trace.iterates[-1].y  # reading trace.final would compute multipliers
+        u0 = y[prob.u_slice(0)].copy()
         inputs.append(u0)
         states.append(eval_dynamics(prob.model, xk, u0))
         qp_s = float(sum(e.qp_time for e in trace.iterates))
@@ -149,7 +149,7 @@ def run_control_loop(prob: StackedProblem, x0, steps: int, opts: SolverOptions):
             qp_time_s=qp_s,
             converged=trace.converged,
         ))
-        y_prev = z.y
+        y_prev = y
     return states, inputs, stats, None, None
 
 

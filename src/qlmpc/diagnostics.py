@@ -1,6 +1,7 @@
 """Numerical verification tools for the iteration theory.
 
-Three independent checks live here: the perturbed-fixpoint identity of
+Three independent checks live here, with the residual-stopped solve
+that certifies their fixpoints: the perturbed-fixpoint identity of
 the standard variant (its converged iterates are stationary points of a
 linearly perturbed cost), an empirical contraction-rate fit for the
 error recursion  err[l+1] <= kappa err[l] + omega/2 err[l]^2, and the
@@ -14,13 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .condensing import stage_multipliers
 from .errors import SolverError
-from .solver import IterateTrace, qlmpc_iterate
+from .solver import IterateTrace, TraceEntry, qlmpc_iterate
 from .stacked import (
     KktPoint,
     StackedProblem,
     cost_perturbation,
     sqp_step,
+    stage_data,
+    stage_residual,
     true_fonc_residual,
 )
 
@@ -80,50 +84,60 @@ class ContractionEstimate:
 # rounding cannot push a fitted envelope past the documented slack
 _ENVELOPE_SLACK = 5e-11
 
+# candidate solutions scored per block, bounding the memory of long traces
+_CANDIDATE_BLOCK = 1 << 20
 
-def _envelope_lstsq(design, target, cons, cons_target):
+
+def _envelope_lstsq(design, target, cons, cons_target, unit=1.0):
     """Exact minimizer of |design @ x - target|^2 over x >= 0 with the
-    one-sided constraints cons @ x >= cons_target - _ENVELOPE_SLACK.
+    one-sided constraints cons @ x >= cons_target - _ENVELOPE_SLACK unit.
 
-    Two variables only, so the optimum is found by enumerating active
-    sets: the unconstrained minimizer, each constraint boundary, and
-    each boundary intersection.  It runs in column-scaled coefficients: at
-    small errors an unscaled least-squares solve drops the omega column.
+    ``unit`` is the value of an absolute 1 in the caller's scaling of the
+    targets; the slack and the row tolerance are absolute.  Two variables
+    only, so the optimum is found by enumerating active sets: the
+    unconstrained minimizer, each constraint boundary, and each boundary
+    intersection (Cramer's rule, all pairs at once).  It runs in
+    column-scaled coefficients: at small errors an unscaled least-squares
+    solve drops the omega column.
     """
     scale = np.linalg.norm(design, axis=0)
     scale[scale == 0.0] = 1.0
     design, cons = design / scale, np.vstack([np.eye(2), cons / scale])
-    bounds = np.concatenate([np.zeros(2), cons_target - _ENVELOPE_SLACK])
-    row_tol = 1e-12 * (1.0 + np.abs(bounds))
-    candidates = [np.linalg.lstsq(design, target, rcond=None)[0]]
-    for i in range(cons.shape[0]):
-        gi = cons[i]
-        nrm = gi @ gi
-        if nrm == 0.0:
-            continue
-        xp = gi * (bounds[i] / nrm)
-        d = np.array([-gi[1], gi[0]])
-        ad = design @ d
-        denom = ad @ ad
-        t = (ad @ (target - design @ xp)) / denom if denom > 0 else 0.0
-        candidates.append(xp + t * d)
-        for j in range(i + 1, cons.shape[0]):
-            mat = np.array([gi, cons[j]])
-            if abs(np.linalg.det(mat)) < 1e-14:
-                continue
-            candidates.append(np.linalg.solve(mat, bounds[[i, j]]))
+    bounds = np.concatenate([np.zeros(2), cons_target - _ENVELOPE_SLACK * unit])
+    row_tol = 1e-12 * (unit + np.abs(bounds))
 
-    best, best_val = None, np.inf
-    for x in candidates:
-        x = np.maximum(x, 0.0)  # score each candidate at its projection onto x >= 0
-        if not (np.all(np.isfinite(x)) and np.all(cons @ x >= bounds - row_tol)):
-            continue
-        val = float(np.sum((design @ x - target) ** 2))
-        if val < best_val:
-            best, best_val = x, val
-    if best is None:
-        raise SolverError("contraction envelope fit is infeasible")
-    return best / scale
+    # with an absolute slack far above tiny errors some candidates lie far
+    # out; those that overflow are dropped, the rest score far worse
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the minimizer along each boundary line cons[i] @ x = bounds[i]
+        nrm = np.einsum("ij,ij->i", cons, cons)
+        rows = nrm > 0.0
+        g = cons[rows]
+        xp = g * (bounds[rows] / nrm[rows])[:, None]
+        d = np.column_stack([-g[:, 1], g[:, 0]])
+        ad = design @ d.T
+        denom = np.einsum("ij,ij->j", ad, ad)
+        num = np.einsum("ij,ij->j", ad, target[:, None] - design @ xp.T)
+        t = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
+        # the intersection of each pair of boundaries
+        i, j = np.triu_indices(len(cons), 1)
+        det = cons[i, 0] * cons[j, 1] - cons[i, 1] * cons[j, 0]
+        keep = np.abs(det) >= 1e-14
+        i, j, det = i[keep], j[keep], det[keep]
+        vertices = np.column_stack([bounds[i] * cons[j, 1] - cons[i, 1] * bounds[j],
+                                    cons[i, 0] * bounds[j] - bounds[i] * cons[j, 0]])
+        candidates = np.vstack([np.linalg.lstsq(design, target, rcond=None)[0],
+                                xp + t[:, None] * d, vertices / det[:, None]])
+        # score each candidate at its projection onto x >= 0
+        x = np.maximum(candidates[np.all(np.isfinite(candidates), axis=1)], 0.0)
+        floor = (bounds - row_tol)[:, None]
+        step = max(1, _CANDIDATE_BLOCK // len(cons))
+        x = x[np.concatenate([np.all(cons @ x[lo:lo + step].T >= floor, axis=0)
+                              for lo in range(0, len(x), step)])]
+        if len(x) == 0:
+            raise SolverError("contraction envelope fit is infeasible")
+        val = np.sum((x @ design.T - target) ** 2, axis=1)
+    return x[np.argmin(val)] / scale
 
 
 def _contraction_tail(prev, nxt):
@@ -142,6 +156,20 @@ def _contraction_tail(prev, nxt):
     return start
 
 
+def _power_of_two_above(top: float) -> float:
+    """A power of two in (top, 2 top] for a positive finite top, else 1:
+    dividing by it is exact wherever the result stays a normal double."""
+    return float(np.ldexp(1.0, np.frexp(top)[1])) if 0.0 < top < np.inf else 1.0
+
+
+def _norm(v: Array) -> float:
+    """Euclidean norm of v taken in a power-of-two scaling, so that squaring
+    cannot overflow or underflow; in the normal range it equals
+    ``np.linalg.norm(v)`` bitwise."""
+    s = _power_of_two_above(float(np.max(np.abs(v), initial=0.0)))
+    return s * float(np.linalg.norm(v / s))
+
+
 def contraction_fit(trace: IterateTrace, z_bar: KktPoint) -> ContractionEstimate:
     """Fit nonnegative (kappa, omega) to consecutive error pairs.
 
@@ -155,22 +183,29 @@ def contraction_fit(trace: IterateTrace, z_bar: KktPoint) -> ContractionEstimate
     holds pairwise within ``_ENVELOPE_SLACK``.  Without a positive pair
     every pair is used, and SolverError is raised when no nonnegative
     envelope bounds them.  Needs at least 3 iterates (2 transitions).
+
+    The fit runs in errors divided by s, a power of two just above their
+    largest value: kappa is unchanged, omega is the fitted value over s,
+    and squared errors stay in range at any scale.  Being a power of two,
+    s changes no rounding where the unscaled squares are normal doubles.
     """
     ref = z_bar.stack()
-    errors = np.array([float(np.linalg.norm(e.z.stack() - ref)) for e in trace.iterates])
+    errors = np.array([_norm(e.z.stack() - ref) for e in trace.iterates])
     if errors.size < 3:
         raise ValueError(f"contraction fit needs at least 3 iterates, got {errors.size}")
-    keep = (errors[:-1] > 0.0) & (errors[1:] > 0.0)
+    s = _power_of_two_above(float(errors.max()))
+    scaled = errors / s
+    keep = (scaled[:-1] > 0.0) & (scaled[1:] > 0.0)
     if np.any(keep):
-        prev, nxt = errors[:-1][keep], errors[1:][keep]
+        prev, nxt = scaled[:-1][keep], scaled[1:][keep]
         start = _contraction_tail(prev, nxt)
     else:
-        prev, nxt, start = errors[:-1], errors[1:], 0
+        prev, nxt, start = scaled[:-1], scaled[1:], 0
     cons = np.column_stack([prev, 0.5 * prev * prev])
     design, target = cons[start:], nxt[start:]
-    coeff = _envelope_lstsq(design, target, cons, nxt)
-    kappa, omega = float(coeff[0]), float(coeff[1])
-    fit_residual = float(np.max(np.abs(design @ coeff - target)))
+    coeff = _envelope_lstsq(design, target, cons, nxt, unit=1.0 / s)
+    kappa, omega = float(coeff[0]), float(coeff[1] / s)
+    fit_residual = float(s * np.max(np.abs(design @ coeff - target)))
     radius = 2.0 * (1.0 - kappa) / omega if omega > 0 else np.inf
     return ContractionEstimate(
         kappa_hat=kappa,
@@ -179,6 +214,32 @@ def contraction_fit(trace: IterateTrace, z_bar: KktPoint) -> ContractionEstimate
         radius_bound=radius,
         fit_residual_inf=fit_residual,
     )
+
+
+def certificate_trace(prob: StackedProblem, x0hat, y_init, stop_tol: float, max_iter: int,
+                      variant: str = "standard") -> IterateTrace:
+    """Iterate ``qlmpc_iterate`` from y_init until the optimality residual of
+    the QP frozen at the iterate is at most stop_tol, or max_iter times.
+
+    Its iterates and multipliers are those of ``solve_ocp`` from the same
+    start; this loop evaluates the residual at every iterate, as a KKT
+    certificate for the fixpoint checks, which ``solve_ocp``'s stopping
+    rule does not need.  A non-finite residual raises SolverError.
+    """
+    x0 = prob.check_x0(x0hat)
+    y = prob.check_y(y_init)
+    stages = stage_data(prob, y, variant)
+    z = KktPoint(y, stage_multipliers(prob, stages, y))
+    entries = []
+    while True:
+        res = stage_residual(prob, stages, z, x0)
+        if not np.isfinite(res):
+            raise SolverError(f"optimality residual is non-finite after {len(entries)} steps")
+        entries.append(TraceEntry(z, res, 0.0))
+        if res <= stop_tol or len(entries) > max_iter:
+            return IterateTrace(entries, converged=bool(res <= stop_tol))
+        z = qlmpc_iterate(prob, z, x0, variant)
+        stages = stage_data(prob, z.y, variant)
 
 
 def sqp_equivalence_max_deviation(prob: StackedProblem, x0hat, seed: int = 0) -> float:

@@ -186,6 +186,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "contraction_fit", fit_with_return)
         assert main(["diagnose", "--scenario", "tiny-qlpv", "--out", str(tmp_path)]) == 3
 
+    def test_linalg_error_is_exit_3(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError; it must not pass for a config error
+        def failing_fit(trace, z_bar):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "contraction_fit", failing_fit)
+        assert main(["diagnose", "--scenario", "tiny-qlpv", "--out", str(tmp_path)]) == 3
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
     def test_singular_sqp_kkt_is_exit_3(self, tmp_path, monkeypatch, capsys):
         # a zero constraint Jacobian makes the SQP step's KKT matrix
         # singular; the zero disturbance lets the fixpoint check run first
@@ -296,10 +305,10 @@ class TestDiagnose:
         traces = []
 
         def recording_solve(*args):
-            traces.append(solver.solve_ocp(*args))
+            traces.append(diagnostics.certificate_trace(*args))
             return traces[-1]
 
-        monkeypatch.setattr(cli, "solve_ocp", recording_solve)
+        monkeypatch.setattr(cli, "certificate_trace", recording_solve)
         out = tmp_path / "diag"
         assert main(["diagnose", "--scenario", "adip", "--out", str(out)]) == 0
         payload = json.loads((out / "adip_diagnostics.json").read_text())
@@ -335,7 +344,8 @@ def _tiny_qlpv_horizon_2():
     ("tiny-qlpv", [(1e-10, 300), (1e-6, 100), (1e-6, 4), (1e-12, 10), (1e-12, 9)]),
 ])
 def test_solve_prefix_equals_its_own_solve(request, scenario, pairs):
-    # diagnose reads each check's trace off one tighter, longer solve
+    # diagnose reads each check's trace off one tighter, longer
+    # residual-stopped solve
     if scenario == "tiny-qlpv":
         prob, x0 = _tiny_qlpv_horizon_2()
     else:
@@ -343,9 +353,9 @@ def test_solve_prefix_equals_its_own_solve(request, scenario, pairs):
         x0 = request.getfixturevalue(f"{scenario}_x0")
     y0 = q.initial_guess(prob, x0)
     cap = max(c for _, c in pairs)
-    full = q.solve_ocp(prob, x0, y0, q.SolverOptions(stop_tol=1e-12, max_iter=cap))
+    full = diagnostics.certificate_trace(prob, x0, y0, 1e-12, cap)
     for tol, max_iter in pairs:
-        own = q.solve_ocp(prob, x0, y0, q.SolverOptions(stop_tol=tol, max_iter=max_iter))
+        own = diagnostics.certificate_trace(prob, x0, y0, tol, max_iter)
         read = cli._solve_prefix(full, tol, max_iter)
         assert read.converged == own.converged, (tol, max_iter)
         assert len(read.iterates) == len(own.iterates), (tol, max_iter)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -92,13 +93,17 @@ def test_simulate_shapes_and_stats():
     assert all(s.converged for s in res.per_step + res.reference_per_step)
 
 
-def test_adip_reference_has_unconverged_steps(adip_loops):
-    # the ADIP reference stops at max_iter at some steps; per-step stats
-    # must say so rather than pass those solves off as converged
+def test_adip_reference_converges_at_every_step(adip_problem, adip_x0, adip_loops):
+    # the reference's step bound is reachable at tol 1e-10 on every step
     stats = adip_loops["reference"][2]
+    assert all(s.converged for s in stats)
+    assert max(s.iterations for s in stats) < REFERENCE_OPTIONS.max_iter
+    # a solve cut at max_iter says so rather than passing as converged
+    capped = dataclasses.replace(REFERENCE_OPTIONS, max_iter=3)
+    stats = q.run_control_loop(adip_problem, adip_x0, 3, capped)[2]
     unconverged = [s for s in stats if not s.converged]
     assert unconverged
-    assert all(s.iterations == REFERENCE_OPTIONS.max_iter for s in unconverged)
+    assert all(s.iterations == capped.max_iter for s in unconverged)
 
 
 def test_simulate_truncates_on_failure():

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qlmpc as q
-from qlmpc.diagnostics import _ENVELOPE_SLACK, _contraction_tail
+from qlmpc.diagnostics import _ENVELOPE_SLACK, _contraction_tail, _envelope_lstsq
 from qlmpc.solver import IterateTrace, TraceEntry
 
 
@@ -72,6 +72,40 @@ class TestFixpointPerturbation:
         assert not tr.converged
         with pytest.raises(ValueError):
             q.verify_fixpoint_perturbation(prob, tr, [0.8])
+
+
+def envelope_lstsq_loop(design, target, cons, cons_target):
+    """Reference for ``_envelope_lstsq`` at unit scale: the active sets
+    enumerated one at a time, each vertex by its own 2x2 solve."""
+    scale = np.linalg.norm(design, axis=0)
+    scale[scale == 0.0] = 1.0
+    design, cons = design / scale, np.vstack([np.eye(2), cons / scale])
+    bounds = np.concatenate([np.zeros(2), cons_target - _ENVELOPE_SLACK])
+    row_tol = 1e-12 * (1.0 + np.abs(bounds))
+    candidates = [np.linalg.lstsq(design, target, rcond=None)[0]]
+    for i in range(cons.shape[0]):
+        gi = cons[i]
+        nrm = gi @ gi
+        if nrm == 0.0:
+            continue
+        xp = gi * (bounds[i] / nrm)
+        d = np.array([-gi[1], gi[0]])
+        ad = design @ d
+        denom = ad @ ad
+        t = (ad @ (target - design @ xp)) / denom if denom > 0 else 0.0
+        candidates.append(xp + t * d)
+        for j in range(i + 1, cons.shape[0]):
+            mat = np.array([gi, cons[j]])
+            if abs(np.linalg.det(mat)) >= 1e-14:
+                candidates.append(np.linalg.solve(mat, bounds[[i, j]]))
+    best, best_val = None, np.inf
+    for x in candidates:
+        x = np.maximum(x, 0.0)
+        if np.all(np.isfinite(x)) and np.all(cons @ x >= bounds - row_tol):
+            val = float(np.sum((design @ x - target) ** 2))
+            if val < best_val:
+                best, best_val = x, val
+    return None if best is None else best / scale
 
 
 def synthetic_trace(errors, direction=None):
@@ -144,6 +178,61 @@ class TestContractionFit:
         if (np.all(nxt - cons @ ref <= _ENVELOPE_SLACK) and len(target) >= 2
                 and np.all(scale > 0.0) and np.linalg.cond(design / scale) <= 1e3):
             assert np.max(np.abs(coeff - ref) * scale) <= 1e-12 * np.max(np.abs(ref) * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-6.0, 0.0), st.floats(0.0, 1.2), st.floats(0.0, 5.0),
+           st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=11))
+    def test_envelope_equals_its_pairwise_loop(self, log_e0, kappa, omega, noise):
+        # all-pairs Cramer candidates score as the one-pair-at-a-time solves
+        errors = [10.0 ** log_e0]
+        for eta in noise:
+            e = errors[-1]
+            errors.append((kappa * e + 0.5 * omega * e * e) * (1.0 + eta))
+        errors = np.array(errors)
+        assume(np.all((errors > 1e-30) & (errors < 1e3)))
+        prev, nxt = errors[:-1], errors[1:]
+        cons = np.column_stack([prev, 0.5 * prev * prev])
+        start = _contraction_tail(prev, nxt)
+        design, target = cons[start:], nxt[start:]
+        ref = envelope_lstsq_loop(design, target, cons, nxt)
+        if ref is None:
+            with pytest.raises(q.SolverError):
+                _envelope_lstsq(design, target, cons, nxt)
+            return
+        coeff = _envelope_lstsq(design, target, cons, nxt)
+        vals = [np.sum((design @ c - target) ** 2) for c in (coeff, ref)]
+        assert abs(vals[0] - vals[1]) <= 1e-12 * (vals[1] + target @ target)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-300.0, 300.0), st.integers(3, 12))
+    @example(-300.0, 12)
+    @example(300.0, 12)
+    @example(-160.0, 8)
+    @example(160.0, 8)
+    def test_geometric_trace_at_any_scale(self, log_e0, length):
+        # the fit runs in errors over their largest value: squares of the
+        # raw errors would be subnormal or overflow at either end
+        errors = 10.0 ** log_e0 * 0.5 ** np.arange(length)
+        est = q.contraction_fit(*synthetic_trace(errors))
+        assert est.kappa_hat == pytest.approx(0.5, abs=1e-12)
+        assert est.omega_hat * errors[0] <= 1e-12
+        assert_allclose(est.errors, errors, rtol=1e-15)
+
+    def test_envelope_vertex_matches_its_pairwise_solve(self):
+        # a noisy quadratic trace whose optimum sits on two envelope rows:
+        # the all-pairs Cramer candidate equals the 2x2 solve of those rows
+        errors = np.array([0.7686437548416307, 0.6522765451377811, 0.5363548013029523,
+                           0.4983458295379595, 0.39046513386169174, 0.32269401373059775,
+                           0.22409348374654103, 0.14835062953874104, 0.06962913189270387,
+                           0.030793065886765954, 0.01312018726987416])
+        est = q.contraction_fit(*synthetic_trace(errors))
+        coeff = np.array([est.kappa_hat, est.omega_hat])
+        prev, nxt = errors[:-1], errors[1:]
+        cons = np.column_stack([prev, 0.5 * prev * prev])
+        tight = np.flatnonzero(np.abs(nxt - cons @ coeff - _ENVELOPE_SLACK) <= 1e-13)
+        assert len(tight) == 2 and np.all(coeff > 0.0)
+        ref = np.linalg.solve(cons[tight], nxt[tight] - _ENVELOPE_SLACK)
+        assert_allclose(coeff, ref, rtol=1e-12)
 
     @pytest.mark.parametrize("scenario", ["unicycle", "adip"])
     def test_benchmark_first_timestep(self, scenario, request):

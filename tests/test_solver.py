@@ -4,7 +4,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qlmpc as q
+import qlmpc.condensing as condensing
 import qlmpc.solver as solver
+import qlmpc.stacked as stacked
+from qlmpc.diagnostics import certificate_trace
 
 
 class TestInitialGuess:
@@ -152,16 +155,26 @@ class TestSolveOcp:
             stage_jacobian=lambda x, u: np.hstack([a, b]),
         )
         prob = q.StackedProblem.build(m, 4, q.Weights(Q=np.eye(3), R=np.eye(2), P=np.eye(3)))
-        for variant in ("standard", "exact"):
+        # the standard stage data repeats bitwise, which ends the loop; the
+        # exact offset w rounds differently at each iterate, so its loop
+        # takes a second, rounding-sized step to stop on the bound
+        for variant, most in (("standard", 1), ("exact", 2)):
             tr = q.solve_ocp(prob, [1.0, -2.0, 0.5], q.initial_guess(prob, [1.0, -2.0, 0.5]),
                              q.SolverOptions(variant=variant))
-            assert tr.converged and tr.iterations == 1
+            assert tr.converged and 1 <= tr.iterations <= most
+            first = tr.iterates[1].y
+            assert np.abs(tr.iterates[-1].y - first).max() <= 1e-12 * (1.0 + np.abs(first).max())
 
     def test_exact_variant_unicycle_converges(self, unicycle_problem, unicycle_x0):
-        tr = q.solve_ocp(unicycle_problem, unicycle_x0, q.initial_guess(unicycle_problem, unicycle_x0),
+        y0 = q.initial_guess(unicycle_problem, unicycle_x0)
+        tr = q.solve_ocp(unicycle_problem, unicycle_x0, y0,
                          q.SolverOptions(variant="exact", stop_tol=1e-8, max_iter=50))
         assert tr.converged
-        assert tr.residuals[-1] <= 1e-8
+        # the stop is within tol of the residual-certified fixpoint
+        ref = certificate_trace(unicycle_problem, unicycle_x0, y0, 1e-12, 400, "exact")
+        assert ref.converged
+        y = tr.iterates[-1].y
+        assert np.abs(y - ref.final.y).max() <= 1e-8 * (1.0 + np.abs(y).max())
 
     def test_exact_fixpoint_satisfies_true_fonc(self, unicycle_problem, unicycle_x0):
         tol = 1e-8
@@ -223,8 +236,10 @@ class TestSolveOcp:
                             q.initial_guess(unicycle_problem, unicycle_x0), tight)
         assert start.converged
         y = start.final.y
+        # the step bound needs one QP, which confirms the point and barely moves it
         tr = q.solve_ocp(unicycle_problem, unicycle_x0, y, q.SolverOptions(variant=variant))
-        assert tr.iterations == 0 and tr.converged
+        assert tr.iterations == 1 and tr.converged
+        assert np.abs(tr.iterates[-1].y - y).max() <= 1e-9
         # real-time mode solves one QP and evaluates no residual or multipliers
         rti = q.SolverOptions(variant=variant, mode="real_time_single_iteration")
         tr = q.solve_ocp(unicycle_problem, unicycle_x0, y, rti)
@@ -284,3 +299,64 @@ class TestSolveOcp:
         assert tr.iterations == len(tr.iterates) - 1
         assert tr.iterates[0].qp_time == 0.0
         assert tr.iterates[1].qp_time >= 0.0
+
+
+def _bounds_and_errors(trace, y_star):
+    """The stopping bound k / (1 - k) |dy|_inf at each iterate from the first
+    on, recomputed from its definition, and the true error there."""
+    ys = [e.y for e in trace.iterates]
+    steps = [np.abs(b - a).max() for a, b in zip(ys, ys[1:])]
+    bounds = []
+    for l in range(1, len(steps) + 1):
+        ratios = [steps[i] / steps[i - 1] for i in range(max(1, l - 2), l)]
+        k = min(0.9, max(ratios)) if len(ratios) == 2 else 0.9
+        bounds.append(k / (1.0 - k) * steps[l - 1])
+    return np.array(bounds), np.array([np.abs(y - y_star).max() for y in ys[1:]])
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-6, 1e-10])
+def test_step_bound_is_at_least_the_error_on_adip(adip_problem, adip_x0, tol):
+    # ADIP step 0: the step ratios alternate between about 0.24 and 0.55, so
+    # the last ratio alone would understate the error
+    y0 = q.initial_guess(adip_problem, adip_x0)
+    y_star = certificate_trace(adip_problem, adip_x0, y0, 1e-12, 400).final.y
+    tr = q.solve_ocp(adip_problem, adip_x0, y0, q.SolverOptions(stop_tol=tol, max_iter=100))
+    assert tr.converged and tr.iterations >= 3
+    bounds, errors = _bounds_and_errors(tr, y_star)
+    assert np.all(bounds[2:] >= errors[2:])
+    # the loop stops at the first iterate whose bound passes
+    sizes = np.array([1.0 + np.abs(e.y).max() for e in tr.iterates[1:]])
+    passed = bounds <= tol * sizes
+    assert passed[-1] and not np.any(passed[:-1])
+    assert errors[-1] <= tol * sizes[-1]
+
+
+def test_converge_loop_computes_no_multipliers_or_residual(monkeypatch, adip_problem, adip_x0,
+                                                           unicycle_problem, unicycle_x0):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the converge loop evaluated multipliers or a residual")
+
+    for module in (solver, condensing, stacked):
+        for name in ("stage_multipliers", "stage_residual"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for prob, x0, variant in ((adip_problem, adip_x0, "standard"),
+                              (unicycle_problem, unicycle_x0, "exact")):
+        opts = q.SolverOptions(variant=variant, mode="converge")
+        _, inputs, stats, fail_step, _ = q.run_control_loop(prob, x0, 20, opts)
+        assert fail_step is None and len(inputs) == 20
+        assert all(s.converged for s in stats)
+
+
+@pytest.mark.parametrize("variant", ["standard", "exact"])
+def test_trace_values_read_on_demand_equal_the_certificate_loop(adip_problem, adip_x0, variant):
+    # a converge trace computes lam and the residual only when read, from
+    # the stage data the loop built; they equal the residual-stopped loop's
+    y0 = q.initial_guess(adip_problem, adip_x0)
+    tr = q.solve_ocp(adip_problem, adip_x0, y0, q.SolverOptions(variant=variant, max_iter=100))
+    cert = certificate_trace(adip_problem, adip_x0, y0, 1e-15, tr.iterations, variant)
+    assert len(cert.iterates) == len(tr.iterates)
+    for a, b in zip(tr.iterates, cert.iterates):
+        np.testing.assert_array_equal(a.y, b.z.y)
+        np.testing.assert_array_equal(a.z.lam, b.z.lam)
+        assert a.fonc_inf == b.fonc_inf

@@ -35,7 +35,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, SolverError
 from .models import get_model
-from .solver import IterateTrace, TraceEntry, _is_int, initial_guess, qlmpc_iterate
+from .solver import IterateTrace, _is_int, _step, initial_guess
 from .stacked import StackedProblem
 
 EXIT_OK = 0
@@ -62,8 +62,8 @@ class RunConfig:
         self.mode = _MODE_ALIASES.get(self.mode, self.mode)
         if not _is_int(self.repeat) or self.repeat < 1:
             raise ConfigError(f"repeat must be an integer >= 1, got {self.repeat!r}")
-        if not _is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string, got {self.out!r}")
 
@@ -127,6 +127,16 @@ def make_problem(scn: Scenario) -> StackedProblem:
 # ---------------------------------------------------------------------------
 # output helpers
 
+def _out_dir(cfg: RunConfig) -> Path:
+    """The output directory, created; one that cannot be created is a config error."""
+    out_dir = Path(cfg.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out!r}: {exc}") from exc
+    return out_dir
+
+
 def _fmt(v: float) -> str:
     """Shortest decimal string that round-trips to the same double."""
     return repr(float(v))
@@ -182,8 +192,7 @@ def run_simulate(cfg: RunConfig) -> int:
         raise ConfigError(f"{' and '.join(ignored)} apply to converge mode only; "
                           f"scenario {scn.name!r} runs in real-time mode")
     prob = make_problem(scn)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
 
     res = simulate(scn)
 
@@ -247,8 +256,7 @@ def run_diagnose(cfg: RunConfig) -> int:
                           f"standard-variant residual-stopped solve")
     scn = make_scenario(cfg)
     prob = make_problem(scn)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     # one residual-stopped solve serves every check: each reads the prefix
     # its own (tol, max_iter) solve would return
     fit_tol = cfg.tol if cfg.tol is not None else 1e-6
@@ -266,8 +274,7 @@ def run_diagnose(cfg: RunConfig) -> int:
     # pad a one-step solve (LTI degeneration) with iterates at the fixpoint
     fit_trace = _solve_prefix(trace, fit_tol, 100)
     while len(fit_trace.iterates) < 3:
-        z = qlmpc_iterate(prob, fit_trace.final, scn.x0)
-        fit_trace.iterates.append(TraceEntry(z, np.nan, 0.0))
+        fit_trace.iterates.append(_step(fit_trace.iterates[-1]))
     ref_trace = _solve_prefix(trace, 1e-12, 400)
     estimate = contraction_fit(fit_trace, ref_trace.final)
 

@@ -15,16 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condensing import stage_multipliers
 from .errors import SolverError
-from .solver import IterateTrace, TraceEntry, qlmpc_iterate
+from .solver import IterateTrace, TraceEntry, _step, qlmpc_iterate
 from .stacked import (
     KktPoint,
     StackedProblem,
     cost_perturbation,
     sqp_step,
-    stage_data,
-    stage_residual,
     true_fonc_residual,
 )
 
@@ -218,28 +215,22 @@ def contraction_fit(trace: IterateTrace, z_bar: KktPoint) -> ContractionEstimate
 
 def certificate_trace(prob: StackedProblem, x0hat, y_init, stop_tol: float, max_iter: int,
                       variant: str = "standard") -> IterateTrace:
-    """Iterate ``qlmpc_iterate`` from y_init until the optimality residual of
-    the QP frozen at the iterate is at most stop_tol, or max_iter times.
+    """Step from y_init until the optimality residual of the QP frozen at the
+    iterate is at most stop_tol, or max_iter times.
 
     Its iterates and multipliers are those of ``solve_ocp`` from the same
     start; this loop evaluates the residual at every iterate, as a KKT
     certificate for the fixpoint checks, which ``solve_ocp``'s stopping
     rule does not need.  A non-finite residual raises SolverError.
     """
-    x0 = prob.check_x0(x0hat)
-    y = prob.check_y(y_init)
-    stages = stage_data(prob, y, variant)
-    z = KktPoint(y, stage_multipliers(prob, stages, y))
-    entries = []
+    entries = [TraceEntry((prob, prob.check_x0(x0hat), variant), prob.check_y(y_init))]
     while True:
-        res = stage_residual(prob, stages, z, x0)
+        res = entries[-1].fonc_inf
         if not np.isfinite(res):
-            raise SolverError(f"optimality residual is non-finite after {len(entries)} steps")
-        entries.append(TraceEntry(z, res, 0.0))
+            raise SolverError(f"optimality residual is non-finite after {len(entries) - 1} steps")
         if res <= stop_tol or len(entries) > max_iter:
             return IterateTrace(entries, converged=bool(res <= stop_tol))
-        z = qlmpc_iterate(prob, z, x0, variant)
-        stages = stage_data(prob, z.y, variant)
+        entries.append(_step(entries[-1]))
 
 
 def sqp_equivalence_max_deviation(prob: StackedProblem, x0hat, seed: int = 0) -> float:

@@ -69,7 +69,6 @@ class LpvModel:
     a_of_rho: Callable[[Array], Array]
     b_of_rho: Callable[[Array], Array]
     stage_jacobian: Callable[[Array, Array], Array]
-    dt: Optional[float] = None
     note: Optional[str] = None
 
 
@@ -131,7 +130,7 @@ def builtin_unicycle() -> LpvModel:
         jac[..., 1, 3] = dt * v * cos
         return jac
 
-    return LpvModel("unicycle", dims, rho, a_of_rho, b_of_rho, stage_jacobian, dt=dt)
+    return LpvModel("unicycle", dims, rho, a_of_rho, b_of_rho, stage_jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +254,7 @@ def builtin_adip() -> LpvModel:
         jac[..., 3, :] += dt * (i12[..., None] * df[..., 0, :] + i22[..., None] * df[..., 1, :])
         return jac
 
-    return LpvModel("adip", dims, rho, a_of_rho, b_of_rho, stage_jacobian, dt=dt, note=ADIP_NOTE)
+    return LpvModel("adip", dims, rho, a_of_rho, b_of_rho, stage_jacobian, note=ADIP_NOTE)
 
 
 # ---------------------------------------------------------------------------

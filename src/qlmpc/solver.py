@@ -12,7 +12,9 @@ solves one equality-constrained QP through the condensed path:
   a Gauss-Newton SQP step, so fixpoints satisfy the true first-order
   conditions.
 
-The QP data, residual and multipliers are all per stage.
+The QP data, residual and multipliers are all per stage.  Every solve
+path takes its next iterate from one step, ``_step``, which solves the QP
+frozen at the stage data of a trace entry and returns the next entry.
 
 Both variants stop on the a-posteriori error bound of a contraction,
 ``|y[l+1] - y*| <= k / (1 - k) |y[l+1] - y[l]|``, which needs neither
@@ -22,15 +24,17 @@ until two ratios exist), is at most ``stop_tol (1 + |y|)``.  The last
 ratio alone can understate the error: the ratios of an ADIP solve
 alternate between about 0.24 and 0.55.  A QP whose refreshed stage data
 equals the frozen data bitwise also ends the loop: its solution is its
-own next iterate.  Multipliers and residuals of a converge-mode trace are
-computed only when read.
+own next iterate.  Multipliers and residuals of any trace are computed
+only when read.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
+from typing import Optional
 
 import numpy as np
 
@@ -80,48 +84,41 @@ class SolverOptions:
 
 
 class TraceEntry:
-    """One iterate and the seconds of the QP solve that produced it.
+    """One iterate y of the solve ``(prob, x0, variant)``.
 
-    ``TraceEntry(z, fonc_inf, qp_time)`` holds the values it is given.  A
-    converge-mode entry holds y and the stage data the loop built instead:
-    reading ``z`` computes the multipliers of the QP that produced y, and
-    reading ``fonc_inf`` the residual of the QP frozen at y, each once.
+    ``frozen`` is the stage data of the QP that produced y (None at the
+    start, meaning y's own stage data) and ``qp_time`` the seconds of that
+    QP's SPD solve.  ``stages`` (y's own stage data), ``z`` (y and the
+    multipliers of the QP that produced it) and ``fonc_inf`` (the residual
+    of the QP frozen at y) are computed once each, when first read.
     """
 
-    def __init__(self, z: KktPoint, fonc_inf: float, qp_time: float):
-        self.y, self.qp_time = z.y, qp_time
-        self._z, self._fonc_inf, self._source = z, fonc_inf, None
+    def __init__(self, solve: tuple, y: Array, frozen: Optional[StageData] = None,
+                 qp_time: float = 0.0):
+        self.solve, self.y, self.frozen, self.qp_time = solve, y, frozen, qp_time
 
-    @classmethod
-    def _deferred(cls, solve: tuple, y: Array, frozen: StageData, stages, qp_time: float):
-        """Entry of ``solve = (prob, x0, variant)``; ``stages`` None is built on read."""
-        entry = cls(KktPoint(y, None), None, qp_time)
-        entry._source = (solve, frozen, stages)
-        return entry
+    @cached_property
+    def stages(self) -> StageData:
+        prob, _, variant = self.solve
+        return stage_data(prob, self.y, variant)
 
-    @property
+    @cached_property
     def z(self) -> KktPoint:
-        if self._z.lam is None and self._source is not None:
-            (prob, _, _), frozen, _ = self._source
-            self._z = KktPoint(self.y, stage_multipliers(prob, frozen, self.y))
-        return self._z
+        frozen = self.stages if self.frozen is None else self.frozen
+        return KktPoint(self.y, stage_multipliers(self.solve[0], frozen, self.y))
 
-    @property
+    @cached_property
     def fonc_inf(self) -> float:
-        if self._fonc_inf is None:
-            (prob, x0, variant), _, stages = self._source
-            if stages is None:
-                stages = stage_data(prob, self.y, variant)
-            self._fonc_inf = stage_residual(prob, stages, self.z, x0)
-        return self._fonc_inf
+        prob, x0, _ = self.solve
+        return stage_residual(prob, self.stages, self.z, x0)
 
 
 @dataclass
 class IterateTrace:
     """Iteration record; entry 0 is the initial point, untimed.  A real-time
-    trace is the start and one QP solution: lam None, NaN residuals, unconverged.
-    Reading ``final`` or ``residuals`` of a converge-mode trace computes
-    multipliers or residuals; ``iterates[-1].y`` computes nothing."""
+    trace is the start and one QP solution, unconverged.  Reading ``final``
+    or ``residuals`` computes multipliers or residuals; ``iterates[-1].y``
+    computes nothing."""
 
     iterates: list
     converged: bool
@@ -177,23 +174,22 @@ def warm_shift(prob: StackedProblem, y_prev, x0hat_new) -> Array:
     return np.concatenate([xs_new.ravel(), us_new.ravel()])
 
 
-def _qp_step(prob: StackedProblem, stages, x0) -> tuple:
-    """Solve the QP frozen in ``stages``; return y and the seconds of its SPD solve."""
-    qp = condense(prob, stages, x0)
+def _step(entry: TraceEntry) -> TraceEntry:
+    """The next entry of entry's solve: the solution of the QP frozen at ``entry.stages``."""
+    prob, x0, _ = entry.solve
+    qp = condense(prob, entry.stages, x0)
     t0 = perf_counter()
     u = solve_condensed(qp)
     qp_s = perf_counter() - t0
     y = expand(qp, u)
     if not np.all(np.isfinite(y)):
         raise SolverError("QP solution is non-finite")
-    return y, qp_s
+    return TraceEntry(entry.solve, y, entry.stages, qp_s)
 
 
 def qlmpc_iterate(prob: StackedProblem, z: KktPoint, x0hat, variant: str = "standard") -> KktPoint:
     """Solve the QP frozen at z.y; return its solution and multipliers there."""
-    stages = stage_data(prob, prob.check_y(z.y), variant)
-    y, _ = _qp_step(prob, stages, x0hat)
-    return KktPoint(y, stage_multipliers(prob, stages, y))
+    return _step(TraceEntry((prob, prob.check_x0(x0hat), variant), prob.check_y(z.y))).z
 
 
 def _same_qp(s: StageData, t: StageData) -> bool:
@@ -216,33 +212,25 @@ def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> Itera
     most ``stop_tol (1 + |y|_inf)``, or when the refreshed stage data equals
     the frozen data bitwise; it stops at max_iter with ``converged=False``.
     Numerical failures raise SolverError.  Real-time mode solves one QP and
-    traces the start and its solution with lam None, NaN residuals and
-    ``converged=False``; ``qlmpc_iterate`` gives the primal-dual step.
+    traces the start and its solution with ``converged=False``.
     """
     x0 = prob.check_x0(x0hat)
     y = prob.check_y(y_init)
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(y))):
         raise SolverError("solve_ocp received non-finite initial data")
 
-    stages = stage_data(prob, y, opts.variant)
+    entries = [TraceEntry((prob, x0, opts.variant), y)]
     if opts.mode == "real_time_single_iteration":
-        y_next, qp_s = _qp_step(prob, stages, x0)
-        step = TraceEntry(KktPoint(y_next, None), np.nan, qp_s)
-        return IterateTrace([TraceEntry(KktPoint(y, None), np.nan, 0.0), step], converged=False)
+        return IterateTrace([entries[0], _step(entries[0])], converged=False)
 
-    # an entry's lam is that of the QP that produced y; its residual reads y's own stages
-    solve = (prob, x0, opts.variant)
-    entries = [TraceEntry._deferred(solve, y, stages, stages, 0.0)]
     steps = []
     while True:
-        y_next, qp_s = _qp_step(prob, stages, x0)
-        steps.append(float(np.max(np.abs(y_next - y))))
+        entry = _step(entries[-1])
+        steps.append(float(np.max(np.abs(entry.y - entries[-1].y))))
+        entries.append(entry)
         k = _rate(steps)
-        if k / (1.0 - k) * steps[-1] <= opts.stop_tol * (1.0 + float(np.max(np.abs(y_next)))):
-            entries.append(TraceEntry._deferred(solve, y_next, stages, None, qp_s))
+        if k / (1.0 - k) * steps[-1] <= opts.stop_tol * (1.0 + float(np.max(np.abs(entry.y)))):
             return IterateTrace(entries, converged=True)
-        y, frozen, stages = y_next, stages, stage_data(prob, y_next, opts.variant)
-        entries.append(TraceEntry._deferred(solve, y, frozen, stages, qp_s))
-        same = _same_qp(frozen, stages)
+        same = _same_qp(entry.frozen, entry.stages)
         if same or len(entries) > opts.max_iter:
             return IterateTrace(entries, converged=same)

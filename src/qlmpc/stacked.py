@@ -84,7 +84,7 @@ class Weights:
 
 @dataclass(frozen=True)
 class KktPoint:
-    """Primal-dual pair z = (y, lambda); ``lam`` is None in a real-time trace."""
+    """Primal-dual pair z = (y, lambda)."""
 
     y: Array
     lam: Array

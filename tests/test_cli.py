@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,6 +77,28 @@ class TestExitCodes:
         monkeypatch.setenv("QLMPC_SEED", "many")
         cfg = write_config(tmp_path, TINY_INLINE)
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_negative_seed_writes_nothing(self, tmp_path, monkeypatch, capsys, source):
+        payload = dict(TINY_INLINE)
+        if source == "env":
+            monkeypatch.setenv("QLMPC_SEED", "-1")
+        else:
+            payload["seed"] = -3
+        out = tmp_path / "res"
+        assert main(["diagnose", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_uncreatable_out_is_a_config_error(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        cfg = write_config(tmp_path, TINY_INLINE)
+        assert main([command, "--config", cfg, "--out", str(taken)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == ""
 
     @pytest.mark.parametrize("key", ["max_iter", "tol", "seed"])
     def test_wrong_type_in_config(self, tmp_path, key):
@@ -179,7 +202,7 @@ class TestExitCodes:
         # a trace that returns to the reference after leaving it has an
         # error pair (0, e > 0) that no nonnegative envelope bounds
         def fit_with_return(trace, z_bar):
-            at_ref = solver.TraceEntry(z_bar, 0.0, 0.0)
+            at_ref = SimpleNamespace(z=z_bar)  # all contraction_fit reads of an entry
             away = solver.IterateTrace([at_ref, trace.iterates[0], at_ref], False)
             return diagnostics.contraction_fit(away, z_bar)
 

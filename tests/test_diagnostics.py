@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 
 import qlmpc as q
 from qlmpc.diagnostics import _ENVELOPE_SLACK, _contraction_tail, _envelope_lstsq
-from qlmpc.solver import IterateTrace, TraceEntry
+from qlmpc.solver import IterateTrace
 
 
 class TestFdJacobian:
@@ -109,9 +110,10 @@ def envelope_lstsq_loop(design, target, cons, cons_target):
 
 
 def synthetic_trace(errors, direction=None):
+    # contraction_fit reads only each entry's z
     dim = 2 if direction is None else len(direction)
     v = np.array([1.0, 0.0]) if direction is None else np.asarray(direction)
-    entries = [TraceEntry(q.KktPoint(e * v, np.zeros(1)), 0.0, 0.0) for e in errors]
+    entries = [SimpleNamespace(z=q.KktPoint(e * v, np.zeros(1))) for e in errors]
     return IterateTrace(entries, True), q.KktPoint(np.zeros(dim), np.zeros(1))
 
 

@@ -87,7 +87,7 @@ def test_unicycle_disturbance_is_previous_heading():
         x = rng.normal(scale=2.0, size=5)
         v, phi = x[2], x[3]
         _, _, w = exact_stage(m, x, rng.normal(size=2))
-        b_d = m.dt * np.array([v * math.sin(phi), -v * math.cos(phi), 0.0, 0.0, 0.0])
+        b_d = 0.1 * np.array([v * math.sin(phi), -v * math.cos(phi), 0.0, 0.0, 0.0])
         assert_allclose(w, b_d * phi, atol=1e-12)
 
 
@@ -218,7 +218,8 @@ def test_exact_extension_reproduces_dynamics(name):
 def test_adip_has_standin_note_and_no_extension():
     m = q.get_model("adip")
     assert m.note is not None
-    assert m.dt == 0.01
+    # the sampling time: th1+ = th1 + 0.01 w1
+    assert q.eval_dynamics(m, [0.0, 0.0, 1.0, 0.0], [0.0])[0] == 0.01
 
 
 def test_model_dims_validation():

@@ -240,10 +240,23 @@ class TestSolveOcp:
         tr = q.solve_ocp(unicycle_problem, unicycle_x0, y, q.SolverOptions(variant=variant))
         assert tr.iterations == 1 and tr.converged
         assert np.abs(tr.iterates[-1].y - y).max() <= 1e-9
-        # real-time mode solves one QP and evaluates no residual or multipliers
+        # real-time mode solves one QP and never reports convergence
         rti = q.SolverOptions(variant=variant, mode="real_time_single_iteration")
         tr = q.solve_ocp(unicycle_problem, unicycle_x0, y, rti)
-        assert tr.iterations == 1 and not tr.converged and tr.final.lam is None
+        assert tr.iterations == 1 and not tr.converged
+
+    @pytest.mark.parametrize("variant", ["standard", "exact"])
+    def test_real_time_final_is_the_primal_dual_step(self, unicycle_problem, unicycle_x0,
+                                                     variant):
+        # a real-time trace computes the multipliers of its QP when read
+        y0 = q.initial_guess(unicycle_problem, unicycle_x0)
+        rti = q.SolverOptions(variant=variant, mode="real_time_single_iteration")
+        tr = q.solve_ocp(unicycle_problem, unicycle_x0, y0, rti)
+        z0 = q.KktPoint(y0, np.zeros(unicycle_problem.n_eq))
+        z = q.qlmpc_iterate(unicycle_problem, z0, unicycle_x0, variant)
+        np.testing.assert_array_equal(tr.final.y, z.y)
+        np.testing.assert_array_equal(tr.final.lam, z.lam)
+        assert np.isfinite(tr.residuals).all()
 
     def test_exact_fixpoint_costs_no_more_than_standard(self, unicycle_problem, unicycle_x0):
         y0 = q.initial_guess(unicycle_problem, unicycle_x0)

@@ -130,7 +130,7 @@ class TestCouplingCorrection:
         rng = np.random.default_rng(4)
         y = rng.normal(size=unicycle_problem.n_y)
         delta = q.coupling_correction(unicycle_problem, y)
-        dt = unicycle_problem.model.dt
+        dt = 0.1  # the unicycle's sampling time
         xs = unicycle_problem.states(y)
         for k in range(unicycle_problem.n_horizon):
             v, phi = xs[k][2], xs[k][3]

@@ -6,9 +6,10 @@ independent oracles.  The property tests check the stage data against a
 per-stage loop over the model closures, and the stage-wise multipliers
 and residual against the dense oracles, at arbitrary points; the guard
 tests check that the solver never calls the dense oracles, evaluates
-each model closure once per trajectory, not once per stage, and solves a
+each model closure once per trajectory, not once per stage, solves a
 real-time step from one stage-data evaluation without multipliers or a
-residual.
+residual, and that the certificate loop evaluates stage data once per
+iterate.
 """
 
 import collections
@@ -24,6 +25,7 @@ import qlmpc.condensing as condensing
 import qlmpc.solver as solver
 import qlmpc.stacked as stacked
 from qlmpc.condensing import stage_multipliers
+from qlmpc.diagnostics import certificate_trace
 from qlmpc.stacked import stage_data, stage_residual
 
 VARIANTS = ["standard", "exact"]
@@ -148,7 +150,7 @@ def test_solver_calls_no_dense_stacked_function(monkeypatch, unicycle_problem, u
         assert tr.iterations >= 1 and np.all(np.isfinite(tr.final.stack()))
         rti = q.SolverOptions(variant=variant, mode="real_time_single_iteration")
         tr = q.solve_ocp(prob, x0, y0, rti)
-        assert np.all(np.isfinite(tr.final.y)) and tr.final.lam is None
+        assert np.all(np.isfinite(tr.final.stack()))
         z = q.qlmpc_iterate(prob, q.KktPoint(y0, np.zeros(prob.n_eq)), x0, variant)
         assert np.all(np.isfinite(z.stack()))
 
@@ -205,4 +207,18 @@ def test_real_time_step_is_one_qp(monkeypatch, name, adip_problem, adip_x0,
         # one stage-data evaluation: every closure it uses runs once
         assert set(calls.values()) == {1}
         assert calls["stage_jacobian"] == (variant == "exact")
-        assert np.array_equal(tr.final.y, expected[variant])
+        assert np.array_equal(tr.iterates[-1].y, expected[variant])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["adip", "unicycle"])
+def test_certificate_trace_runs_model_closures_once_per_iterate(name, variant, adip_problem,
+                                                                 adip_x0, unicycle_problem,
+                                                                 unicycle_x0):
+    base, x0 = {"adip": (adip_problem, adip_x0), "unicycle": (unicycle_problem, unicycle_x0)}[name]
+    calls = collections.Counter()
+    prob = q.StackedProblem.build(counted(base.model, calls), base.n_horizon, base.weights)
+    tr = certificate_trace(prob, x0, q.initial_guess(base, x0), 1e-9, 50, variant)
+    assert tr.iterations >= 2
+    # the residual and the next QP of an iterate share its one stage-data evaluation
+    assert max(calls.values()) == len(tr.iterates)

@@ -91,7 +91,7 @@ def condense(prob: StackedProblem, stages, x0hat) -> CondensedQp:
 
 def solve_condensed(qp: CondensedQp) -> Array:
     """Minimize the condensed quadratic via a Cholesky factorization."""
-    if not (np.all(np.isfinite(qp.hess)) and np.all(np.isfinite(qp.grad))):
+    if not (np.isfinite(qp.hess).all() and np.isfinite(qp.grad).all()):
         raise SolverError("condensed QP contains non-finite entries")
     factor, info = dpotrf(qp.hess, lower=True, clean=False)
     if info != 0:
@@ -101,15 +101,15 @@ def solve_condensed(qp: CondensedQp) -> Array:
             min_eigenvalue=min_eig,
         )
     u, _ = dpotrs(factor, -qp.grad, lower=True)
-    scale = max(1.0, float(np.max(np.abs(qp.grad), initial=0.0)))
+    scale = max(1.0, float(np.abs(qp.grad).max(initial=0.0)))
     resid = qp.hess @ u + qp.grad
-    if np.max(np.abs(resid), initial=0.0) > _RESIDUAL_RTOL * scale:
+    if np.abs(resid).max(initial=0.0) > _RESIDUAL_RTOL * scale:
         # one step of iterative refinement before giving up
         u = u - dpotrs(factor, resid, lower=True)[0]
         resid = qp.hess @ u + qp.grad
-        if np.max(np.abs(resid), initial=0.0) > _RESIDUAL_RTOL * scale:
+        if np.abs(resid).max(initial=0.0) > _RESIDUAL_RTOL * scale:
             raise SolverError(
-                f"condensed solve residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
+                f"condensed solve residual {np.abs(resid).max():.3e} exceeds tolerance"
             )
     return u
 

@@ -21,8 +21,8 @@ disturbance-augmented reading: a fictitious system
 dynamics Jacobian, driven by a disturbance ``d`` computed from the
 previous iterate (for the unicycle ``rt = (v, phi)``, ``d = phi`` and
 ``Bd = dt (v sin phi, -v cos phi, 0, 0, 0)'``); with ``d`` taken at the
-same point it reproduces the original dynamics exactly.  It is built
-from ``stage_jacobian`` alone, so models carry no separate extension.
+same point it reproduces the original dynamics exactly.  ``f`` and ``J``
+come together from one closure, ``stage_jacobian``; models carry no extension.
 """
 
 from __future__ import annotations
@@ -59,7 +59,9 @@ class LpvModel:
 
     The closures broadcast over leading stage axes: ``rho(xs, us)`` gives
     ``(..., n_rho)``, ``a_of_rho(r)`` ``(..., n_x, n_x)``, ``b_of_rho(r)``
-    ``(..., n_x, n_u)`` and ``stage_jacobian(xs, us)`` ``(..., n_x, n_x + n_u)``.
+    ``(..., n_x, n_u)`` and ``stage_jacobian(xs, us)`` the tuple ``(f, J)`` of
+    the dynamics ``f = A(rho) x + B(rho) u``, ``(..., n_x)``, which must equal
+    what the closed loop simulates, and their Jacobian ``(..., n_x, n_x + n_u)``.
     A result of the per-stage shape alone is a constant for every stage.
     """
 
@@ -119,7 +121,7 @@ def builtin_unicycle() -> LpvModel:
     jac_base = np.hstack([a_base, b_mat])
 
     def stage_jacobian(x, u):
-        # d/d(x,u) of A(phi(x)) x + B u: A(phi) plus the heading column
+        # f = x + dt (v cos, v sin, F, omega, tau); J = A(phi) plus the heading column
         v, phi = x[..., 2], x[..., 3]
         cos, sin = np.cos(phi), np.sin(phi)
         jac = np.empty(phi.shape + (5, 7))
@@ -128,7 +130,11 @@ def builtin_unicycle() -> LpvModel:
         jac[..., 1, 2] = dt * sin
         jac[..., 0, 3] = -dt * v * sin
         jac[..., 1, 3] = dt * v * cos
-        return jac
+        step = np.empty(x.shape)
+        step[..., :2] = jac[..., :2, 2] * v[..., None]
+        step[..., 2::2] = dt * u
+        step[..., 3] = dt * x[..., 4]
+        return x + step, jac
 
     return LpvModel("unicycle", dims, rho, a_of_rho, b_of_rho, stage_jacobian)
 
@@ -223,7 +229,7 @@ def builtin_adip() -> LpvModel:
     jac_base[:, :4] = a_base
 
     def stage_jacobian(x, u):
-        # Jacobian of x + dt * (w1, w2, acc) with acc = M(th)^{-1} F and
+        # f = x + dt * (w1, w2, acc) and its Jacobian, with acc = M(th)^{-1} F and
         # F = tau e1 - coriolis(th, w) + gravity(th); uses
         # d(M^{-1} F)/dq = M^{-1} (dF/dq - dM/dq acc).
         w1, w2, tau = x[..., 2], x[..., 3], u[..., 0]
@@ -252,7 +258,10 @@ def builtin_adip() -> LpvModel:
         jac[...] = jac_base
         jac[..., 2, :] += dt * (i11[..., None] * df[..., 0, :] + i12[..., None] * df[..., 1, :])
         jac[..., 3, :] += dt * (i12[..., None] * df[..., 0, :] + i22[..., None] * df[..., 1, :])
-        return jac
+        rate = np.empty(x.shape)
+        rate[..., :2] = x[..., 2:]
+        rate[..., 2], rate[..., 3] = acc1, acc2
+        return x + dt * rate, jac
 
     return LpvModel("adip", dims, rho, a_of_rho, b_of_rho, stage_jacobian, note=ADIP_NOTE)
 
@@ -272,7 +281,7 @@ def builtin_tiny(kind: str) -> LpvModel:
             rho=lambda x, u: np.zeros(1),
             a_of_rho=lambda r: one,
             b_of_rho=lambda r: one,
-            stage_jacobian=lambda x, u: np.array([[1.0, 1.0]]),
+            stage_jacobian=lambda x, u: (x + u, np.array([[1.0, 1.0]])),
         )
     if kind == "qlpv":
         return LpvModel(
@@ -281,7 +290,7 @@ def builtin_tiny(kind: str) -> LpvModel:
             rho=lambda x, u: x[..., :1],
             a_of_rho=lambda r: r[..., None],
             b_of_rho=lambda r: one,
-            stage_jacobian=lambda x, u: np.stack([2.0 * x, np.ones_like(x)], axis=-1),
+            stage_jacobian=lambda x, u: (x * x + u, np.stack([2.0 * x, np.ones_like(x)], axis=-1)),
         )
     raise ConfigError(f"unknown tiny model kind {kind!r}, expected 'lti' or 'qlpv'")
 

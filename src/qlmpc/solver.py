@@ -182,7 +182,7 @@ def _step(entry: TraceEntry) -> TraceEntry:
     u = solve_condensed(qp)
     qp_s = perf_counter() - t0
     y = expand(qp, u)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise SolverError("QP solution is non-finite")
     return TraceEntry(entry.solve, y, entry.stages, qp_s)
 
@@ -193,7 +193,7 @@ def qlmpc_iterate(prob: StackedProblem, z: KktPoint, x0hat, variant: str = "stan
 
 
 def _same_qp(s: StageData, t: StageData) -> bool:
-    return all(np.array_equal(getattr(s, f), getattr(t, f)) for f in ("a", "b", "w"))
+    return all((getattr(s, f) == getattr(t, f)).all() for f in ("a", "b", "w"))
 
 
 def _rate(steps: list) -> float:
@@ -216,7 +216,7 @@ def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> Itera
     """
     x0 = prob.check_x0(x0hat)
     y = prob.check_y(y_init)
-    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x0).all() and np.isfinite(y).all()):
         raise SolverError("solve_ocp received non-finite initial data")
 
     entries = [TraceEntry((prob, x0, opts.variant), y)]
@@ -226,10 +226,10 @@ def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> Itera
     steps = []
     while True:
         entry = _step(entries[-1])
-        steps.append(float(np.max(np.abs(entry.y - entries[-1].y))))
+        steps.append(float(np.abs(entry.y - entries[-1].y).max()))
         entries.append(entry)
         k = _rate(steps)
-        if k / (1.0 - k) * steps[-1] <= opts.stop_tol * (1.0 + float(np.max(np.abs(entry.y)))):
+        if k / (1.0 - k) * steps[-1] <= opts.stop_tol * (1.0 + float(np.abs(entry.y).max())):
             return IterateTrace(entries, converged=True)
         same = _same_qp(entry.frozen, entry.stages)
         if same or len(entries) > opts.max_iter:

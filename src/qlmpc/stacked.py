@@ -219,26 +219,23 @@ def stage_data(prob: StackedProblem, y, variant: str) -> StageData:
     no offset.  exact: the stage Jacobian ``J_k = [A_k B_k]`` of the
     dynamics f at ``(x_k, u_k)`` and the offset
     ``w_k = f(x_k, u_k) - J_k [x_k; u_k]``, i.e. the linearization of
-    the dynamics at y.
+    the dynamics at y, both from one call of the model's ``stage_jacobian``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    frozen = frozen_stages(prob.model, prob.rho_trajectory(y))
     if variant == "standard":
-        return frozen
-    xs = prob.states(y)
-    us = prob.inputs(y)
-    jac = per_stage("stage_jacobian", prob.model.stage_jacobian(xs[:-1], us),
-                    prob.n_horizon, (prob.n_x, prob.n_x + prob.n_u))
-    stage_points = np.concatenate([xs[:-1], us], axis=1)
+        return frozen_stages(prob.model, prob.rho_trajectory(y))
+    xs, us = prob.states(y)[:-1], prob.inputs(y)
+    out = prob.model.stage_jacobian(xs, us)
+    if not (isinstance(out, tuple) and len(out) == 2):
+        raise ValueError(f"model closure stage_jacobian returned {type(out).__name__}; "
+                         "expected the tuple (f, J)")
+    f = per_stage("stage_jacobian (f)", out[0], prob.n_horizon, (prob.n_x,))
+    jac = per_stage("stage_jacobian (J)", out[1], prob.n_horizon, (prob.n_x, prob.n_x + prob.n_u))
+    a, b = jac[:, :, :prob.n_x], jac[:, :, prob.n_x:]
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _dynamics(frozen, xs[:-1], us) - (jac @ stage_points[:, :, None])[:, :, 0]
-    return StageData(jac[:, :, :prob.n_x], jac[:, :, prob.n_x:], w)
-
-
-def _dynamics(stages: StageData, xs: Array, us: Array) -> Array:
-    """Stage-wise ``a[k] x_k + b[k] u_k + w[k]`` for the rows of xs, us."""
-    return (stages.a @ xs[:, :, None] + stages.b @ us[:, :, None])[:, :, 0] + stages.w
+        w = f - (a @ xs[:, :, None] + b @ us[:, :, None])[:, :, 0]
+    return StageData(a, b, w)
 
 
 def stage_stationarity(prob: StackedProblem, stages: StageData, y: Array, lam: Array):
@@ -265,12 +262,13 @@ def stage_residual(prob: StackedProblem, stages: StageData, z: KktPoint, x0hat) 
     ``x_0 - x0hat``, ``x_{k+1} - a[k] x_k - b[k] u_k - w[k]``, evaluated
     stage by stage.
     """
-    xs = prob.states(z.y)
+    xs, us = prob.states(z.y), prob.inputs(z.y)
     # non-finite values surface as a non-finite residual, reported by
     # the caller; suppress the intermediate overflow warning
     with np.errstate(over="ignore", invalid="ignore"):
         stat_x, stat_u = stage_stationarity(prob, stages, z.y, z.lam)
-        feas = xs[1:] - _dynamics(stages, xs[:-1], prob.inputs(z.y))
+        pred = (stages.a @ xs[:-1, :, None] + stages.b @ us[:, :, None])[:, :, 0] + stages.w
+        feas = xs[1:] - pred
         return float(max(np.max(np.abs(stat_x)), np.max(np.abs(stat_u)),
                          np.max(np.abs(xs[0] - x0hat)), np.max(np.abs(feas))))
 

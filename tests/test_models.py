@@ -103,16 +103,16 @@ def test_stage_jacobian_matches_finite_differences(name):
     for _ in range(100):
         x = rng.normal(scale=1.5, size=n_x)
         u = rng.normal(scale=1.5, size=m.dims.n_u)
-        ja = m.stage_jacobian(x, u)
+        _, ja = m.stage_jacobian(x, u)
         jf = q.fd_jacobian(dynamics, np.concatenate([x, u]), 1e-6)
         assert np.abs(ja - jf).max() <= 1e-5 * max(1.0, np.abs(jf).max())
 
 
 def closure_shapes(m):
-    """Per-stage result shape of each model closure."""
+    """Per-stage result shape of each model closure (``stage_jacobian``'s f and J apart)."""
     n_x, n_u, n_rho = m.dims.n_x, m.dims.n_u, m.dims.n_rho
     return {"rho": (n_rho,), "a_of_rho": (n_x, n_x), "b_of_rho": (n_x, n_u),
-            "stage_jacobian": (n_x, n_x + n_u)}
+            "f": (n_x,), "J": (n_x, n_x + n_u)}
 
 
 def random_batch(m, n, seed):
@@ -134,11 +134,13 @@ def test_closures_broadcast_over_stages(name):
         xs, us = random_batch(m, n, seed)
         rs = per_stage("rho", m.rho(xs, us), n, shapes["rho"])
         points = [m.rho(x, u) for x, u in zip(xs, us)]
+        f, jac = m.stage_jacobian(xs, us)
+        linearized = [m.stage_jacobian(x, u) for x, u in zip(xs, us)]
         batched = {"rho": rs, "a_of_rho": m.a_of_rho(rs), "b_of_rho": m.b_of_rho(rs),
-                   "stage_jacobian": m.stage_jacobian(xs, us)}
+                   "f": f, "J": jac}
         pointwise = {"rho": points, "a_of_rho": [m.a_of_rho(r) for r in points],
                      "b_of_rho": [m.b_of_rho(r) for r in points],
-                     "stage_jacobian": [m.stage_jacobian(x, u) for x, u in zip(xs, us)]}
+                     "f": [p[0] for p in linearized], "J": [p[1] for p in linearized]}
         for closure, out in batched.items():
             ref = np.array(pointwise[closure])
             assert ref.shape == (n, *shapes[closure])
@@ -160,7 +162,8 @@ def test_batched_stage_jacobian_matches_finite_differences(name):
     @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
     def check(n, seed):
         xs, us = random_batch(m, n, seed)
-        jac = per_stage("stage_jacobian", m.stage_jacobian(xs, us), n, (n_x, n_x + m.dims.n_u))
+        jac = per_stage("stage_jacobian", m.stage_jacobian(xs, us)[1], n,
+                        (n_x, n_x + m.dims.n_u))
         for ja, x, u in zip(jac, xs, us):
             jf = q.fd_jacobian(dynamics, np.concatenate([x, u]), 1e-6)
             assert np.abs(ja - jf).max() <= 1e-5 * max(1.0, np.abs(jf).max())
@@ -178,7 +181,7 @@ def test_adip_near_zero_angles_is_finite_and_silent(th1, th2):
     us = np.ones((3, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outs = [m.a_of_rho(m.rho(xs, us)), m.b_of_rho(m.rho(xs, us)), m.stage_jacobian(xs, us)]
+        outs = [m.a_of_rho(m.rho(xs, us)), m.b_of_rho(m.rho(xs, us)), *m.stage_jacobian(xs, us)]
         outs += [m.a_of_rho(m.rho(x, u)) for x, u in zip(xs, us)]
         outs += [q.eval_dynamics(m, x, u) for x, u in zip(xs, us)]
     assert all(np.all(np.isfinite(o)) for o in outs)
@@ -189,17 +192,64 @@ def test_adip_near_zero_angles_is_finite_and_silent(th1, th2):
 
 
 def test_pointwise_only_closure_is_rejected():
-    # a scheduling map written for one point sees the whole trajectory;
-    # broadcasting its (1, 1) result would freeze stage 0's parameter on
-    # every stage
-    m = dataclasses.replace(q.builtin_tiny("qlpv"), rho=lambda x, u: np.array([x[0]]))
+    # a closure written for one point sees the whole trajectory;
+    # broadcasting its (1, 1) result would freeze stage 0's data on every
+    # stage.  The standard variant reads rho, the exact one stage_jacobian.
+    base = q.builtin_tiny("qlpv")
+    m = dataclasses.replace(
+        base, rho=lambda x, u: np.array([x[0]]),
+        stage_jacobian=lambda x, u: (np.array([x[0] ** 2 + u[0]]), base.stage_jacobian(x, u)[1]))
     prob = q.StackedProblem.build(m, 4, q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
     y = np.arange(1.0, prob.n_y + 1.0)
-    for variant in ("standard", "exact"):
-        with pytest.raises(ValueError, match=r"rho returned shape \(1, 1\).*\(4, 1\).*\(1,\)"):
-            stage_data(prob, y, variant)
+    with pytest.raises(ValueError, match=r"rho returned shape \(1, 1\).*\(4, 1\).*\(1,\)"):
+        stage_data(prob, y, "standard")
+    with pytest.raises(ValueError, match=r"stage_jacobian \(f\) returned shape \(1, 1\).*\(4, 1\)"):
+        stage_data(prob, y, "exact")
     with pytest.raises(ValueError, match="rho"):
         prob.rho_trajectory(y)
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_stage_jacobian_must_return_f_and_j(horizon):
+    # a closure that returns a bare Jacobian, or an f of the wrong shape, is
+    # rejected by name; at N = 2 a bare (2, n_x, n_x + n_u) Jacobian would
+    # unpack into two arrays if it were not
+    base = q.builtin_unicycle()
+    prob = q.StackedProblem.build(base, horizon, q.Weights(Q=np.eye(5), R=np.eye(2), P=np.eye(5)))
+    y = np.random.default_rng(4).normal(size=prob.n_y)
+    lin = base.stage_jacobian
+    closures = [
+        lambda x, u: lin(x, u)[1],                                  # bare Jacobian
+        lambda x, u: np.zeros((5, 7)),                              # bare constant Jacobian
+        lambda x, u: (np.zeros(x.shape[:-1] + (7,)), lin(x, u)[1]),  # f as long as [x; u]
+        lambda x, u: (lin(x, u)[0].T, lin(x, u)[1]),                # f transposed
+        lambda x, u: (*lin(x, u), None),                            # a third result
+    ]
+    for closure in closures:
+        model = dataclasses.replace(base, stage_jacobian=closure)
+        prob_bad = dataclasses.replace(prob, model=model)
+        with pytest.raises(ValueError, match="stage_jacobian"):
+            stage_data(prob_bad, y, "exact")
+
+
+@pytest.mark.parametrize("name", ALL_MODEL_IDS)
+def test_closure_f_equals_eval_dynamics(name):
+    # the exact variant optimizes over the closure's f while the closed loop
+    # simulates eval_dynamics; the two must be one plant
+    m = q.get_model(name)
+    rng = np.random.default_rng(21)
+    xs = rng.normal(scale=1.5, size=(60, m.dims.n_x))
+    us = rng.normal(scale=1.5, size=(60, m.dims.n_u))
+    if name == "adip":
+        # link angles inside the sin(t)/t series branch, |t| < 1e-6
+        xs[:20, :2] = rng.uniform(-1e-6, 1e-6, size=(20, 2))
+        xs[20:25, :2] = 0.0
+    ref = np.array([q.eval_dynamics(m, x, u) for x, u in zip(xs, us)])
+    batched = per_stage("stage_jacobian", m.stage_jacobian(xs, us)[0], len(xs), (m.dims.n_x,))
+    pointwise = np.array([m.stage_jacobian(x, u)[0] for x, u in zip(xs, us)])
+    for got in (batched, pointwise):
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 @pytest.mark.parametrize("name", ALL_MODEL_IDS)

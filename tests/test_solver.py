@@ -152,7 +152,7 @@ class TestSolveOcp:
             name="lti3", dims=q.ModelDims(3, 2, 1),
             rho=lambda x, u: np.zeros(1),
             a_of_rho=lambda r: a, b_of_rho=lambda r: b,
-            stage_jacobian=lambda x, u: np.hstack([a, b]),
+            stage_jacobian=lambda x, u: (x @ a.T + u @ b.T, np.hstack([a, b])),
         )
         prob = q.StackedProblem.build(m, 4, q.Weights(Q=np.eye(3), R=np.eye(2), P=np.eye(3)))
         # the standard stage data repeats bitwise, which ends the loop; the

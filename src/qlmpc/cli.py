@@ -3,7 +3,8 @@
 Subcommands ``simulate`` and ``diagnose`` read an optional JSON config,
 apply flag overrides, and write CSV/JSON outputs suitable for plotting
 and tabulation downstream.  Exit codes: 0 success, 2 usage or config
-error, 3 numerical failure (partial outputs are still written, flagged).
+error, 3 numerical failure (``simulate`` still writes its partial outputs,
+flagged; ``diagnose`` writes none).
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from .diagnostics import (
     verify_fixpoint_perturbation,
 )
 from .errors import ConfigError, SolverError
-from .models import get_model
 from .solver import IterateTrace, _is_int, _step, initial_guess
-from .stacked import StackedProblem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,16 +113,6 @@ def make_scenario(cfg: RunConfig) -> Scenario:
                             stop_tol=cfg.tol, max_iter=cfg.max_iter)
 
 
-def make_problem(scn: Scenario) -> StackedProblem:
-    """The scenario's problem; weights or x0 that do not fit its model are a config error."""
-    try:
-        prob = StackedProblem.build(get_model(scn.model_id), scn.horizon, scn.weights)
-        prob.check_x0(scn.x0)
-    except ValueError as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
-    return prob
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -161,7 +150,7 @@ def _json_safe(v):
 
 def write_trajectory_csv(path: Path, res: ScenarioResult, solve_means, prep_means) -> None:
     n_x = res.states.shape[1]
-    n_u = res.inputs.shape[1] if res.inputs.size else 0
+    n_u = res.inputs.shape[1]
     header = (["step"]
               + [f"x_{i + 1}" for i in range(n_x)]
               + [f"u_{i + 1}" for i in range(n_u)]
@@ -191,7 +180,6 @@ def run_simulate(cfg: RunConfig) -> int:
     if ignored and scn.controller.mode == "real_time_single_iteration":
         raise ConfigError(f"{' and '.join(ignored)} apply to converge mode only; "
                           f"scenario {scn.name!r} runs in real-time mode")
-    prob = make_problem(scn)
     out_dir = _out_dir(cfg)
 
     res = simulate(scn)
@@ -200,7 +188,7 @@ def run_simulate(cfg: RunConfig) -> int:
     runs = [res.per_step]
     if not res.failed:
         for _ in range(cfg.repeat - 1):
-            _, _, stats, fail, _ = run_control_loop(prob, scn.x0, scn.steps, scn.controller)
+            _, _, stats, fail, _ = run_control_loop(scn.problem, scn.x0, scn.steps, scn.controller)
             if fail is not None:
                 break
             runs.append(stats)
@@ -255,7 +243,7 @@ def run_diagnose(cfg: RunConfig) -> int:
         raise ConfigError(f"diagnose does not read {', '.join(ignored)}: it runs its own "
                           f"standard-variant residual-stopped solve")
     scn = make_scenario(cfg)
-    prob = make_problem(scn)
+    prob = scn.problem
     out_dir = _out_dir(cfg)
     # one residual-stopped solve serves every check: each reads the prefix
     # its own (tol, max_iter) solve would return

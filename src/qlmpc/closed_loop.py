@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 from typing import Optional
 
@@ -49,6 +50,8 @@ PRESETS = {
 
 @dataclass(frozen=True)
 class Scenario:
+    """A closed-loop run that can happen; ``name`` is its output files' stem."""
+
     name: str
     model_id: str
     x0: Array
@@ -58,12 +61,21 @@ class Scenario:
     controller: SolverOptions
 
     def __post_init__(self):
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or "/" in self.name or "\0" in self.name):
+            raise ValueError(f"name must be one plain path component, got {self.name!r}")
         for name in ("steps", "horizon"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not np.all(np.isfinite(self.x0)):
             raise ValueError(f"x0 must be finite, got {self.x0}")
+        self.problem.check_x0(self.x0)
+
+    @cached_property
+    def problem(self) -> StackedProblem:
+        """The scenario's stacked OCP; unknown models and misfit weights raise here."""
+        return StackedProblem.build(get_model(self.model_id), self.horizon, self.weights)
 
 
 @dataclass(frozen=True)
@@ -160,9 +172,7 @@ def simulate(scn: Scenario) -> ScenarioResult:
     scenario's Q and R; the RCSO series is the controller's relative
     excess over the reference and is truncated on failure.
     """
-    model = get_model(scn.model_id)
-    prob = StackedProblem.build(model, scn.horizon, scn.weights)
-
+    prob = scn.problem
     states, inputs, stats, fail_step, fail_msg = run_control_loop(
         prob, scn.x0, scn.steps, scn.controller)
     ref_states, ref_inputs, ref_stats, ref_fail, ref_msg = run_control_loop(
@@ -188,7 +198,7 @@ def simulate(scn: Scenario) -> ScenarioResult:
         failed=failed,
         failure_step=step,
         failure_message=message,
-        note=model.note,
+        note=prob.model.note,
     )
 
 
@@ -235,10 +245,9 @@ def builtin_scenario(scenario, variant: str = "standard", mode: Optional[str] = 
         weights = Weights(Q=_weight_matrix(fields.pop("q"), "q"),
                           R=_weight_matrix(fields.pop("r"), "r"),
                           P=_weight_matrix(fields.pop("p"), "p"))
-        name = str(fields.pop("name", "custom"))
+        name = fields.pop("name", "custom")
         if fields:
             raise ConfigError(f"unknown inline scenario keys: {sorted(fields)}")
-        get_model(model_id)  # rejects an unknown model id
         return Scenario(name=name, model_id=model_id, x0=x0, steps=steps, horizon=horizon,
                         weights=weights, controller=controller)
     except KeyError as exc:

@@ -1,4 +1,3 @@
-import math
 import time
 
 import numpy as np
@@ -30,25 +29,33 @@ def tiny_qlpv_problem(unit_weights):
 
 
 @pytest.fixture(scope="session")
-def unicycle_problem():
-    scn = q.builtin_scenario("unicycle")
-    return q.StackedProblem.build(q.get_model("unicycle"), scn.horizon, scn.weights)
+def unicycle_scenario():
+    return q.builtin_scenario("unicycle")
 
 
 @pytest.fixture(scope="session")
-def unicycle_x0():
-    return np.array([1.0, 2.0, 0.0, math.pi, 0.0])
+def unicycle_problem(unicycle_scenario):
+    return unicycle_scenario.problem
 
 
 @pytest.fixture(scope="session")
-def adip_problem():
-    scn = q.builtin_scenario("adip")
-    return q.StackedProblem.build(q.get_model("adip"), scn.horizon, scn.weights)
+def unicycle_x0(unicycle_scenario):
+    return unicycle_scenario.x0
 
 
 @pytest.fixture(scope="session")
-def adip_x0():
-    return np.array([math.pi / 3.0, 0.0, 0.0, 0.0])
+def adip_scenario():
+    return q.builtin_scenario("adip")
+
+
+@pytest.fixture(scope="session")
+def adip_problem(adip_scenario):
+    return adip_scenario.problem
+
+
+@pytest.fixture(scope="session")
+def adip_x0(adip_scenario):
+    return adip_scenario.x0
 
 
 # heavy closed-loop runs shared across acceptance and behavior tests
@@ -70,12 +77,12 @@ def unicycle_sims(timed_unicycle_sims):
 
 
 @pytest.fixture(scope="session")
-def adip_loops(adip_problem, adip_x0):
+def adip_loops(adip_scenario):
     """Controller loops for both variants plus the shared reference run."""
-    scn = q.builtin_scenario("adip")
+    scn = adip_scenario
     out = {}
     for variant in ("standard", "exact"):
         opts = q.SolverOptions(variant=variant, mode="converge", stop_tol=1e-6, max_iter=30)
-        out[variant] = q.run_control_loop(adip_problem, adip_x0, scn.steps, opts)
-    out["reference"] = q.run_control_loop(adip_problem, adip_x0, scn.steps, REFERENCE_OPTIONS)
+        out[variant] = q.run_control_loop(scn.problem, scn.x0, scn.steps, opts)
+    out["reference"] = q.run_control_loop(scn.problem, scn.x0, scn.steps, REFERENCE_OPTIONS)
     return out

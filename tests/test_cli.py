@@ -63,7 +63,7 @@ class TestExitCodes:
     def test_bad_flag_value(self):
         assert main(["simulate", "--variant", "quick"]) == 2
 
-    def test_numerical_failure_is_exit_3(self, tmp_path):
+    def test_numerical_failure_is_exit_3(self, tmp_path, outputs):
         payload = json.loads(json.dumps(TINY_INLINE))
         payload["scenario"]["x0"] = [1e200]
         cfg = write_config(tmp_path, payload)
@@ -72,6 +72,9 @@ class TestExitCodes:
         summary = json.loads((out / "toy_standard_summary.json").read_text())
         assert summary["failed"] is True
         assert summary["failure_step"] == 0
+        # the flagged partial CSV keeps a completed run's columns, with no rows
+        partial = (out / "toy_standard_trajectory.csv").read_text().splitlines()
+        assert partial == outputs[0].read_text().splitlines()[:1]
 
     def test_bad_env_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QLMPC_SEED", "many")
@@ -126,8 +129,9 @@ class TestExitCodes:
         ("seed", True),
         ("tol", True),
         ("tol", math.inf),
+        ("q", [[[1.0]]]),
     ], ids=["repeat", "out", "steps", "horizon", "max_iter", "x0", "repeat-true", "steps-true",
-            "horizon-true", "max_iter-true", "seed-true", "tol-true", "tol-inf"])
+            "horizon-true", "max_iter-true", "seed-true", "tol-true", "tol-inf", "q-3d"])
     def test_wrong_value_type_writes_nothing(self, tmp_path, monkeypatch, capsys, key, value):
         monkeypatch.chdir(tmp_path)
         payload = json.loads(json.dumps(TINY_INLINE))
@@ -147,6 +151,36 @@ class TestExitCodes:
         assert main(["simulate", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
         assert f"{key.upper()} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/toy"])
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_name_that_is_not_a_file_stem_writes_nothing(self, tmp_path, capsys, command, name):
+        # the name is the stem of every output file, so it must not reach another directory
+        payload = json.loads(json.dumps(TINY_INLINE))
+        payload["scenario"]["name"] = name
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "res")]) == 2
+        assert "name must be one plain path component" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_scenario_problem_is_built_once(self, tmp_path, monkeypatch, command):
+        calls = {"get_model": 0, "problem": 0}
+        get_model, post_init = q.closed_loop.get_model, stacked.StackedProblem.__post_init__
+
+        def counted_get_model(model_id):
+            calls["get_model"] += 1
+            return get_model(model_id)
+
+        def counted_post_init(prob):
+            calls["problem"] += 1
+            post_init(prob)
+
+        monkeypatch.setattr(q.closed_loop, "get_model", counted_get_model)
+        monkeypatch.setattr(stacked.StackedProblem, "__post_init__", counted_post_init)
+        assert main([command, "--scenario", "tiny-qlpv", "--out", str(tmp_path)]
+                    + (["--repeat", "2"] if command == "simulate" else [])) == 0
+        assert calls == {"get_model": 1, "problem": 1}
 
     @pytest.mark.parametrize("command", ["simulate", "diagnose"])
     def test_x0_dimension_error_writes_nothing(self, tmp_path, capsys, command):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qlmpc as q
-from qlmpc.closed_loop import REFERENCE_OPTIONS
+from qlmpc.closed_loop import PRESETS, REFERENCE_OPTIONS
 
 
 def tiny_scenario(**overrides):
@@ -129,6 +129,31 @@ def test_scenario_validation():
 def test_builtin_scenario_unknown_name():
     with pytest.raises(q.ConfigError):
         q.builtin_scenario("rocket")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"q": 1.0, "p": 1.0}, "Q must be 4x4"),
+    ({"r": [1.0, 1.0]}, "R must be 1x1"),
+    ({"x0": [0.1, 0.2]}, "initial state must have length 4"),
+    ({"model": "rocket"}, "unknown model id 'rocket'"),
+    *[({"name": name}, "name must be one plain path component")
+      for name in ("sub/toy", "../escaped", "", ".", "..", "nul\0", ["x"])],
+], ids=["q-size", "r-size", "x0-length", "model", "name-slash", "name-parent", "name-empty",
+        "name-dot", "name-dotdot", "name-nul", "name-list"])
+def test_builtin_scenario_rejects_what_cannot_run(overrides, message):
+    # every scenario the builder returns can run: its problem is built and checked
+    with pytest.raises(q.ConfigError, match=message):
+        q.builtin_scenario(dict(PRESETS["adip"][0], **overrides))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_matrix_weights_equal_their_diagonal(name):
+    fields = PRESETS[name][0]
+    as_matrix = {k: np.diag(np.atleast_1d(fields[k])).tolist() for k in ("q", "r", "p")}
+    a = q.builtin_scenario(fields).problem.weights
+    b = q.builtin_scenario(dict(fields, **as_matrix)).problem.weights
+    for m in ("Q", "R", "P"):
+        np.testing.assert_array_equal(getattr(a, m), getattr(b, m), strict=True)
 
 
 def test_builtin_scenario_defaults():

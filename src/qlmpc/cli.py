@@ -116,14 +116,26 @@ def make_scenario(cfg: RunConfig) -> Scenario:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _out_dir(cfg: RunConfig) -> Path:
-    """The output directory, created; one that cannot be created is a config error."""
+def _out_paths(cfg: RunConfig, *names: str) -> list:
+    """The paths of the named output files, in the output directory, created.
+
+    A directory that cannot be created, or a name longer than its file
+    system allows, is a config error, raised before any solve runs.
+    """
     out_dir = Path(cfg.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out!r}: {exc}") from exc
-    return out_dir
+    try:
+        limit = os.pathconf(out_dir, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        limit = -1  # no limit reported
+    for name in names:
+        if 0 <= limit < len(os.fsencode(name)):
+            raise ConfigError(f"output file name {name!r} is longer than the {limit} bytes "
+                              f"the output directory {cfg.out!r} allows")
+    return [out_dir / name for name in names]
 
 
 def _fmt(v: float) -> str:
@@ -180,7 +192,8 @@ def run_simulate(cfg: RunConfig) -> int:
     if ignored and scn.controller.mode == "real_time_single_iteration":
         raise ConfigError(f"{' and '.join(ignored)} apply to converge mode only; "
                           f"scenario {scn.name!r} runs in real-time mode")
-    out_dir = _out_dir(cfg)
+    stem = f"{scn.name}_{scn.controller.variant}"
+    csv_path, summary_path = _out_paths(cfg, f"{stem}_trajectory.csv", f"{stem}_summary.json")
 
     res = simulate(scn)
 
@@ -195,8 +208,7 @@ def run_simulate(cfg: RunConfig) -> int:
     times = [[[s.solve_time_s, s.prep_time_s, s.qp_time_s] for s in run] for run in runs]
     solve_means, prep_means, qp_means = np.mean(np.reshape(times, (len(runs), -1, 3)), axis=0).T
 
-    stem = f"{scn.name}_{scn.controller.variant}"
-    write_trajectory_csv(out_dir / f"{stem}_trajectory.csv", res, solve_means, prep_means)
+    write_trajectory_csv(csv_path, res, solve_means, prep_means)
 
     final_rcso = float(res.rcso[-1]) if res.rcso.size else math.nan
     summary = {
@@ -223,7 +235,7 @@ def run_simulate(cfg: RunConfig) -> int:
         "failure_message": res.failure_message,
         "note": res.note,
     }
-    (out_dir / f"{stem}_summary.json").write_text(
+    summary_path.write_text(
         json.dumps(_json_safe(summary), indent=2) + "\n", encoding="utf-8", newline="\n")
     return EXIT_NUMERICAL if res.failed else EXIT_OK
 
@@ -244,7 +256,7 @@ def run_diagnose(cfg: RunConfig) -> int:
                           f"standard-variant residual-stopped solve")
     scn = make_scenario(cfg)
     prob = scn.problem
-    out_dir = _out_dir(cfg)
+    [report_path] = _out_paths(cfg, f"{scn.name}_diagnostics.json")
     # one residual-stopped solve serves every check: each reads the prefix
     # its own (tol, max_iter) solve would return
     fit_tol = cfg.tol if cfg.tol is not None else 1e-6
@@ -285,7 +297,7 @@ def run_diagnose(cfg: RunConfig) -> int:
         "sqp_equivalence_max_dev": sqp_dev,
         "note": prob.model.note,
     }
-    (out_dir / f"{scn.name}_diagnostics.json").write_text(
+    report_path.write_text(
         json.dumps(_json_safe(payload), indent=2) + "\n", encoding="utf-8", newline="\n")
     return EXIT_OK
 

@@ -8,12 +8,17 @@ rolls out x0hat together with the stage offsets ``w_k`` (zero for the
 standard variant, the linearization offset for the exact variant).
 
 Both are rolled out together as ``X[k] = [Gamma_k | free_k]``, which
-solves ``X[k+1] = A_k X[k] + E[k+1]``.  Rather than one stage at a time,
-``condense`` runs a prefix scan by recursive doubling: ``ceil(log2(N+1))``
-levels of two batched matrix products each, one that adds the terms
-``d`` stages back and one that doubles the transition products to
-``2d`` stages.  The factorizations call LAPACK (``dpotrf``/``dpotrs``,
-``dpbtrf``/``dpbtrs``) without scipy's checking wrappers.
+solves ``X[k+1] = A_k X[k] + E[k+1]``.  ``condense`` writes x0hat, the
+offsets ``w_k`` and the input matrices ``B_k`` into ``X`` at the flat
+indices of the problem's cached ``qp_layout``, the same for every QP of
+one horizon.  Rather than one stage at a time, it runs a prefix scan by
+recursive doubling: ``ceil(log2(N+1))`` levels of batched matrix
+products, one that adds the terms ``d`` stages back and, on every level
+but the last, one that doubles the transition products to ``2d``
+stages.  The Hessian is ``h + h'`` with ``h = Gamma' (Wx Gamma)`` plus
+the layout's blkdiag(R, ..., R).  The factorizations call LAPACK
+(``dpotrf``/``dpotrs``, ``dpbtrf``/``dpbtrs``) without scipy's checking
+wrappers.
 """
 
 from __future__ import annotations
@@ -51,40 +56,50 @@ def condense(prob: StackedProblem, stages, x0hat) -> CondensedQp:
     if not isinstance(stages, StageData):
         rho_traj = np.asarray(stages, dtype=float).reshape(n, prob.model.dims.n_rho)
         stages = frozen_stages(prob.model, rho_traj)
-    a, b, w = stages.a, stages.b, stages.w
+    layout = prob.qp_layout
 
     # X[k] = [Gamma_k | free_k] solves X[k+1] = a_k X[k] + E[k+1] with
-    # E[0] = [0 | x0hat] and E[k+1] = [b_k in block column k | w_k]
+    # E[0] = [0 | x0hat] and E[k+1] = [b_k in block column k | w_k]; the
+    # layout holds the flat index of each entry of x0hat, w and b in X
     x = np.zeros((n + 1, n_x, n * n_u + 1))
-    x[0, :, -1] = x0
-    x[1:, :, -1] = w
-    # b_k into block column k through einsum's writeable diagonal view
-    np.einsum("kiku->kiu", x[1:, :, :-1].reshape(n, n_x, n, n_u))[...] = b
+    flat = x.reshape(-1)
+    flat[layout.x0] = x0
+    flat[layout.w] = stages.w
+    flat[layout.b] = stages.b
     # diverged iterates can overflow the rollout products; the solve
     # rejects the resulting non-finite QP, so do not warn here
     with np.errstate(over="ignore", invalid="ignore"):
         # doubling: at offset d, phi[k] holds a_k ... a_{k-d+1} and x[k]
-        # the sum of its last d rollout terms; each level doubles both
-        phi = a.copy()
+        # the sum of its last d rollout terms; each level doubles both,
+        # except that the last level's products would never be read
+        phi = stages.a.copy()
         d = 1
         while d <= n:
             x[d:] += phi[d - 1:] @ x[:n + 1 - d]
-            phi[2 * d - 1:] = phi[2 * d - 1:] @ phi[d - 1:n - d]
+            if 2 * d <= n:
+                phi[2 * d - 1:] = phi[2 * d - 1:] @ phi[d - 1:n - d]
             d *= 2
         gamma, free = x[:, :, :-1], x[:, :, -1]
 
-        # the state weight is block diagonal (Q, ..., Q, P)
+        # the state weight is block diagonal (Q, ..., Q, P): Q X_k and
+        # P X_N go into one buffer
         n_states = (n + 1) * n_x
-        wx_gamma = np.concatenate([prob.weights.Q @ gamma[:n], prob.weights.P @ gamma[n:]])
+        wx_gamma = np.empty(gamma.shape)
+        np.matmul(prob.weights.Q, gamma[:n], out=wx_gamma[:n])
+        np.matmul(prob.weights.P, gamma[n], out=wx_gamma[n])
         wx_gamma = wx_gamma.reshape(n_states, n * n_u)
         gamma = gamma.reshape(n_states, n * n_u)
+        # a contiguous copy: numpy multiplies by a strided vector without
+        # BLAS, which rounds the gradient differently
         free = free.ravel()
-        # the input weight is block diagonal (R, ..., R): add R through
-        # einsum's writeable view of the diagonal blocks
-        hess = (gamma.T @ wx_gamma).reshape(n, n_u, n, n_u)
-        np.einsum("kikj->kij", hess)[...] += prob.weights.R
-        hess = 2.0 * hess.reshape(n * n_u, n * n_u)
-        hess = 0.5 * (hess + hess.T)
+        # the input weight is the layout's blkdiag(R, ..., R); h + h' is
+        # the symmetric 2 (Gamma' Wx Gamma + Wu)
+        hess = gamma.T @ wx_gamma
+        hess += layout.r_block
+        hess = hess + hess.T
+        # Gamma' (Wx free) is the same gradient, but it rounds differently
+        # enough to move the fixpoint tolerance and contraction rate that
+        # diagnose reports, so the gradient stays (Wx Gamma)' free
         grad = 2.0 * (wx_gamma.T @ free)
     return CondensedQp(gamma=gamma, free=free, hess=hess, grad=grad)
 

@@ -161,17 +161,14 @@ def warm_shift(prob: StackedProblem, y_prev, x0hat_new) -> Array:
     """
     y_prev = prob.check_y(y_prev)
     x0 = prob.check_x0(x0hat_new)
-    n = prob.n_horizon
-    xs = prob.states(y_prev)
-    us = prob.inputs(y_prev)
-    xs_new = np.empty_like(xs)
-    us_new = np.empty_like(us)
-    xs_new[:n] = xs[1:]
-    us_new[:n - 1] = us[1:]
-    us_new[n - 1] = us[n - 1]
-    xs_new[n] = eval_dynamics(prob.model, xs[n], us[n - 1])
-    xs_new[0] = x0
-    return np.concatenate([xs_new.ravel(), us_new.ravel()])
+    n_x, n_u, n_s = prob.n_x, prob.n_u, prob.n_eq
+    y = np.empty_like(y_prev)
+    y[:n_x] = x0
+    y[n_x:n_s - n_x] = y_prev[2 * n_x:n_s]
+    y[n_s - n_x:n_s] = eval_dynamics(prob.model, y_prev[n_s - n_x:n_s], y_prev[-n_u:])
+    y[n_s:-n_u] = y_prev[n_s + n_u:]
+    y[-n_u:] = y_prev[-n_u:]
+    return y
 
 
 def _step(entry: TraceEntry) -> TraceEntry:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -93,12 +94,24 @@ class KktPoint:
         return np.concatenate([self.y, self.lam])
 
 
+class QpLayout(NamedTuple):
+    """The flat indices of x0hat, w_k and B_k in ``condense``'s rollout X,
+    each in its value's shape, and the input weight blkdiag(R, ..., R)."""
+
+    x0: Array
+    w: Array
+    b: Array
+    r_block: Array
+
+
 @dataclass(frozen=True)
 class StackedProblem:
     """Immutable problem data for one horizon; all operations are pure.
 
-    The dense cost and initial-condition matrices are derived from the
-    weights and dimensions on first use, so they cannot disagree with them.
+    The dimensions, the dense cost and initial-condition matrices and the
+    condensed QP layout ``qp_layout`` are derived from the model, the
+    weights and the horizon on first use and cached, so they cannot
+    disagree with them.
     """
 
     model: LpvModel
@@ -131,21 +144,33 @@ class StackedProblem:
         c[:self.n_x] = -np.eye(self.n_x)
         return c
 
+    @cached_property
+    def qp_layout(self) -> QpLayout:
+        """Where ``condense`` places x0hat, w_k and B_k, and the input weight."""
+        n, n_x, n_u = self.n_horizon, self.n_x, self.n_u
+        # flat offsets into the rollout X of shape (N+1, n_x, N n_u + 1)
+        n_col = n * n_u + 1
+        rows = np.arange(n + 1)[:, None] * (n_x * n_col) + np.arange(n_x)[None, :] * n_col
+        b_cols = np.arange(n)[:, None, None] * n_u + np.arange(n_u)[None, None, :]
+        r = scipy.linalg.block_diag(*[self.weights.R] * n)
+        return QpLayout(x0=rows[0] + n_col - 1, w=rows[1:] + n_col - 1,
+                        b=rows[1:, :, None] + b_cols, r_block=r)
+
     # -- layout helpers ----------------------------------------------------
 
-    @property
+    @cached_property
     def n_x(self) -> int:
         return self.model.dims.n_x
 
-    @property
+    @cached_property
     def n_u(self) -> int:
         return self.model.dims.n_u
 
-    @property
+    @cached_property
     def n_y(self) -> int:
         return (self.n_horizon + 1) * self.n_x + self.n_horizon * self.n_u
 
-    @property
+    @cached_property
     def n_eq(self) -> int:
         return (self.n_horizon + 1) * self.n_x
 

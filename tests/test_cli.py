@@ -164,6 +164,21 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_name_too_long_for_the_file_system_fails_before_any_solve(
+            self, tmp_path, monkeypatch, capsys, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output names were checked")
+
+        monkeypatch.setattr(cli, "simulate", no_solve)
+        monkeypatch.setattr(cli, "certificate_trace", no_solve)
+        payload = json.loads(json.dumps(TINY_INLINE))
+        payload["scenario"]["name"] = "x" * 300
+        out = tmp_path / "res"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert "is longer than the" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
     def test_scenario_problem_is_built_once(self, tmp_path, monkeypatch, command):
         calls = {"get_model": 0, "problem": 0}
         get_model, post_init = q.closed_loop.get_model, stacked.StackedProblem.__post_init__

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -57,17 +59,45 @@ def test_condense_adip_pd(adip_problem, adip_x0):
 @pytest.mark.parametrize("variant", ["standard", "exact"])
 def test_condensed_hessian_equals_dense_weight_product(unicycle_problem, variant):
     # a non-diagonal R has entries off the diagonal of each input block;
-    # with R = I an R entry added at the wrong place could not show
+    # with R = I an R entry added at the wrong place could not show.  The
+    # doubling skips its last level's transition product, which at N = 1
+    # leaves none and at N = 2 one
     w = unicycle_problem.weights
     r = np.array([[2.0, 0.7], [0.7, 1.5]])
-    prob = q.StackedProblem.build(unicycle_problem.model, unicycle_problem.n_horizon,
-                                  q.Weights(Q=w.Q, R=r, P=w.P))
-    rng = np.random.default_rng(4)
-    stages = stage_data(prob, rng.normal(size=prob.n_y), variant)
-    qp = q.condense(prob, stages, rng.normal(size=prob.n_x))
-    n_s, dense = prob.n_eq, prob.weight_matrix
-    ref = 2.0 * (qp.gamma.T @ (dense[:n_s, :n_s] @ qp.gamma) + dense[n_s:, n_s:])
-    assert np.array_equal(qp.hess, 0.5 * (ref + ref.T))
+    for horizon in (1, 2, unicycle_problem.n_horizon):
+        prob = q.StackedProblem.build(unicycle_problem.model, horizon,
+                                      q.Weights(Q=w.Q, R=r, P=w.P))
+        rng = np.random.default_rng(4)
+        stages = stage_data(prob, rng.normal(size=prob.n_y), variant)
+        qp = q.condense(prob, stages, rng.normal(size=prob.n_x))
+        n_s, dense = prob.n_eq, prob.weight_matrix
+        ref = 2.0 * (qp.gamma.T @ (dense[:n_s, :n_s] @ qp.gamma) + dense[n_s:, n_s:])
+        assert np.array_equal(qp.hess, 0.5 * (ref + ref.T))
+        assert_allclose(qp.grad, 2.0 * ((dense[:n_s, :n_s] @ qp.gamma).T @ qp.free),
+                        rtol=1e-13, atol=0.0)
+
+
+def test_replaced_problem_gets_its_own_layout(unicycle_problem, adip_problem):
+    # the layout and dimensions are cached per instance; a problem made by
+    # dataclasses.replace must derive its own, not inherit the original's
+    base = q.StackedProblem.build(unicycle_problem.model, 3, unicycle_problem.weights)
+    cached = base.qp_layout
+    w = base.weights
+    r = np.array([[2.0, 0.7], [0.7, 1.5]])
+    new_r = dataclasses.replace(base, weights=q.Weights(Q=w.Q, R=r, P=w.P))
+    adip = dataclasses.replace(base, model=adip_problem.model, weights=adip_problem.weights)
+    assert base.qp_layout is cached
+    assert np.array_equal(cached.r_block, scipy.linalg.block_diag(*[w.R] * 3))
+    assert np.array_equal(new_r.qp_layout.r_block, scipy.linalg.block_diag(r, r, r))
+    assert (adip.n_x, adip.n_u) == (adip_problem.n_x, adip_problem.n_u)
+    assert adip.qp_layout.b.shape == (3, adip.n_x, adip.n_u)
+    rng = np.random.default_rng(6)
+    for prob in (new_r, adip):
+        stages = stage_data(prob, rng.normal(size=prob.n_y), "exact")
+        qp = q.condense(prob, stages, rng.normal(size=prob.n_x))
+        n_s, dense = prob.n_eq, prob.weight_matrix
+        ref = 2.0 * (qp.gamma.T @ (dense[:n_s, :n_s] @ qp.gamma) + dense[n_s:, n_s:])
+        assert np.array_equal(qp.hess, 0.5 * (ref + ref.T))
 
 
 def test_solve_condensed_tiny_lti(tiny_lti_problem):

@@ -33,6 +33,15 @@ class TestInitialGuess:
         assert np.abs(resid).max() <= 1e-12
 
 
+def stacked_shift(prob, y_prev, x0hat_new):
+    """The shift built stage by stage from states and inputs (test oracle)."""
+    n = prob.n_horizon
+    xs, us = prob.states(y_prev), prob.inputs(y_prev)
+    xs_new = np.vstack([x0hat_new, xs[2:], q.eval_dynamics(prob.model, xs[n], us[n - 1])])
+    us_new = np.vstack([us[1:], us[n - 1]])
+    return np.concatenate([xs_new.ravel(), us_new.ravel()])
+
+
 class TestWarmShift:
     def test_zeros_shift_to_zeros(self, tiny_lti_problem):
         assert np.all(q.warm_shift(tiny_lti_problem, np.zeros(3), [0.0]) == 0.0)
@@ -52,6 +61,19 @@ class TestWarmShift:
         shifted = q.warm_shift(prob, np.array(vals), [x0_new])
         assert shifted.shape == (5,)
         assert shifted[0] == x0_new
+
+    @pytest.mark.parametrize("name,horizon", [("unicycle", 20), ("adip", 40), ("unicycle", 1),
+                                              ("adip", 1), ("tiny-qlpv", 1)])
+    def test_equals_stacked_shift(self, name, horizon):
+        m = q.get_model(name)
+        w = q.Weights(Q=np.eye(m.dims.n_x), R=np.eye(m.dims.n_u), P=np.eye(m.dims.n_x))
+        prob = q.StackedProblem.build(m, horizon, w)
+        rng = np.random.default_rng(horizon)
+        for _ in range(5):
+            y_prev, x0 = 0.1 * rng.normal(size=prob.n_y), rng.normal(size=prob.n_x)
+            shifted = q.warm_shift(prob, y_prev, x0)
+            assert shifted.dtype == np.float64
+            assert shifted.tobytes() == stacked_shift(prob, y_prev, x0).tobytes()
 
 
 class TestSolverOptions:

@@ -1,9 +1,9 @@
 """Iterative quasi-LPV model predictive control without inequality constraints.
 
 Provides the standard (suboptimal) and exact (Gauss-Newton SQP
-equivalent) iteration variants, a condensed QP backend, closed-loop
-benchmark scenarios, and numerical verification of the convergence and
-suboptimality properties of the scheme.
+equivalent) iteration variants, a range-space QP solve with a condensed
+fallback, closed-loop benchmark scenarios, and numerical verification of
+the convergence and suboptimality properties of the scheme.
 """
 
 from .closed_loop import (

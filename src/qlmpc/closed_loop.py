@@ -111,10 +111,12 @@ def dr_series(states, inputs, Q, R) -> Array:
     n = inputs.shape[0]
     if n == 0:
         return np.zeros(0)
-    stage = np.array([
-        states[i] @ (Q @ states[i]) + inputs[i] @ (R @ inputs[i]) for i in range(n)
-    ])
-    return np.cumsum(stage)
+    # a cost too large for a double is inf here, and simulate reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        stage = np.array([
+            states[i] @ (Q @ states[i]) + inputs[i] @ (R @ inputs[i]) for i in range(n)
+        ])
+        return np.cumsum(stage)
 
 
 def rcso(dr_controller, dr_reference, k: int) -> float:
@@ -170,7 +172,9 @@ def simulate(scn: Scenario) -> ScenarioResult:
 
     Both closed loops start from the same initial state.  DR uses the
     scenario's Q and R; the RCSO series is the controller's relative
-    excess over the reference and is truncated on failure.
+    excess over the reference and is truncated on failure.  A DR of
+    either loop that is not finite, or an infinite RCSO, fails the run
+    at its first such step, like a solve that raises.
     """
     prob = scn.problem
     states, inputs, stats, fail_step, fail_msg = run_control_loop(
@@ -187,6 +191,12 @@ def simulate(scn: Scenario) -> ScenarioResult:
     failed = fail_step is not None or ref_fail is not None
     message = fail_msg if fail_msg is not None else ref_msg
     step = fail_step if fail_step is not None else ref_fail
+    if not failed:
+        # an RCSO is nan where the reference cost is zero, but never infinite
+        bad = np.flatnonzero(~np.isfinite(dr) | ~np.isfinite(dr_ref) | np.isinf(rcso_vals))
+        if bad.size:
+            failed, step = True, int(bad[0])
+            message = f"closed-loop cost DR or its RCSO is not finite at step {step}"
     return ScenarioResult(
         states=np.asarray(states),
         inputs=np.asarray(inputs).reshape(len(inputs), prob.n_u),

@@ -1,11 +1,17 @@
-"""Condensed form of the per-iteration QP.
+"""The two solves of the per-iteration QP, and its stage-wise multipliers.
 
-Eliminating the states through the (affine) frozen dynamics turns the
-equality-constrained QP into an unconstrained quadratic in the stacked
-inputs, solved by a single positive-definite factorization.  The state
-prediction is ``x = free + Gamma u``, where the free response ``free``
-rolls out x0hat together with the stage offsets ``w_k`` (zero for the
-standard variant, the linearization offset for the exact variant).
+``solve_range_space`` solves the QP from one banded Cholesky factorization
+of ``G W^-1 G'`` when Q and P are positive definite (R always is);
+``stage_multipliers`` factors the same band with I for each inverse
+weight, and one builder, ``_normal_band``, serves both.
+
+Condensing solves the QPs that the range-space solve hands on.
+Eliminating the states through the (affine) frozen dynamics turns the QP
+into an unconstrained quadratic in the stacked inputs, solved by a single
+positive-definite factorization.  The state prediction is
+``x = free + Gamma u``, where the free response ``free`` rolls out x0hat
+together with the stage offsets ``w_k`` (zero for the standard variant,
+the linearization offset for the exact variant).
 
 Both are rolled out together as ``X[k] = [Gamma_k | free_k]``, which
 solves ``X[k+1] = A_k X[k] + E[k+1]``.  ``condense`` writes x0hat, the
@@ -24,12 +30,22 @@ wrappers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from time import perf_counter
+from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
 
 from .errors import SolverError
-from .stacked import StackedProblem, StageData, frozen_stages, stage_stationarity
+from .stacked import (
+    InverseWeights,
+    StackedProblem,
+    StageData,
+    frozen_stages,
+    stage_feasibility,
+    stage_stationarity,
+)
 
 Array = np.ndarray
 
@@ -137,24 +153,102 @@ def expand(qp: CondensedQp, u) -> Array:
     return np.concatenate([qp.free + qp.gamma @ u, u])
 
 
-def _normal_band(stages: StageData) -> Array:
-    """G G' in LAPACK lower band storage.
+@lru_cache(maxsize=16)
+def _band_index(n: int, n_x: int) -> Array:
+    """Where ``_normal_band`` reads each entry of its lower band.
 
-    G G' is block tridiagonal: diagonal blocks I (initial condition) and
-    I + A_k A_k' + B_k B_k', sub-diagonal blocks -A_k, so its lower
-    bandwidth is 2 n_x - 1.  Entry ``[d, j]`` holds ``(G G')[j + d, j]``.
+    The source is flat: the N+1 diagonal blocks, the N sub-diagonal
+    blocks and a zero, which fills the band below the sub-diagonal blocks.
     """
-    a, b = stages.a, stages.b
-    n, n_x = a.shape[:2]
-    # block column k of G G' from its diagonal down, zero padded
-    block_cols = np.zeros((n + 1, 3 * n_x, n_x))
-    block_cols[:, :n_x] = np.eye(n_x)
-    block_cols[1:, :n_x] += a @ a.transpose(0, 2, 1) + b @ b.transpose(0, 2, 1)
-    block_cols[:-1, n_x:2 * n_x] = -a
-    diag = np.arange(2 * n_x)[:, None]
-    col = np.arange(n_x)[None, :]
-    band = block_cols[:, diag + col, col]
-    return band.transpose(1, 0, 2).reshape(2 * n_x, (n + 1) * n_x)
+    d = np.arange(2 * n_x)[:, None, None]
+    k = np.arange(n + 1)[None, :, None]
+    c = np.arange(n_x)[None, None, :]
+    row = c + d  # the row in block column k, from the top of its diagonal block
+    diag = (k * n_x + row) * n_x + c
+    sub = ((n + 1 + k) * n_x + row - n_x) * n_x + c
+    index = np.where(row < n_x, diag,
+                     np.where((row < 2 * n_x) & (k < n), sub, (2 * n + 1) * n_x * n_x))
+    index = index.reshape(2 * n_x, (n + 1) * n_x)
+    index.flags.writeable = False
+    return index
+
+
+def _normal_band(stages: StageData, inv: Optional[InverseWeights] = None) -> tuple:
+    """G W^-1 G' in LAPACK lower band storage, and G G' when ``inv`` is None.
+
+    G W^-1 G' is block tridiagonal: diagonal blocks W_0^-1 (initial
+    condition) and W_{k+1}^-1 + J_k blkdiag(Q^-1, R^-1) J_k' with
+    ``J_k = [A_k B_k]``, sub-diagonal blocks -A_k Q^-1, so its lower
+    bandwidth is 2 n_x - 1.  G G' has I in place of each inverse weight.
+    Entry ``[d, j]`` of the band holds the matrix's ``[j + d, j]``.
+    Returns the band and the stages' ``J_k blkdiag(Q^-1, R^-1)``.
+    """
+    n, n_x, n_u = stages.b.shape
+    jac = np.concatenate([stages.a, stages.b], axis=2)
+    jw = jac if inv is None else (jac.reshape(-1, n_x + n_u) @ inv.w).reshape(jac.shape)
+    m = (n + 1) * n_x * n_x
+    blocks = np.zeros(m + n * n_x * n_x + 1)
+    diag = blocks[:m].reshape(n + 1, n_x, n_x)
+    np.matmul(jw, jac.transpose(0, 2, 1), out=diag[1:])
+    diag += np.eye(n_x) if inv is None else inv.x
+    np.negative(jw[:, :, :n_x], out=blocks[m:-1].reshape(n, n_x, n_x))
+    return blocks.take(_band_index(n, n_x)), jw
+
+
+def _range_space_y(prob: StackedProblem, inv: InverseWeights, jw: Array, lam: Array) -> Array:
+    """``y = -1/2 W^-1 G' lam``.  With ``t_k = lam_{k+1}' J_k blkdiag(Q^-1, R^-1)``,
+    ``x_k = -1/2 (lam_k' W_k^-1 - t_k[:n_x])`` and ``u_k = 1/2 t_k[n_x:]``."""
+    n_x = prob.n_x
+    lam = lam.reshape(prob.n_horizon + 1, n_x)
+    t = (lam[1:, None, :] @ jw)[:, 0, :]
+    y = np.empty(prob.n_y)
+    xs = prob.states(y)
+    np.matmul(lam[:, None, :], inv.x, out=xs[:, None, :])
+    xs[:-1] -= t[:, :n_x]
+    xs *= -0.5
+    prob.inputs(y)[:] = 0.5 * t[:, n_x:]
+    return y
+
+
+def solve_range_space(prob: StackedProblem, stages: StageData, x0hat) -> tuple:
+    """Solve the QP frozen in ``stages`` in range space, when W is positive definite.
+
+    The multipliers solve ``G W^-1 G' lam = -2 [x0hat; w]``, a banded SPD
+    system, and ``y = -1/2 W^-1 G' lam`` satisfies stationarity by
+    construction, up to the rounding of W^-1.  Its stage-wise feasibility
+    residual must be within ``_RESIDUAL_RTOL`` of the data's scale, after
+    at most one step of iterative refinement.
+
+    Returns y and the seconds of the factorization and solve, or
+    ``(None, 0.0)`` when Q or P is singular, or the band fails to factor,
+    or the residual misses (as a non-finite band or solution does): the
+    QP is then left to condensing.
+    """
+    inv = prob.inverse_weights
+    if inv is None:
+        return None, 0.0
+    x0 = prob.check_x0(x0hat)
+    data = np.concatenate([x0, stages.w.ravel()])
+    tol = _RESIDUAL_RTOL * max(1.0, float(np.abs(data).max()))
+    # overflow, in the data or on the way, surfaces as a residual that
+    # misses the tolerance
+    with np.errstate(over="ignore", invalid="ignore"):
+        band, jw = _normal_band(stages, inv)
+        t0 = perf_counter()
+        factor, info = dpbtrf(band, lower=True)
+        if info != 0:
+            return None, 0.0
+        lam = dpbtrs(factor, -2.0 * data, lower=True)[0]
+        y = _range_space_y(prob, inv, jw, lam)
+        resid = stage_feasibility(prob, stages, y, x0)
+        if not np.abs(resid).max() <= tol:
+            # one step of iterative refinement before handing on
+            lam += dpbtrs(factor, 2.0 * resid.ravel(), lower=True)[0]
+            y = _range_space_y(prob, inv, jw, lam)
+            resid = stage_feasibility(prob, stages, y, x0)
+        if np.abs(resid).max() <= tol < np.inf:
+            return y, perf_counter() - t0
+    return None, 0.0
 
 
 def stage_multipliers(prob: StackedProblem, stages: StageData, y) -> Array:
@@ -172,7 +266,7 @@ def stage_multipliers(prob: StackedProblem, stages: StageData, y) -> Array:
         raise SolverError("multiplier recovery received non-finite data")
     # an overflowing band is caught below, like a band that fails to factor
     with np.errstate(over="ignore", invalid="ignore"):
-        band = _normal_band(stages)
+        band, _ = _normal_band(stages)
     factor, info = dpbtrf(band, lower=True)
     if info != 0 or not np.all(np.isfinite(band)):
         raise SolverError("constraint Gram matrix G G' is not numerically positive definite")

@@ -1,7 +1,7 @@
 """Iteration engine for the two qLMPC variants.
 
 Each iteration freezes data extracted from the previous solution and
-solves one equality-constrained QP through the condensed path:
+solves one equality-constrained QP:
 
 * standard: freeze the parameter trajectory rho(y[l]) and use the
   frozen-parameter stage matrices (A(rho_k), B(rho_k)).  Fixpoints are
@@ -15,6 +15,10 @@ solves one equality-constrained QP through the condensed path:
 The QP data, residual and multipliers are all per stage.  Every solve
 path takes its next iterate from one step, ``_step``, which solves the QP
 frozen at the stage data of a trace entry and returns the next entry.
+``_step`` solves in range space, from one banded Cholesky factorization
+of ``G W^-1 G'``, and condenses only the QPs that the range-space solve
+hands on: those of a singular Q or P, and any whose band fails to factor
+or whose feasibility residual misses the tolerance.
 
 Both variants stop on the a-posteriori error bound of a contraction,
 ``|y[l+1] - y*| <= k / (1 - k) |y[l+1] - y[l]|``, which needs neither
@@ -38,7 +42,13 @@ from typing import Optional
 
 import numpy as np
 
-from .condensing import condense, expand, solve_condensed, stage_multipliers
+from .condensing import (
+    condense,
+    expand,
+    solve_condensed,
+    solve_range_space,
+    stage_multipliers,
+)
 from .errors import SolverError
 from .models import eval_dynamics
 from .stacked import (
@@ -174,11 +184,13 @@ def warm_shift(prob: StackedProblem, y_prev, x0hat_new) -> Array:
 def _step(entry: TraceEntry) -> TraceEntry:
     """The next entry of entry's solve: the solution of the QP frozen at ``entry.stages``."""
     prob, x0, _ = entry.solve
-    qp = condense(prob, entry.stages, x0)
-    t0 = perf_counter()
-    u = solve_condensed(qp)
-    qp_s = perf_counter() - t0
-    y = expand(qp, u)
+    y, qp_s = solve_range_space(prob, entry.stages, x0)
+    if y is None:
+        qp = condense(prob, entry.stages, x0)
+        t0 = perf_counter()
+        u = solve_condensed(qp)
+        qp_s = perf_counter() - t0
+        y = expand(qp, u)
     if not np.isfinite(y).all():
         raise SolverError("QP solution is non-finite")
     return TraceEntry(entry.solve, y, entry.stages, qp_s)

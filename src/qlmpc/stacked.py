@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -104,14 +104,33 @@ class QpLayout(NamedTuple):
     r_block: Array
 
 
+class InverseWeights(NamedTuple):
+    """The inverse weights of the range-space solve: ``x`` stacks
+    W_k^-1 = (Q^-1, ..., Q^-1, P^-1) over the N+1 states and ``w`` is
+    blkdiag(Q^-1, R^-1), the inverse weight of one stage's ``(x_k, u_k)``."""
+
+    x: Array
+    w: Array
+
+
+def _spd_inverse(m: Array) -> Optional[Array]:
+    """The inverse of m from its Cholesky factor; None when m has none."""
+    try:
+        factor = scipy.linalg.cho_factor(m, lower=True)
+    except np.linalg.LinAlgError:
+        return None
+    inv = scipy.linalg.cho_solve(factor, np.eye(len(m)))
+    return 0.5 * (inv + inv.T)
+
+
 @dataclass(frozen=True)
 class StackedProblem:
     """Immutable problem data for one horizon; all operations are pure.
 
-    The dimensions, the dense cost and initial-condition matrices and the
-    condensed QP layout ``qp_layout`` are derived from the model, the
-    weights and the horizon on first use and cached, so they cannot
-    disagree with them.
+    The dimensions, the dense cost and initial-condition matrices, the
+    condensed QP layout ``qp_layout`` and the ``inverse_weights`` are
+    derived from the model, the weights and the horizon on first use and
+    cached, so they cannot disagree with them.
     """
 
     model: LpvModel
@@ -155,6 +174,17 @@ class StackedProblem:
         r = scipy.linalg.block_diag(*[self.weights.R] * n)
         return QpLayout(x0=rows[0] + n_col - 1, w=rows[1:] + n_col - 1,
                         b=rows[1:, :, None] + b_cols, r_block=r)
+
+    @cached_property
+    def inverse_weights(self) -> Optional[InverseWeights]:
+        """The range-space solve's inverse weights; None when a Cholesky
+        factorization of Q, P or R fails."""
+        q, p, r = (_spd_inverse(m) for m in (self.weights.Q, self.weights.P, self.weights.R))
+        if q is None or p is None or r is None:
+            return None
+        x = np.empty((self.n_horizon + 1, self.n_x, self.n_x))
+        x[:-1], x[-1] = q, p
+        return InverseWeights(x=x, w=scipy.linalg.block_diag(q, r))
 
     # -- layout helpers ----------------------------------------------------
 
@@ -280,22 +310,29 @@ def stage_stationarity(prob: StackedProblem, stages: StageData, y: Array, lam: A
     return stat_x, stat_u
 
 
+def stage_feasibility(prob: StackedProblem, stages: StageData, y: Array, x0hat) -> Array:
+    """Rows ``x_0 - x0hat`` and ``x_{k+1} - a[k] x_k - b[k] u_k - w[k]`` of
+    ``G y + C x0hat``, shape (N+1, n_x)."""
+    xs, us = prob.states(y), prob.inputs(y)
+    feas = np.empty(xs.shape)
+    feas[0] = xs[0] - x0hat
+    feas[1:] = xs[1:] - ((stages.a @ xs[:-1, :, None] + stages.b @ us[:, :, None])[:, :, 0]
+                         + stages.w)
+    return feas
+
+
 def stage_residual(prob: StackedProblem, stages: StageData, z: KktPoint, x0hat) -> float:
     """Infinity norm of the optimality residual of the QP frozen in ``stages``.
 
-    Stationarity ``2 W y + G' lam`` and feasibility
-    ``x_0 - x0hat``, ``x_{k+1} - a[k] x_k - b[k] u_k - w[k]``, evaluated
-    stage by stage.
+    Stationarity ``2 W y + G' lam`` and feasibility ``stage_feasibility``,
+    evaluated stage by stage.
     """
-    xs, us = prob.states(z.y), prob.inputs(z.y)
     # non-finite values surface as a non-finite residual, reported by
     # the caller; suppress the intermediate overflow warning
     with np.errstate(over="ignore", invalid="ignore"):
         stat_x, stat_u = stage_stationarity(prob, stages, z.y, z.lam)
-        pred = (stages.a @ xs[:-1, :, None] + stages.b @ us[:, :, None])[:, :, 0] + stages.w
-        feas = xs[1:] - pred
-        return float(max(np.max(np.abs(stat_x)), np.max(np.abs(stat_u)),
-                         np.max(np.abs(xs[0] - x0hat)), np.max(np.abs(feas))))
+        feas = stage_feasibility(prob, stages, z.y, x0hat)
+        return float(max(np.max(np.abs(stat_x)), np.max(np.abs(stat_u)), np.max(np.abs(feas))))
 
 
 def _assemble_g(prob: StackedProblem, stages: StageData) -> Array:

@@ -76,6 +76,18 @@ class TestExitCodes:
         partial = (out / "toy_standard_trajectory.csv").read_text().splitlines()
         assert partial == outputs[0].read_text().splitlines()[:1]
 
+    def test_cost_overflow_is_exit_3(self, tmp_path):
+        # every solve succeeds, but x'Qx of the first state overflows a double
+        payload = {"scenario": dict(PRESETS["tiny-lti"][0], x0=[8.52e155], name="big"),
+                   "variant": "exact", "repeat": 1}
+        out = tmp_path / "res"
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 3
+        summary = json.loads((out / "big_exact_summary.json").read_text())
+        assert summary["steps_completed"] == 5 and summary["final_dr"] is None
+        assert summary["failed"] is True and summary["failure_step"] == 0
+        assert "not finite" in summary["failure_message"]
+
     def test_bad_env_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QLMPC_SEED", "many")
         cfg = write_config(tmp_path, TINY_INLINE)

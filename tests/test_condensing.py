@@ -308,7 +308,7 @@ def test_lapack_solves_equal_scipy_wrappers(request, name, variant):
     factor = scipy.linalg.cho_factor(qp.hess, lower=True)
     assert np.array_equal(q.solve_condensed(qp), scipy.linalg.cho_solve(factor, -qp.grad))
 
-    band = scipy.linalg.cholesky_banded(_normal_band(stages), lower=True)
+    band = scipy.linalg.cholesky_banded(_normal_band(stages)[0], lower=True)
     lam = np.zeros((prob.n_horizon + 1, prob.n_x))
     for _ in range(2):
         s_x, s_u = stage_stationarity(prob, stages, y, lam)

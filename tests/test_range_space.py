@@ -1,0 +1,161 @@
+"""The range-space QP solve against condensing, its fallback, and its guard.
+
+``solver._step`` solves each QP from the stage data in range space,
+through one banded Cholesky factorization of ``G W^-1 G'``, when Q and P
+are positive definite; condensing solves the QPs of singular weights and
+any QP the range-space solve hands on.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import qlmpc as q
+import qlmpc.condensing as condensing
+import qlmpc.solver as solver
+from qlmpc.condensing import solve_range_space
+from qlmpc.stacked import _assemble_g, _kkt, stage_data
+
+MODELS = ["tiny-lti", "tiny-qlpv", "unicycle", "adip"]
+
+
+def _problem(name, horizon):
+    """The preset's model and weights at the given horizon."""
+    return q.StackedProblem.build(q.get_model(name), horizon, q.builtin_scenario(name).weights)
+
+
+def _condensed_y(prob, stages, x0):
+    qp = q.condense(prob, stages, x0)
+    return q.expand(qp, q.solve_condensed(qp))
+
+
+def _dense_kkt_y(prob, stages, x0):
+    """The QP's solution from one dense saddle-point solve."""
+    g = _assemble_g(prob, stages)
+    rhs = np.concatenate([np.zeros(prob.n_y), x0, stages.w.ravel()])
+    return np.linalg.solve(_kkt(prob, g.T, g), rhs)[:prob.n_y]
+
+
+@pytest.mark.parametrize("variant", ["standard", "exact"])
+@pytest.mark.parametrize("horizon", [1, 2, 20, 40])
+@pytest.mark.parametrize("name", MODELS)
+def test_range_space_equals_condensing(name, horizon, variant):
+    # iterates of half unit scale: at unit scale the exact tiny-qlpv stages
+    # A_k = 2 x_k grow the condensed rollout like prod |A_k|, and condensing
+    # itself drifts from a dense KKT solve (1.2e-5 relative at N = 40)
+    prob = _problem(name, horizon)
+    rng = np.random.default_rng(horizon)
+    for _ in range(5):
+        x0 = rng.normal(size=prob.n_x)
+        stages = stage_data(prob, 0.5 * rng.normal(size=prob.n_y), variant)
+        y, seconds = solve_range_space(prob, stages, x0)
+        want = _condensed_y(prob, stages, x0)
+        assert y is not None and seconds >= 0.0
+        assert np.abs(y - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_range_space_equals_dense_kkt_where_the_rollout_grows():
+    prob = _problem("tiny-qlpv", 40)
+    rng = np.random.default_rng(40)
+    for _ in range(5):
+        x0 = rng.normal(size=1)
+        stages = stage_data(prob, rng.normal(size=prob.n_y), "exact")
+        want = _dense_kkt_y(prob, stages, x0)
+        y, _ = solve_range_space(prob, stages, x0)
+        assert np.abs(y - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("singular", ["Q", "P"])
+def test_singular_weights_take_the_condensing_path(monkeypatch, unicycle_problem, unicycle_x0,
+                                                   singular):
+    w = dataclasses.asdict(unicycle_problem.weights)
+    w[singular] = np.zeros((unicycle_problem.n_x, unicycle_problem.n_x))
+    prob = dataclasses.replace(unicycle_problem, weights=q.Weights(**w))
+    assert prob.inverse_weights is None
+    condensed = []
+    condense = solver.condense
+    monkeypatch.setattr(solver, "condense", lambda *args: condensed.append(None) or condense(*args))
+    y0 = q.initial_guess(prob, unicycle_x0)
+    for variant in ("standard", "exact"):
+        entry = solver.TraceEntry((prob, unicycle_x0, variant), y0)
+        assert solve_range_space(prob, entry.stages, unicycle_x0) == (None, 0.0)
+        np.testing.assert_array_equal(solver._step(entry).y,
+                                      _condensed_y(prob, entry.stages, unicycle_x0))
+    assert len(condensed) == 2
+
+
+def test_residual_miss_falls_back_to_condensing(monkeypatch, adip_problem, adip_x0):
+    # a residual that never meets the tolerance: one refinement, then condensing
+    checks = []
+
+    def missed(prob, stages, y, x0):
+        checks.append(None)
+        return np.full((prob.n_horizon + 1, prob.n_x), np.inf)
+
+    monkeypatch.setattr(condensing, "stage_feasibility", missed)
+    entry = solver.TraceEntry((adip_problem, adip_x0, "standard"),
+                              q.initial_guess(adip_problem, adip_x0))
+    assert solve_range_space(adip_problem, entry.stages, adip_x0) == (None, 0.0)
+    assert len(checks) == 2
+    np.testing.assert_array_equal(solver._step(entry).y,
+                                  _condensed_y(adip_problem, entry.stages, adip_x0))
+
+
+def test_replaced_problem_derives_its_own_inverse_weights(unicycle_problem):
+    base = q.StackedProblem.build(unicycle_problem.model, 3, unicycle_problem.weights)
+    cached = base.inverse_weights
+    w = base.weights
+    p = 2.0 * w.P + 0.1 * np.ones_like(w.P)
+    r = np.array([[2.0, 0.7], [0.7, 1.5]])
+    new = dataclasses.replace(base, n_horizon=5, weights=q.Weights(Q=w.Q, R=r, P=p))
+    assert base.inverse_weights is cached and len(cached.x) == 4
+    inv = new.inverse_weights
+    assert len(inv.x) == 6
+    eye_x, eye_u = np.eye(new.n_x), np.eye(new.n_u)
+    np.testing.assert_allclose(inv.x[:-1] @ w.Q, np.broadcast_to(eye_x, (5, 5, 5)), atol=1e-12)
+    np.testing.assert_allclose(inv.x[-1] @ p, eye_x, atol=1e-12)
+    np.testing.assert_allclose(inv.w[:new.n_x, :new.n_x] @ w.Q, eye_x, atol=1e-12)
+    np.testing.assert_allclose(inv.w[new.n_x:, new.n_x:] @ r, eye_u, atol=1e-12)
+    assert not inv.w[:new.n_x, new.n_x:].any()
+    singular = dataclasses.replace(base, weights=q.Weights(Q=w.Q, R=w.R, P=0.0 * p))
+    assert singular.inverse_weights is None
+
+
+@pytest.mark.parametrize("scenario, variant, qps", [("adip", "standard", 613),
+                                                     ("unicycle", "exact", 100)])
+def test_preset_qps_all_solve_in_range_space(monkeypatch, scenario, variant, qps):
+    # the presets at their seed-0 start: a change that sends any of their
+    # QPs to condensing fails here, however little it moves the result
+    solved, condensed = [], []
+    solve, condense = solver.solve_range_space, solver.condense
+
+    def counted_solve(*args):
+        y, seconds = solve(*args)
+        solved.append(y is not None)
+        return y, seconds
+
+    monkeypatch.setattr(solver, "solve_range_space", counted_solve)
+    monkeypatch.setattr(solver, "condense", lambda *args: condensed.append(None) or condense(*args))
+    scn = q.builtin_scenario(scenario, variant=variant)
+    _, inputs, stats, fail_step, _ = q.run_control_loop(scn.problem, scn.x0, scn.steps,
+                                                        scn.controller)
+    assert fail_step is None and len(inputs) == scn.steps
+    assert sum(s.iterations for s in stats) == qps
+    assert len(solved) == qps and all(solved) and not condensed
+
+
+def test_ill_conditioned_weights_fall_back_to_condensing(unicycle_problem, unicycle_x0):
+    # Q and P positive definite with condition number 1e10: W^-1 loses too
+    # many digits for the feasibility residual, and condensing solves the QP
+    rng = np.random.default_rng(0)
+    v = np.linalg.qr(rng.normal(size=(unicycle_problem.n_x,) * 2))[0]
+    q_ill = v @ np.diag([1.0, 1.0, 1.0, 1.0, 1e-10]) @ v.T
+    q_ill = 0.5 * (q_ill + q_ill.T)
+    prob = dataclasses.replace(unicycle_problem,
+                               weights=q.Weights(Q=q_ill, R=unicycle_problem.weights.R, P=q_ill))
+    assert prob.inverse_weights is not None
+    entry = solver.TraceEntry((prob, unicycle_x0, "exact"), q.initial_guess(prob, unicycle_x0))
+    assert solve_range_space(prob, entry.stages, unicycle_x0) == (None, 0.0)
+    np.testing.assert_array_equal(solver._step(entry).y,
+                                  _condensed_y(prob, entry.stages, unicycle_x0))

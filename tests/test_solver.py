@@ -157,6 +157,45 @@ def test_sqp_step_is_fixed_at_exact_fixpoint(unicycle_problem, unicycle_x0):
     z_next = q.sqp_step(unicycle_problem, z, unicycle_x0)
     assert np.abs(z_next.y - z.y).max() <= 1e-9
 
+def _qp_path_problem(path, pd_problem):
+    """A problem whose QPs take the given path: the positive definite preset
+    solves in range space, and with a singular Q it is left to condensing."""
+    if path == "range_space":
+        return pd_problem
+    w = pd_problem.weights
+    q_psd = np.diag(np.diag(w.Q) * (np.arange(pd_problem.n_x) > 0))
+    return q.StackedProblem.build(pd_problem.model, pd_problem.n_horizon,
+                                  q.Weights(Q=q_psd, R=w.R, P=w.P))
+
+
+def _inject_nonfinite_solution(monkeypatch, path, prob, from_call):
+    """Make the path's QP solutions non-finite from the given call on."""
+    calls = []
+    if path == "range_space":
+        solve = solver.solve_range_space
+
+        def injected(*args):
+            calls.append(None)
+            y, seconds = solve(*args)
+            return (y if len(calls) < from_call else np.full_like(y, np.inf)), seconds
+
+        def condense(*args):
+            raise AssertionError("a positive definite QP was condensed")
+
+        monkeypatch.setattr(solver, "solve_range_space", injected)
+        monkeypatch.setattr(solver, "condense", condense)
+    else:
+        # no inverse weights: solve_range_space hands every QP to condensing
+        assert prob.inverse_weights is None
+        expand = solver.expand
+
+        def injected(qp, u):
+            calls.append(None)
+            y = expand(qp, u)
+            return y if len(calls) < from_call else np.full_like(y, np.inf)
+
+        monkeypatch.setattr(solver, "expand", injected)
+
 
 class TestSolveOcp:
     def test_lti_converges_in_one_iteration(self):
@@ -301,29 +340,26 @@ class TestSolveOcp:
             q.solve_ocp(tiny_qlpv_problem, [1e200], q.initial_guess(tiny_qlpv_problem, [1.0]),
                         q.SolverOptions())
 
-    def test_nonfinite_qp_solution_raises(self, monkeypatch, unicycle_problem, unicycle_x0):
-        monkeypatch.setattr(solver, "expand", lambda qp, u: np.full(unicycle_problem.n_y, np.inf))
-        y0 = q.initial_guess(unicycle_problem, unicycle_x0)
+    @pytest.mark.parametrize("path", ["range_space", "condensing"])
+    def test_nonfinite_qp_solution_raises(self, monkeypatch, path, unicycle_problem,
+                                          unicycle_x0):
+        prob = _qp_path_problem(path, unicycle_problem)
+        _inject_nonfinite_solution(monkeypatch, path, prob, from_call=1)
+        y0 = q.initial_guess(prob, unicycle_x0)
         for mode in ("converge", "real_time_single_iteration"):
             with pytest.raises(q.SolverError, match="non-finite"):
-                q.solve_ocp(unicycle_problem, unicycle_x0, y0, q.SolverOptions(mode=mode))
+                q.solve_ocp(prob, unicycle_x0, y0, q.SolverOptions(mode=mode))
         with pytest.raises(q.SolverError, match="non-finite"):
-            q.qlmpc_iterate(unicycle_problem, q.KktPoint(y0, np.zeros(unicycle_problem.n_eq)),
-                            unicycle_x0)
+            q.qlmpc_iterate(prob, q.KktPoint(y0, np.zeros(prob.n_eq)), unicycle_x0)
 
-    def test_nonfinite_qp_solution_is_a_failed_step(self, monkeypatch, unicycle_problem,
+    @pytest.mark.parametrize("path", ["range_space", "condensing"])
+    def test_nonfinite_qp_solution_is_a_failed_step(self, monkeypatch, path, unicycle_problem,
                                                     unicycle_x0):
         # the third QP solution is non-finite: steps 0 and 1 complete
-        expand, calls = solver.expand, []
-
-        def expand_inf_from_third_call(qp, u):
-            calls.append(None)
-            y = expand(qp, u)
-            return y if len(calls) < 3 else np.full_like(y, np.inf)
-
-        monkeypatch.setattr(solver, "expand", expand_inf_from_third_call)
+        prob = _qp_path_problem(path, unicycle_problem)
+        _inject_nonfinite_solution(monkeypatch, path, prob, from_call=3)
         opts = q.SolverOptions(variant="exact", mode="real_time_single_iteration")
-        states, inputs, stats, step, msg = q.run_control_loop(unicycle_problem, unicycle_x0, 5, opts)
+        states, inputs, stats, step, msg = q.run_control_loop(prob, unicycle_x0, 5, opts)
         assert step == 2 and "non-finite" in msg
         assert len(states) == 3 and len(inputs) == len(stats) == 2
         assert np.all(np.isfinite(states))

@@ -139,31 +139,33 @@ def run_control_loop(prob: StackedProblem, x0, steps: int, opts: SolverOptions):
     inputs = []
     stats = []
     y_prev = None
-    for k in range(steps):
-        xk = states[-1]
-        try:
-            if y_prev is None:
-                guess = initial_guess(prob, xk)
-            else:
-                guess = warm_shift(prob, y_prev, xk)
-            t0 = perf_counter()
-            trace: IterateTrace = solve_ocp(prob, xk, guess, opts)
-            solve_s = perf_counter() - t0
-        except SolverError as exc:
-            return states, inputs, stats, k, str(exc)
-        y = trace.iterates[-1].y  # reading trace.final would compute multipliers
-        u0 = y[prob.u_slice(0)].copy()
-        inputs.append(u0)
-        states.append(eval_dynamics(prob.model, xk, u0))
-        qp_s = float(sum(e.qp_time for e in trace.iterates))
-        stats.append(PerStepStats(
-            iterations=trace.iterations,
-            solve_time_s=solve_s,
-            prep_time_s=solve_s - qp_s,
-            qp_time_s=qp_s,
-            converged=trace.converged,
-        ))
-        y_prev = y
+    # a diverging loop overflows; the solve and simulate report non-finite values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            xk = states[-1]
+            try:
+                if y_prev is None:
+                    guess = initial_guess(prob, xk)
+                else:
+                    guess = warm_shift(prob, y_prev, xk)
+                t0 = perf_counter()
+                trace: IterateTrace = solve_ocp(prob, xk, guess, opts)
+                solve_s = perf_counter() - t0
+            except SolverError as exc:
+                return states, inputs, stats, k, str(exc)
+            y = trace.iterates[-1].y  # reading trace.final would compute multipliers
+            u0 = y[prob.u_slice(0)].copy()
+            inputs.append(u0)
+            states.append(eval_dynamics(prob.model, xk, u0))
+            qp_s = float(sum(e.qp_time for e in trace.iterates))
+            stats.append(PerStepStats(
+                iterations=trace.iterations,
+                solve_time_s=solve_s,
+                prep_time_s=solve_s - qp_s,
+                qp_time_s=qp_s,
+                converged=trace.converged,
+            ))
+            y_prev = y
     return states, inputs, stats, None, None
 
 

@@ -241,12 +241,12 @@ def solve_range_space(prob: StackedProblem, stages: StageData, x0hat) -> tuple:
         lam = dpbtrs(factor, -2.0 * data, lower=True)[0]
         y = _range_space_y(prob, inv, jw, lam)
         resid = stage_feasibility(prob, stages, y, x0)
-        if not np.abs(resid).max() <= tol:
-            # one step of iterative refinement before handing on
+        err = np.abs(resid).max()
+        if not err <= tol:
             lam += dpbtrs(factor, 2.0 * resid.ravel(), lower=True)[0]
             y = _range_space_y(prob, inv, jw, lam)
-            resid = stage_feasibility(prob, stages, y, x0)
-        if np.abs(resid).max() <= tol < np.inf:
+            err = np.abs(stage_feasibility(prob, stages, y, x0)).max()
+        if err <= tol < np.inf:
             return y, perf_counter() - t0
     return None, 0.0
 

@@ -159,11 +159,12 @@ ADIP_NOTE = "ADIP physical parameters are package stand-ins, not identified hard
 
 
 def builtin_adip() -> LpvModel:
-    """Euler-discretized arm-driven inverted pendulum (T = 0.01 s).
+    """Euler-discretized arm-driven inverted pendulum (T = 0.01 s); rho is the full state.
 
-    The gravity terms enter through sin(th)/th factors so the embedding
-    is exact and the upright origin stays an equilibrium of the frozen
-    parameter model.  rho is the full state.
+    Rows 2:4 of ``[A B]`` are those of the identity plus
+    ``dt M(th)^-1 [[g1, 0, 0, -cw w2, 1], [0, g2, cw w1, 0, 0]]``, ``cw = m12 sin(th1 - th2)``.
+    The gravity factors ``g_i = kg_i sin(th_i)/th_i``, ``kg_i`` at 0, keep the embedding
+    exact and the upright origin an equilibrium of the frozen parameter model.
     """
     dims = ModelDims(n_x=4, n_u=1, n_rho=4)
     dt = 0.01
@@ -184,11 +185,6 @@ def builtin_adip() -> LpvModel:
     a_base[0, 2] = dt
     a_base[1, 3] = dt
 
-    def _sinc(t):
-        # sin(t)/t with the removable singularity filled by its series
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(np.abs(t) < 1e-6, 1.0 - t * t / 6.0, np.sin(t) / t)
-
     def rho(x, u):
         return np.asarray(x, dtype=float)
 
@@ -198,24 +194,25 @@ def builtin_adip() -> LpvModel:
         return m22 / det, -m12 / det, m11 / det
 
     def a_of_rho(r):
+        th = r[..., :2]
         th12 = r[..., 0] - r[..., 1]
-        w1, w2 = r[..., 2], r[..., 3]
-        cw = m12_amp * np.sin(th12)
-        i11, i12, i22 = (dt * i for i in _mass_inverse_entries(np.cos(th12)))  # of dt M^-1
-        g = kg * _sinc(r[..., :2])
+        mc = m12_amp * np.cos(th12)
+        scale = dt / (m11 * m22 - mc * mc)
+        i11, i12, i22 = m22 * scale, -mc * scale, m11 * scale  # of dt M^-1
+        g = kg * np.divide(np.sin(th), th, out=np.ones(th.shape), where=th != 0.0)
         g1, g2 = g[..., 0], g[..., 1]
-        i12_cw = i12 * cw
+        cw = m12_amp * np.sin(th12)
+        cw1, cw2 = cw * r[..., 2], cw * r[..., 3]
         a = np.empty(th12.shape + (4, 4))
-        a[...] = a_base
+        a[..., :2, :] = a_base[:2]
         a[..., 2, 0] = i11 * g1
         a[..., 2, 1] = i12 * g2
         a[..., 3, 0] = i12 * g1
         a[..., 3, 1] = i22 * g2
-        # coriolis block -dt * Minv @ [[0, cw*w2], [-cw*w1, 0]]
-        a[..., 2, 2] += i12_cw * w1
-        a[..., 2, 3] = -(i11 * cw * w2)
-        a[..., 3, 2] = i22 * cw * w1
-        a[..., 3, 3] -= i12_cw * w2
+        a[..., 2, 2] = 1.0 + i12 * cw1
+        a[..., 2, 3] = -(i11 * cw2)
+        a[..., 3, 2] = i22 * cw1
+        a[..., 3, 3] = 1.0 - i12 * cw2
         return a
 
     def b_of_rho(r):

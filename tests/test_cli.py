@@ -3,11 +3,14 @@ import dataclasses
 import importlib.util
 import json
 import math
+import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qlmpc as q
 import qlmpc.cli as cli
@@ -16,6 +19,7 @@ import qlmpc.solver as solver
 import qlmpc.stacked as stacked
 from qlmpc.cli import build_parser, main, make_scenario, resolve_config
 from qlmpc.closed_loop import PRESETS, Scenario
+from qlmpc.models import MODEL_IDS
 
 TINY_INLINE = {
     "scenario": {
@@ -289,6 +293,82 @@ class TestExitCodes:
         monkeypatch.setattr(stacked, "linearized_constraint", zero_jacobian)
         assert main(["diagnose", "--scenario", "tiny-qlpv", "--out", str(tmp_path)]) == 3
         assert "SQP step KKT solve failed" in capsys.readouterr().err
+
+
+@st.composite
+def inline_configs(draw):
+    """Inline scenarios of every model: x0 entries up to 1e300 in size, and
+    diagonal weights in 1e+-8 (Q and P may have zeros).  One in ten has an
+    x0 of the wrong length."""
+
+    def rarely():
+        return draw(st.integers(0, 9)) == 9
+
+    def power(lo, hi):
+        return 10.0 ** draw(st.floats(lo, hi))
+
+    model = draw(st.sampled_from(MODEL_IDS))
+    dims = q.get_model(model).dims
+    n_x0 = draw(st.integers(1, 5)) if rarely() else dims.n_x
+    scenario = {
+        "model": model,
+        "x0": [0.0 if rarely() else draw(st.sampled_from([1.0, -1.0])) * power(-300.0, 300.0)
+               for _ in range(n_x0)],
+        "steps": draw(st.integers(1, 3)),
+        "horizon": draw(st.integers(1, 7)),
+        "q": [0.0 if rarely() else power(-8.0, 8.0) for _ in range(dims.n_x)],
+        "r": [power(-8.0, 8.0) for _ in range(dims.n_u)],
+        "p": [0.0 if rarely() else power(-8.0, 8.0) for _ in range(dims.n_x)],
+        "name": "fuzz",
+    }
+    return {"scenario": scenario, "variant": draw(st.sampled_from(["standard", "exact"])),
+            "mode": draw(st.sampled_from(["converge", "rti"]))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(inline_configs())
+@example({"scenario": {"model": "tiny-lti", "x0": [8.521014827369616e+155], "steps": 2,
+                       "horizon": 2, "q": 0.00037031988017991276, "r": 56.044632404674346,
+                       "p": 241261.97369068142, "name": "f51"}, "variant": "exact"})
+@example({"scenario": {"model": "adip", "x0": [0.0, 1.0, 1.0, 1e45], "steps": 2, "horizon": 2,
+                       "q": [0.0, 0.0, 1.0, 1.0], "r": [1.0], "p": [1.0, 1.0, 1.0, 1.0],
+                       "name": "fuzz"}, "variant": "standard", "mode": "converge"})
+def test_simulate_exit_code_contract(config):
+    # exit 0 writes finite numbers, 2 writes nothing, 3 writes flagged
+    # partial output, and no warning escapes on the way (the second example
+    # overflows the reference run's stage Jacobian)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = write_config(Path(tmp), config), Path(tmp) / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", cfg, "--repeat", "1", "--out", str(out)])
+        assert code in (0, 2, 3)
+        written = sorted(out.iterdir()) if out.exists() else []
+        if code == 2:
+            assert written == []
+            return
+        stem = f"{config['scenario']['name']}_{config['variant']}"
+        summary = json.loads((out / f"{stem}_summary.json").read_text())
+        if code == 3:
+            assert summary["failed"] is True and summary["failure_message"]
+            return
+        assert summary["failed"] is False
+        rows = list(csv.DictReader((out / f"{stem}_trajectory.csv").read_text().splitlines()))
+        # README's nulls: unconverged_steps in real-time mode, and an RCSO
+        # where the reference cost is zero (an empty CSV cell)
+        nulls = {"failure_step", "failure_message", "note"}
+        if summary["mode"] == "real_time_single_iteration":
+            nulls.add("unconverged_steps")
+        if rows[-1]["rcso"] == "":
+            nulls.add("final_rcso")
+        for key, value in summary.items():
+            values = value.values() if isinstance(value, dict) else (
+                value if isinstance(value, list) else [value])
+            for v in values:
+                if v is None:
+                    assert key in nulls, key
+                elif isinstance(v, (int, float)):
+                    assert math.isfinite(v), key
 
 
 @pytest.fixture(scope="module")

@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qlmpc as q
+from qlmpc.models import ADIP_PARAMS
 from qlmpc.stacked import per_stage, stage_data
 
 ALL_MODEL_IDS = ["unicycle", "adip", "tiny-lti", "tiny-qlpv"]
@@ -174,8 +175,8 @@ def test_batched_stage_jacobian_matches_finite_differences(name):
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-1e-6, 1e-6), st.floats(-1e-6, 1e-6))
 def test_adip_near_zero_angles_is_finite_and_silent(th1, th2):
-    # the sin(t)/t gravity factor takes its series branch at and near
-    # t = 0, without a division warning
+    # the sin(t)/t gravity factor is 1 at t = 0 and continuous near it,
+    # without a division warning
     m = q.get_model("adip")
     xs = np.array([[0.0, 0.0, 0.3, -0.2], [th1, th2, 0.3, -0.2], [th1, 0.0, 0.0, 0.0]])
     us = np.ones((3, 1))
@@ -189,6 +190,45 @@ def test_adip_near_zero_angles_is_finite_and_silent(th1, th2):
     a = outs[0]
     assert a[1, 2, 0] == pytest.approx(a[0, 2, 0], rel=1e-10)
     assert a[2, 2, 0] == pytest.approx(a[0, 2, 0], rel=1e-10)
+
+
+ANGLE = st.floats(-math.pi, math.pi)
+RATE = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(th1=ANGLE, th2=ANGLE, w1=RATE, w2=RATE)
+@example(th1=0.0, th2=0.7, w1=1.5, w2=-2.0)
+@example(th1=-0.4, th2=0.0, w1=-3.0, w2=0.5)
+@example(th1=1.1, th2=1.1, w1=2.0, w2=7.0)
+@example(th1=1e-7, th2=-1e-7, w1=0.3, w2=-0.2)
+@example(th1=0.0, th2=0.0, w1=0.0, w2=0.0)
+def test_adip_matrices_equal_the_mass_matrix_physics(th1, th2, w1, w2):
+    # an independent construction from ADIP_PARAMS: rows 2:4 of [A B] are
+    # those of the identity plus dt M(th)^-1 [[g1, 0, 0, -cw w2, 1],
+    # [0, g2, cw w1, 0, 0]], with g_i = kg_i sin(th_i)/th_i (kg_i at 0)
+    dt = 0.01
+    p = ADIP_PARAMS
+    m1, l1, m2, l2, grav = (p[k] for k in ("arm_mass", "arm_length", "pend_mass",
+                                             "pend_length", "gravity"))
+    m12 = m2 * l1 * l2
+    mass = np.array([[(m1 + m2) * l1 * l1, m12 * math.cos(th1 - th2)],
+                     [m12 * math.cos(th1 - th2), m2 * l2 * l2]])
+    g1, g2 = ((kg * (math.sin(th) / th) if th != 0.0 else kg)
+              for kg, th in (((m1 + m2) * grav * l1, th1), (m2 * grav * l2, th2)))
+    cw = m12 * math.sin(th1 - th2)
+    forces = np.array([[g1, 0.0, 0.0, -cw * w2, 1.0], [0.0, g2, cw * w1, 0.0, 0.0]])
+    want = np.zeros((4, 5))
+    want[:, :4] = np.eye(4)
+    want[0, 2] = want[1, 3] = dt
+    want[2:] += dt * np.linalg.inv(mass) @ forces
+
+    m = q.builtin_adip()
+    r = m.rho(np.array([th1, th2, w1, w2]), np.zeros(1))
+    got = np.hstack([m.a_of_rho(r), m.b_of_rho(r)])
+    assert np.array_equal(got[:2], want[:2])
+    # atol covers only subnormal entries (tiny rates), which carry fewer digits
+    assert_allclose(got[2:], want[2:], rtol=1e-12, atol=1e-300)
 
 
 def test_pointwise_only_closure_is_rejected():

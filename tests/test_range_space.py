@@ -10,12 +10,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 import qlmpc as q
 import qlmpc.condensing as condensing
 import qlmpc.solver as solver
-from qlmpc.condensing import solve_range_space
-from qlmpc.stacked import _assemble_g, _kkt, stage_data
+from qlmpc.closed_loop import REFERENCE_OPTIONS
+from qlmpc.condensing import _normal_band, _range_space_y, solve_range_space
+from qlmpc.stacked import _assemble_g, _kkt, stage_data, stage_feasibility
 
 MODELS = ["tiny-lti", "tiny-qlpv", "unicycle", "adip"]
 
@@ -102,6 +104,36 @@ def test_residual_miss_falls_back_to_condensing(monkeypatch, adip_problem, adip_
                                   _condensed_y(adip_problem, entry.stages, adip_x0))
 
 
+def test_refined_residual_is_accepted(monkeypatch, adip_problem, adip_x0):
+    # every residual is read with an offset of 100 tol: the first misses,
+    # and the one refinement step, which corrects the residual it is given,
+    # makes the second meet the tolerance (an offset on the first read
+    # alone would leave the refined iterate off by that offset)
+    prob, x0 = adip_problem, adip_x0
+    stages = stage_data(prob, q.initial_guess(prob, x0), "standard")
+    data = np.concatenate([x0, stages.w.ravel()])
+    offset = 100.0 * condensing._RESIDUAL_RTOL * max(1.0, np.abs(data).max())
+    checks = []
+
+    def offset_feasibility(*args):
+        checks.append(None)
+        return stage_feasibility(*args) + offset
+
+    monkeypatch.setattr(condensing, "stage_feasibility", offset_feasibility)
+    y, seconds = solve_range_space(prob, stages, x0)
+    assert len(checks) == 2 and seconds > 0.0
+
+    band, jw = _normal_band(stages, prob.inverse_weights)
+    factor, info = dpbtrf(band, lower=True)
+    assert info == 0
+    lam = dpbtrs(factor, -2.0 * data, lower=True)[0]
+    first = _range_space_y(prob, prob.inverse_weights, jw, lam)
+    lam += dpbtrs(factor, 2.0 * (stage_feasibility(prob, stages, first, x0) + offset).ravel(),
+                  lower=True)[0]
+    np.testing.assert_array_equal(y, _range_space_y(prob, prob.inverse_weights, jw, lam))
+    assert np.abs(y - first).max() > 0.0
+
+
 def test_replaced_problem_derives_its_own_inverse_weights(unicycle_problem):
     base = q.StackedProblem.build(unicycle_problem.model, 3, unicycle_problem.weights)
     cached = base.inverse_weights
@@ -122,11 +154,15 @@ def test_replaced_problem_derives_its_own_inverse_weights(unicycle_problem):
     assert singular.inverse_weights is None
 
 
-@pytest.mark.parametrize("scenario, variant, qps", [("adip", "standard", 613),
-                                                     ("unicycle", "exact", 100)])
-def test_preset_qps_all_solve_in_range_space(monkeypatch, scenario, variant, qps):
-    # the presets at their seed-0 start: a change that sends any of their
-    # QPs to condensing fails here, however little it moves the result
+@pytest.mark.parametrize("scenario, variant, reference, qps", [
+    pytest.param("adip", "standard", False, 613, id="adip-standard-613"),
+    pytest.param("unicycle", "exact", False, 100, id="unicycle-exact-100"),
+    pytest.param("adip", "exact", True, 835, id="adip-reference-835"),
+])
+def test_preset_qps_all_solve_in_range_space(monkeypatch, scenario, variant, reference, qps):
+    # the presets at their seed-0 start, and the ADIP reference loop: a
+    # change that sends any of their QPs to condensing, or changes how many
+    # they take, fails here, however little it moves the result
     solved, condensed = [], []
     solve, condense = solver.solve_range_space, solver.condense
 
@@ -138,10 +174,12 @@ def test_preset_qps_all_solve_in_range_space(monkeypatch, scenario, variant, qps
     monkeypatch.setattr(solver, "solve_range_space", counted_solve)
     monkeypatch.setattr(solver, "condense", lambda *args: condensed.append(None) or condense(*args))
     scn = q.builtin_scenario(scenario, variant=variant)
-    _, inputs, stats, fail_step, _ = q.run_control_loop(scn.problem, scn.x0, scn.steps,
-                                                        scn.controller)
+    opts = REFERENCE_OPTIONS if reference else scn.controller
+    _, inputs, stats, fail_step, _ = q.run_control_loop(scn.problem, scn.x0, scn.steps, opts)
     assert fail_step is None and len(inputs) == scn.steps
     assert sum(s.iterations for s in stats) == qps
+    if opts.mode == "converge":
+        assert all(s.converged for s in stats)
     assert len(solved) == qps and all(solved) and not condensed
 
 

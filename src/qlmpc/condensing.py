@@ -14,17 +14,15 @@ together with the stage offsets ``w_k`` (zero for the standard variant,
 the linearization offset for the exact variant).
 
 Both are rolled out together as ``X[k] = [Gamma_k | free_k]``, which
-solves ``X[k+1] = A_k X[k] + E[k+1]``.  ``condense`` writes x0hat, the
-offsets ``w_k`` and the input matrices ``B_k`` into ``X`` at the flat
-indices of the problem's cached ``qp_layout``, the same for every QP of
-one horizon.  Rather than one stage at a time, it runs a prefix scan by
-recursive doubling: ``ceil(log2(N+1))`` levels of batched matrix
-products, one that adds the terms ``d`` stages back and, on every level
-but the last, one that doubles the transition products to ``2d``
-stages.  The Hessian is ``h + h'`` with ``h = Gamma' (Wx Gamma)`` plus
-the layout's blkdiag(R, ..., R).  The factorizations call LAPACK
-(``dpotrf``/``dpotrs``, ``dpbtrf``/``dpbtrs``) without scipy's checking
-wrappers.
+solves ``X[k+1] = A_k X[k] + E[k+1]``.  ``condense`` writes x0hat and
+the offsets ``w_k`` into the free column of ``X`` and each input matrix
+``B_k`` into its block column.  Rather than one stage at a time, it runs
+a prefix scan by recursive doubling: ``ceil(log2(N+1))`` levels of
+batched matrix products, one that adds the terms ``d`` stages back and,
+on every level but the last, one that doubles the transition products
+to ``2d`` stages.  The Hessian is ``h + h'`` with ``h = Gamma' (Wx Gamma)``
+plus blkdiag(R, ..., R).  The factorizations call LAPACK (``dpotrf``/
+``dpotrs``, ``dpbtrf``/``dpbtrs``) without scipy's checking wrappers.
 """
 
 from __future__ import annotations
@@ -72,16 +70,14 @@ def condense(prob: StackedProblem, stages, x0hat) -> CondensedQp:
     if not isinstance(stages, StageData):
         rho_traj = np.asarray(stages, dtype=float).reshape(n, prob.model.dims.n_rho)
         stages = frozen_stages(prob.model, rho_traj)
-    layout = prob.qp_layout
 
     # X[k] = [Gamma_k | free_k] solves X[k+1] = a_k X[k] + E[k+1] with
-    # E[0] = [0 | x0hat] and E[k+1] = [b_k in block column k | w_k]; the
-    # layout holds the flat index of each entry of x0hat, w and b in X
+    # E[0] = [0 | x0hat] and E[k+1] = [b_k in block column k | w_k]
     x = np.zeros((n + 1, n_x, n * n_u + 1))
-    flat = x.reshape(-1)
-    flat[layout.x0] = x0
-    flat[layout.w] = stages.w
-    flat[layout.b] = stages.b
+    x[0, :, -1] = x0
+    x[1:, :, -1] = stages.w
+    # b_k into block column k through einsum's writeable diagonal view
+    np.einsum("kiku->kiu", x[1:, :, :-1].reshape(n, n_x, n, n_u))[...] = stages.b
     # diverged iterates can overflow the rollout products; the solve
     # rejects the resulting non-finite QP, so do not warn here
     with np.errstate(over="ignore", invalid="ignore"):
@@ -108,10 +104,11 @@ def condense(prob: StackedProblem, stages, x0hat) -> CondensedQp:
         # a contiguous copy: numpy multiplies by a strided vector without
         # BLAS, which rounds the gradient differently
         free = free.ravel()
-        # the input weight is the layout's blkdiag(R, ..., R); h + h' is
-        # the symmetric 2 (Gamma' Wx Gamma + Wu)
+        # the input weight is blkdiag(R, ..., R), added through einsum's
+        # writeable view of the diagonal blocks; h + h' is the symmetric
+        # 2 (Gamma' Wx Gamma + Wu)
         hess = gamma.T @ wx_gamma
-        hess += layout.r_block
+        np.einsum("kikj->kij", hess.reshape(n, n_u, n, n_u))[...] += prob.weights.R
         hess = hess + hess.T
         # Gamma' (Wx free) is the same gradient, but it rounds differently
         # enough to move the fixpoint tolerance and contraction rate that

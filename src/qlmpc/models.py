@@ -77,7 +77,7 @@ class LpvModel:
 def _as_vector(v, n, what):
     arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.shape != (n,):
-        raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
+        raise ValueError(f"{what} must have length {n}, got {arr.shape}")
     return arr
 
 

@@ -148,17 +148,15 @@ class IterateTrace:
 
 def initial_guess(prob: StackedProblem, x0hat) -> Array:
     """Zero-input rollout from x0hat; feasible for the NLP with u = 0."""
-    x0 = prob.check_x0(x0hat)
-    n = prob.n_horizon
-    xs = np.zeros((n + 1, prob.n_x))
-    xs[0] = x0
-    zero_u = np.zeros(prob.n_u)
+    y = np.zeros(prob.n_y)
+    xs, zero_u = prob.states(y), np.zeros(prob.n_u)
+    xs[0] = prob.check_x0(x0hat)
     # unstable rollouts may overflow to inf; solve_ocp reports that as a
     # numerical failure, so silence the intermediate warning here
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
+        for k in range(prob.n_horizon):
             xs[k + 1] = eval_dynamics(prob.model, xs[k], zero_u)
-    return np.concatenate([xs.ravel(), np.zeros(n * prob.n_u)])
+    return y
 
 
 def warm_shift(prob: StackedProblem, y_prev, x0hat_new) -> Array:
@@ -170,14 +168,14 @@ def warm_shift(prob: StackedProblem, y_prev, x0hat_new) -> Array:
     overwritten with the new measurement.
     """
     y_prev = prob.check_y(y_prev)
-    x0 = prob.check_x0(x0hat_new)
-    n_x, n_u, n_s = prob.n_x, prob.n_u, prob.n_eq
+    xs_prev, us_prev = prob.states(y_prev), prob.inputs(y_prev)
     y = np.empty_like(y_prev)
-    y[:n_x] = x0
-    y[n_x:n_s - n_x] = y_prev[2 * n_x:n_s]
-    y[n_s - n_x:n_s] = eval_dynamics(prob.model, y_prev[n_s - n_x:n_s], y_prev[-n_u:])
-    y[n_s:-n_u] = y_prev[n_s + n_u:]
-    y[-n_u:] = y_prev[-n_u:]
+    xs, us = prob.states(y), prob.inputs(y)
+    xs[0] = prob.check_x0(x0hat_new)
+    xs[1:-1] = xs_prev[2:]
+    xs[-1] = eval_dynamics(prob.model, xs_prev[-1], us_prev[-1])
+    us[:-1] = us_prev[1:]
+    us[-1] = us_prev[-1]
     return y
 
 

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
-from .models import LpvModel
+from .models import LpvModel, _as_vector
 
 Array = np.ndarray
 
@@ -94,16 +94,6 @@ class KktPoint:
         return np.concatenate([self.y, self.lam])
 
 
-class QpLayout(NamedTuple):
-    """The flat indices of x0hat, w_k and B_k in ``condense``'s rollout X,
-    each in its value's shape, and the input weight blkdiag(R, ..., R)."""
-
-    x0: Array
-    w: Array
-    b: Array
-    r_block: Array
-
-
 class InverseWeights(NamedTuple):
     """The inverse weights of the range-space solve: ``x`` stacks
     W_k^-1 = (Q^-1, ..., Q^-1, P^-1) over the N+1 states and ``w`` is
@@ -127,10 +117,11 @@ def _spd_inverse(m: Array) -> Optional[Array]:
 class StackedProblem:
     """Immutable problem data for one horizon; all operations are pure.
 
-    The dimensions, the dense cost and initial-condition matrices, the
-    condensed QP layout ``qp_layout`` and the ``inverse_weights`` are
-    derived from the model, the weights and the horizon on first use and
-    cached, so they cannot disagree with them.
+    The dimensions, the dense cost and initial-condition matrices and
+    the ``inverse_weights`` are derived from the model, the weights and
+    the horizon on first use and cached, so they cannot disagree with
+    them.  ``states`` and ``inputs`` are the views of a decision vector's
+    state and input blocks.
     """
 
     model: LpvModel
@@ -162,18 +153,6 @@ class StackedProblem:
         c = np.zeros((self.n_eq, self.n_x))
         c[:self.n_x] = -np.eye(self.n_x)
         return c
-
-    @cached_property
-    def qp_layout(self) -> QpLayout:
-        """Where ``condense`` places x0hat, w_k and B_k, and the input weight."""
-        n, n_x, n_u = self.n_horizon, self.n_x, self.n_u
-        # flat offsets into the rollout X of shape (N+1, n_x, N n_u + 1)
-        n_col = n * n_u + 1
-        rows = np.arange(n + 1)[:, None] * (n_x * n_col) + np.arange(n_x)[None, :] * n_col
-        b_cols = np.arange(n)[:, None, None] * n_u + np.arange(n_u)[None, None, :]
-        r = scipy.linalg.block_diag(*[self.weights.R] * n)
-        return QpLayout(x0=rows[0] + n_col - 1, w=rows[1:] + n_col - 1,
-                        b=rows[1:, :, None] + b_cols, r_block=r)
 
     @cached_property
     def inverse_weights(self) -> Optional[InverseWeights]:
@@ -224,10 +203,7 @@ class StackedProblem:
         return y
 
     def check_x0(self, x0hat) -> Array:
-        x0 = np.atleast_1d(np.asarray(x0hat, dtype=float))
-        if x0.shape != (self.n_x,):
-            raise ValueError(f"initial state must have length {self.n_x}, got {x0.shape}")
-        return x0
+        return _as_vector(x0hat, self.n_x, "initial state")
 
     def rho_trajectory(self, y: Array) -> Array:
         """Scheduling parameters of the N stages of y, shape (N, n_rho)."""

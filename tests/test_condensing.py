@@ -77,24 +77,24 @@ def test_condensed_hessian_equals_dense_weight_product(unicycle_problem, variant
                         rtol=1e-13, atol=0.0)
 
 
-def test_replaced_problem_gets_its_own_layout(unicycle_problem, adip_problem):
-    # the layout and dimensions are cached per instance; a problem made by
-    # dataclasses.replace must derive its own, not inherit the original's
+def test_replaced_problem_condenses_with_its_own_weights(unicycle_problem, adip_problem):
+    # dimensions and weight matrices are cached per instance; a problem
+    # made by dataclasses.replace must derive its own, not inherit the
+    # original's
     base = q.StackedProblem.build(unicycle_problem.model, 3, unicycle_problem.weights)
-    cached = base.qp_layout
+    cached = base.weight_matrix
+    assert (base.n_x, base.n_u) == (unicycle_problem.n_x, unicycle_problem.n_u)
     w = base.weights
     r = np.array([[2.0, 0.7], [0.7, 1.5]])
     new_r = dataclasses.replace(base, weights=q.Weights(Q=w.Q, R=r, P=w.P))
     adip = dataclasses.replace(base, model=adip_problem.model, weights=adip_problem.weights)
-    assert base.qp_layout is cached
-    assert np.array_equal(cached.r_block, scipy.linalg.block_diag(*[w.R] * 3))
-    assert np.array_equal(new_r.qp_layout.r_block, scipy.linalg.block_diag(r, r, r))
+    assert base.weight_matrix is cached
     assert (adip.n_x, adip.n_u) == (adip_problem.n_x, adip_problem.n_u)
-    assert adip.qp_layout.b.shape == (3, adip.n_x, adip.n_u)
     rng = np.random.default_rng(6)
-    for prob in (new_r, adip):
+    for prob in (base, new_r, adip):
         stages = stage_data(prob, rng.normal(size=prob.n_y), "exact")
         qp = q.condense(prob, stages, rng.normal(size=prob.n_x))
+        assert qp.gamma.shape == (prob.n_eq, 3 * prob.n_u)
         n_s, dense = prob.n_eq, prob.weight_matrix
         ref = 2.0 * (qp.gamma.T @ (dense[:n_s, :n_s] @ qp.gamma) + dense[n_s:, n_s:])
         assert np.array_equal(qp.hess, 0.5 * (ref + ref.T))

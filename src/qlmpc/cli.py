@@ -160,7 +160,7 @@ def _json_safe(v):
     return v
 
 
-def write_trajectory_csv(path: Path, res: ScenarioResult, solve_means, prep_means) -> None:
+def write_trajectory_csv(path: Path, res: ScenarioResult, solve_s, prep_s) -> None:
     n_x = res.states.shape[1]
     n_u = res.inputs.shape[1]
     header = (["step"]
@@ -174,7 +174,7 @@ def write_trajectory_csv(path: Path, res: ScenarioResult, solve_means, prep_mean
                + [_fmt(v) for v in res.states[k]]
                + [_fmt(v) for v in res.inputs[k]]
                + [_fmt(res.dr[k]), "" if math.isnan(rc) else _fmt(rc)]
-               + [str(res.per_step[k].iterations), _fmt(solve_means[k]), _fmt(prep_means[k])])
+               + [str(res.per_step[k].iterations), _fmt(solve_s[k]), _fmt(prep_s[k])])
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -205,10 +205,14 @@ def run_simulate(cfg: RunConfig) -> int:
             if fail is not None:
                 break
             runs.append(stats)
-    times = [[[s.solve_time_s, s.prep_time_s, s.qp_time_s] for s in run] for run in runs]
-    solve_means, prep_means, qp_means = np.mean(np.reshape(times, (len(runs), -1, 3)), axis=0).T
+    # each step's times are those of its fastest repeat, so the first
+    # loop's cold start does not reach them and prep = solve - qp holds
+    times = np.reshape([[[s.solve_time_s, s.prep_time_s, s.qp_time_s] for s in run]
+                        for run in runs], (len(runs), -1, 3))
+    fastest = np.argmin(times[:, :, 0], axis=0)
+    solve_s, prep_s, qp_s = times[fastest, np.arange(times.shape[1])].T
 
-    write_trajectory_csv(csv_path, res, solve_means, prep_means)
+    write_trajectory_csv(csv_path, res, solve_s, prep_s)
 
     final_rcso = float(res.rcso[-1]) if res.rcso.size else math.nan
     summary = {
@@ -227,9 +231,9 @@ def run_simulate(cfg: RunConfig) -> int:
         "unconverged_steps": (None if scn.controller.mode == "real_time_single_iteration"
                               else sum(not s.converged for s in res.per_step)),
         "reference_unconverged_steps": sum(not s.converged for s in res.reference_per_step),
-        "solve_time_s": _time_stats(solve_means),
-        "prep_time_s": _time_stats(prep_means),
-        "qp_time_s": _time_stats(qp_means),
+        "solve_time_s": _time_stats(solve_s),
+        "prep_time_s": _time_stats(prep_s),
+        "qp_time_s": _time_stats(qp_s),
         "failed": res.failed,
         "failure_step": res.failure_step,
         "failure_message": res.failure_message,

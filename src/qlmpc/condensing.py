@@ -22,7 +22,9 @@ batched matrix products, one that adds the terms ``d`` stages back and,
 on every level but the last, one that doubles the transition products
 to ``2d`` stages.  The Hessian is ``h + h'`` with ``h = Gamma' (Wx Gamma)``
 plus blkdiag(R, ..., R).  The factorizations call LAPACK (``dpotrf``/
-``dpotrs``, ``dpbtrf``/``dpbtrs``) without scipy's checking wrappers.
+``dpotrs``, ``dpbtrf``/``dpbtrs``) without scipy's checking wrappers,
+from scipy's compiled LAPACK extension as ``_lapack`` loads it, so that
+``import qlmpc`` never imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from time import perf_counter
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
 
+from ._lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
 from .errors import SolverError
 from .stacked import (
     InverseWeights,

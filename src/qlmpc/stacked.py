@@ -30,8 +30,8 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import dpotrf, dpotrs
 from .errors import SolverError
 from .models import LpvModel, _as_vector
 
@@ -39,7 +39,13 @@ Array = np.ndarray
 
 VARIANTS = ("standard", "exact")
 
+# tolerances for entries of size <= 1; both scale with the largest entry
+_SYMMETRY_ATOL = 1e-12
 _PSD_EIG_FLOOR = -1e-10
+
+
+def _scale(m: Array) -> float:
+    return max(1.0, float(np.max(np.abs(m))))
 
 
 def _check_square_symmetric(m, n, what):
@@ -50,7 +56,7 @@ def _check_square_symmetric(m, n, what):
         raise ValueError(f"{what} must be {n}x{n}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} must be finite")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
+    if not np.allclose(m, m.T, rtol=0.0, atol=_SYMMETRY_ATOL * _scale(m)):
         raise ValueError(f"{what} must be symmetric")
     return 0.5 * (m + m.T)
 
@@ -59,7 +65,9 @@ def _check_square_symmetric(m, n, what):
 class Weights:
     """Stage, input and terminal cost matrices.
 
-    Q and P must be positive semidefinite, R positive definite.
+    Q and P must be positive semidefinite, R positive definite.  The
+    symmetry and semidefiniteness tolerances (1e-12 and -1e-10) scale
+    with a matrix's largest entry once that exceeds 1.
     """
 
     Q: Array
@@ -72,9 +80,9 @@ class Weights:
         q = _check_square_symmetric(self.Q, nq, "Q")
         r = _check_square_symmetric(self.R, nr, "R")
         p = _check_square_symmetric(self.P, nq, "P")
-        if np.linalg.eigvalsh(q).min() < _PSD_EIG_FLOOR:
+        if np.linalg.eigvalsh(q).min() < _PSD_EIG_FLOOR * _scale(q):
             raise ValueError("Q must be positive semidefinite")
-        if np.linalg.eigvalsh(p).min() < _PSD_EIG_FLOOR:
+        if np.linalg.eigvalsh(p).min() < _PSD_EIG_FLOOR * _scale(p):
             raise ValueError("P must be positive semidefinite")
         if np.linalg.eigvalsh(r).min() <= 0.0:
             raise ValueError("R must be positive definite")
@@ -105,12 +113,21 @@ class InverseWeights(NamedTuple):
 
 def _spd_inverse(m: Array) -> Optional[Array]:
     """The inverse of m from its Cholesky factor; None when m has none."""
-    try:
-        factor = scipy.linalg.cho_factor(m, lower=True)
-    except np.linalg.LinAlgError:
+    factor, info = dpotrf(m, lower=1, clean=0)
+    if info != 0:
         return None
-    inv = scipy.linalg.cho_solve(factor, np.eye(len(m)))
+    inv, _ = dpotrs(factor, np.eye(len(m)), lower=1)
     return 0.5 * (inv + inv.T)
+
+
+def _block_diag(blocks) -> Array:
+    """The block-diagonal matrix of the square ``blocks``."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2)
+    i = 0
+    for b in blocks:
+        out[i:i + len(b), i:i + len(b)] = b
+        i += len(b)
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,7 +162,7 @@ class StackedProblem:
     def weight_matrix(self) -> Array:
         """Block-diagonal cost matrix acting on y."""
         w, n = self.weights, self.n_horizon
-        return scipy.linalg.block_diag(*[w.Q] * n, w.P, *[w.R] * n)
+        return _block_diag([w.Q] * n + [w.P] + [w.R] * n)
 
     @cached_property
     def x0_map(self) -> Array:
@@ -163,7 +180,7 @@ class StackedProblem:
             return None
         x = np.empty((self.n_horizon + 1, self.n_x, self.n_x))
         x[:-1], x[-1] = q, p
-        return InverseWeights(x=x, w=scipy.linalg.block_diag(q, r))
+        return InverseWeights(x=x, w=_block_diag([q, r]))
 
     # -- layout helpers ----------------------------------------------------
 
@@ -458,6 +475,8 @@ def recover_multipliers(prob: StackedProblem, g_used, y) -> Array:
     squaring the conditioning); exact at a QP optimum because the
     stationarity system is consistent there.
     """
+    import scipy.linalg  # a test oracle's import, kept off ``import qlmpc``
+
     g = np.asarray(g_used, dtype=float)
     y = prob.check_y(y)
     if not np.all(np.isfinite(g)) or not np.all(np.isfinite(y)):

@@ -18,7 +18,7 @@ import qlmpc.diagnostics as diagnostics
 import qlmpc.solver as solver
 import qlmpc.stacked as stacked
 from qlmpc.cli import build_parser, main, make_scenario, resolve_config
-from qlmpc.closed_loop import PRESETS, Scenario
+from qlmpc.closed_loop import PRESETS, PerStepStats, Scenario
 from qlmpc.models import MODEL_IDS
 
 TINY_INLINE = {
@@ -420,6 +420,32 @@ class TestSimulateOutputs:
         assert set(summary["solve_time_s"]) == {"median", "min", "max"}
         assert summary["unconverged_steps"] == 0
         assert summary["reference_unconverged_steps"] == 0
+
+
+def test_simulate_reports_each_steps_fastest_repeat(tmp_path, monkeypatch):
+    # the two timing repeats after the simulated loop each hold the fastest
+    # solve of every other step; a mean over the repeats would be about 333 s
+    def stats(step, fast):
+        solve = (step + 1) * 1e-9 if fast else 1e3
+        qp = solve / 4.0
+        return PerStepStats(1, solve, solve - qp, qp, True)
+
+    repeats = iter([[stats(k, k % 2 == 0) for k in range(5)],
+                    [stats(k, k % 2 == 1) for k in range(5)]])
+    monkeypatch.setattr(cli, "run_control_loop",
+                        lambda *args: (None, None, next(repeats), None, None))
+    cfg = write_config(tmp_path, {**TINY_INLINE, "repeat": 3})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+    want = [stats(k, True) for k in range(5)]
+    with open(tmp_path / "res" / "toy_standard_trajectory.csv", newline="",
+              encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["solve_time_s"]) for r in rows] == [s.solve_time_s for s in want]
+    assert [float(r["prep_time_s"]) for r in rows] == [s.prep_time_s for s in want]
+    summary = json.loads((tmp_path / "res" / "toy_standard_summary.json").read_text())
+    for key in ("solve_time_s", "prep_time_s", "qp_time_s"):
+        times = [getattr(s, key) for s in want]
+        assert summary[key] == {"median": times[2], "min": times[0], "max": times[4]}
 
 
 def test_unicycle_csv_has_one_row_per_step(tmp_path):

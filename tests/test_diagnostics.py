@@ -251,12 +251,15 @@ class TestContractionFit:
         assert np.all(est.errors[1:] <= pred + 1e-10)
 
 
-def test_import_does_not_load_scipy_optimize():
+def test_import_skips_scipy_linalg_optimize_and_numpy_f2py_testing():
+    # qlmpc loads scipy's LAPACK extension itself; scipy.linalg's __init__
+    # would pull in numpy.f2py and numpy.testing through scipy's array-API layer
     src = Path(q.__file__).resolve().parents[1]
-    code = "import sys, qlmpc; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, qlmpc; print([m for m in ('scipy.linalg', 'scipy.optimize', "
+            "'numpy.f2py', 'numpy.testing') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_sqp_equivalence_helper(unicycle_problem, unicycle_x0):

@@ -40,6 +40,28 @@ class TestWeights:
         with pytest.raises(ValueError):
             q.Weights(Q=np.array([[1.0, 0.5], [0.0, 1.0]]), R=np.eye(1), P=np.eye(2))
 
+    def test_accepts_large_scale_weights(self):
+        # the tolerances scale with the entries: a rank-2 v v' with v ~ 1e4
+        # has zero eigenvalues that eigvalsh rounds to about -1e-8, and
+        # M' D M with D ~ 1e6 is asymmetric by about 1e-9
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            v = rng.normal(scale=1e4, size=(4, 2))
+            m = rng.normal(size=(4, 4))
+            spd = (m.T * 10.0 ** rng.uniform(5.0, 7.0, 4)) @ m
+            q.Weights(Q=v @ v.T, R=np.eye(1), P=np.eye(4))
+            q.Weights(Q=np.eye(4), R=spd, P=spd)
+
+    @pytest.mark.parametrize("which", ["Q", "P"])
+    def test_rejects_large_scale_indefinite_and_asymmetric(self, which):
+        bad = {"indefinite": 1e8 * np.diag([1.0, -1e-6]),
+               "asymmetric": 1e6 * np.array([[1.0, 1e-6], [0.0, 1.0]])}
+        for what, m in bad.items():
+            weights = {"Q": np.eye(2), "R": np.eye(1), "P": np.eye(2), which: m}
+            with pytest.raises(ValueError, match="semidefinite" if what == "indefinite"
+                               else "symmetric"):
+                q.Weights(**weights)
+
 
 def test_direct_construction_checks_horizon(unit_weights):
     with pytest.raises(ValueError, match="horizon"):

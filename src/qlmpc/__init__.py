@@ -4,6 +4,10 @@ Provides the standard (suboptimal) and exact (Gauss-Newton SQP
 equivalent) iteration variants, a range-space QP solve with a condensed
 fallback, closed-loop benchmark scenarios, and numerical verification of
 the convergence and suboptimality properties of the scheme.
+
+The top level is the solver's API. The QP internals live in
+``qlmpc.condensing``, the dense stacked test oracles in
+``qlmpc.stacked`` and the model factories in ``qlmpc.models``.
 """
 
 from .closed_loop import (
@@ -16,7 +20,6 @@ from .closed_loop import (
     run_control_loop,
     simulate,
 )
-from .condensing import CondensedQp, condense, expand, solve_condensed
 from .diagnostics import (
     ContractionEstimate,
     PerturbationReport,
@@ -25,15 +28,7 @@ from .diagnostics import (
     verify_fixpoint_perturbation,
 )
 from .errors import ConfigError, QlmpcError, SolverError
-from .models import (
-    LpvModel,
-    ModelDims,
-    builtin_adip,
-    builtin_tiny,
-    builtin_unicycle,
-    eval_dynamics,
-    get_model,
-)
+from .models import LpvModel, ModelDims, eval_dynamics, get_model
 from .solver import (
     IterateTrace,
     SolverOptions,
@@ -42,28 +37,12 @@ from .solver import (
     solve_ocp,
     warm_shift,
 )
-from .stacked import (
-    KktPoint,
-    StackedProblem,
-    Weights,
-    constraint_matrix,
-    cost_perturbation,
-    coupling_correction,
-    fd_jacobian,
-    fonc_jacobian,
-    fonc_residual,
-    kkt_matrix,
-    linearized_constraint,
-    recover_multipliers,
-    sqp_step,
-    true_fonc_residual,
-)
+from .stacked import KktPoint, StackedProblem, Weights
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "CondensedQp",
     "ContractionEstimate",
     "IterateTrace",
     "KktPoint",
@@ -78,35 +57,18 @@ __all__ = [
     "SolverOptions",
     "StackedProblem",
     "Weights",
-    "builtin_adip",
     "builtin_scenario",
-    "builtin_tiny",
-    "builtin_unicycle",
-    "condense",
-    "constraint_matrix",
     "contraction_fit",
-    "cost_perturbation",
-    "coupling_correction",
     "dr_series",
     "eval_dynamics",
-    "expand",
-    "fd_jacobian",
-    "fonc_jacobian",
-    "fonc_residual",
     "get_model",
     "initial_guess",
-    "kkt_matrix",
-    "linearized_constraint",
     "qlmpc_iterate",
     "rcso",
-    "recover_multipliers",
     "run_control_loop",
     "simulate",
-    "solve_condensed",
     "solve_ocp",
     "sqp_equivalence_max_deviation",
-    "sqp_step",
-    "true_fonc_residual",
     "verify_fixpoint_perturbation",
     "warm_shift",
 ]

@@ -58,7 +58,8 @@ class RunConfig:
     out: str = "results"
 
     def __post_init__(self):
-        self.mode = _MODE_ALIASES.get(self.mode, self.mode)
+        if isinstance(self.mode, str):
+            self.mode = _MODE_ALIASES.get(self.mode, self.mode)
         if not _is_int(self.repeat) or self.repeat < 1:
             raise ConfigError(f"repeat must be an integer >= 1, got {self.repeat!r}")
         if not _is_int(self.seed) or self.seed < 0:
@@ -102,14 +103,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"QLMPC_SEED must be an integer, got {env_seed!r}") from exc
 
-    try:
-        return RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**merged)
 
 
 def make_scenario(cfg: RunConfig) -> Scenario:
-    return builtin_scenario(cfg.scenario, variant=cfg.variant or "standard", mode=cfg.mode,
+    return builtin_scenario(cfg.scenario, variant=cfg.variant, mode=cfg.mode,
                             stop_tol=cfg.tol, max_iter=cfg.max_iter)
 
 
@@ -262,45 +260,55 @@ def run_diagnose(cfg: RunConfig) -> int:
     prob = scn.problem
     [report_path] = _out_paths(cfg, f"{scn.name}_diagnostics.json")
     # one residual-stopped solve serves every check: each reads the prefix
-    # its own (tol, max_iter) solve would return
+    # its own (tol, max_iter) solve would return; an overflow shows up as a
+    # non-finite number below, so it raises no warning on the way
     fit_tol = cfg.tol if cfg.tol is not None else 1e-6
-    trace = certificate_trace(prob, scn.x0, initial_guess(prob, scn.x0),
-                              min(fit_tol, 1e-12), 400)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = certificate_trace(prob, scn.x0, initial_guess(prob, scn.x0),
+                                  min(fit_tol, 1e-12), 400)
 
-    # multiplier-recovery accuracy bounds the reachable residual; fall
-    # back one decade at a time if 1e-10 sits below that floor
-    tight_tol = next((tol for tol in (1e-10, 1e-9, 1e-8)
-                      if _solve_prefix(trace, tol, 300).converged), None)
-    if tight_tol is None:
-        raise SolverError("standard variant did not converge to tol 1e-8 at the first timestep")
-    report = verify_fixpoint_perturbation(prob, _solve_prefix(trace, tight_tol, 300), scn.x0)
+        # multiplier-recovery accuracy bounds the reachable residual; fall
+        # back one decade at a time if 1e-10 sits below that floor
+        tight_tol = next((tol for tol in (1e-10, 1e-9, 1e-8)
+                          if _solve_prefix(trace, tol, 300).converged), None)
+        if tight_tol is None:
+            raise SolverError("standard variant did not converge to tol 1e-8 at the first timestep")
+        report = verify_fixpoint_perturbation(prob, _solve_prefix(trace, tight_tol, 300), scn.x0)
 
-    # pad a one-step solve (LTI degeneration) with iterates at the fixpoint
-    fit_trace = _solve_prefix(trace, fit_tol, 100)
-    while len(fit_trace.iterates) < 3:
-        fit_trace.iterates.append(_step(fit_trace.iterates[-1]))
-    ref_trace = _solve_prefix(trace, 1e-12, 400)
-    estimate = contraction_fit(fit_trace, ref_trace.final)
+        # pad a one-step solve (LTI degeneration) with iterates at the fixpoint
+        fit_trace = _solve_prefix(trace, fit_tol, 100)
+        while len(fit_trace.iterates) < 3:
+            fit_trace.iterates.append(_step(fit_trace.iterates[-1]))
+        ref_trace = _solve_prefix(trace, 1e-12, 400)
+        estimate = contraction_fit(fit_trace, ref_trace.final)
 
-    sqp_dev = sqp_equivalence_max_deviation(prob, scn.x0, seed=cfg.seed)
+        sqp_dev = sqp_equivalence_max_deviation(prob, scn.x0, seed=cfg.seed)
 
-    payload = {
-        "scenario": scn.name,
-        "model": scn.model_id,
-        "seed": cfg.seed,
-        "fixpoint_tol": tight_tol,
-        "e_norm_inf": float(np.max(np.abs(report.e), initial=0.0)),
-        "identity_error_inf": report.identity_error_inf,
-        "feasibility_residual_inf": report.feasibility_residual_inf,
-        "kappa_hat": estimate.kappa_hat,
-        "omega_hat": estimate.omega_hat,
-        "radius_bound": estimate.radius_bound,
-        "fit_residual_inf": estimate.fit_residual_inf,
-        "contraction_errors": estimate.errors,
-        "contraction_reference_converged": ref_trace.converged,
-        "sqp_equivalence_max_dev": sqp_dev,
-        "note": prob.model.note,
-    }
+        payload = {
+            "scenario": scn.name,
+            "model": scn.model_id,
+            "seed": cfg.seed,
+            "fixpoint_tol": tight_tol,
+            "e_norm_inf": float(np.max(np.abs(report.e), initial=0.0)),
+            "identity_error_inf": report.identity_error_inf,
+            "feasibility_residual_inf": report.feasibility_residual_inf,
+            "kappa_hat": estimate.kappa_hat,
+            "omega_hat": estimate.omega_hat,
+            "radius_bound": estimate.radius_bound,
+            "fit_residual_inf": estimate.fit_residual_inf,
+            "contraction_errors": estimate.errors,
+            "contraction_reference_converged": ref_trace.converged,
+            "sqp_equivalence_max_dev": sqp_dev,
+            "note": prob.model.note,
+        }
+    # every number of a report is finite, but the radius bound, which is
+    # infinite (written as null) when the fit finds no quadratic term
+    bad = [key for key, value in payload.items()
+           if key not in ("scenario", "model", "note")
+           and not (key == "radius_bound" and estimate.omega_hat == 0.0)
+           and not np.all(np.isfinite(value))]
+    if bad:
+        raise SolverError(f"diagnostics are not finite: {', '.join(bad)}")
     report_path.write_text(
         json.dumps(_json_safe(payload), indent=2) + "\n", encoding="utf-8", newline="\n")
     return EXIT_OK

@@ -225,7 +225,7 @@ def _weight_matrix(value, what: str) -> Array:
     raise ConfigError(f"{what} must be a scalar, vector (diagonal) or matrix")
 
 
-def builtin_scenario(scenario, variant: str = "standard", mode: Optional[str] = None,
+def builtin_scenario(scenario, variant: Optional[str] = None, mode: Optional[str] = None,
                      stop_tol: Optional[float] = None, max_iter: Optional[int] = None) -> Scenario:
     """Build a scenario from a preset name or an inline scenario object.
 
@@ -245,11 +245,10 @@ def builtin_scenario(scenario, variant: str = "standard", mode: Optional[str] = 
         fields, default_mode = dict(scenario), "converge"
     else:
         raise ConfigError("scenario must be a builtin name or an inline object")
-    given = dict(mode=mode if mode is not None else default_mode,
+    given = dict(variant=variant, mode=mode if mode is not None else default_mode,
                  stop_tol=stop_tol, max_iter=max_iter)
     try:
-        controller = SolverOptions(variant=variant,
-                                   **{k: v for k, v in given.items() if v is not None})
+        controller = SolverOptions(**{k: v for k, v in given.items() if v is not None})
         model_id = fields.pop("model")
         x0 = np.asarray(fields.pop("x0"), dtype=float)
         steps = fields.pop("steps")

@@ -112,9 +112,9 @@ def condense(prob: StackedProblem, stages, x0hat) -> CondensedQp:
         hess = gamma.T @ wx_gamma
         np.einsum("kikj->kij", hess.reshape(n, n_u, n, n_u))[...] += prob.weights.R
         hess = hess + hess.T
-        # Gamma' (Wx free) is the same gradient, but it rounds differently
-        # enough to move the fixpoint tolerance and contraction rate that
-        # diagnose reports, so the gradient stays (Wx Gamma)' free
+        # the gradient reuses Wx Gamma, which the Hessian needs anyway;
+        # Gamma' (Wx free) is the same vector but rounds differently, so it
+        # would move the solution of every QP that condensing solves
         grad = 2.0 * (wx_gamma.T @ free)
     return CondensedQp(gamma=gamma, free=free, hess=hess, grad=grad)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 import qlmpc as q
+import qlmpc.models as models
 from qlmpc.closed_loop import REFERENCE_OPTIONS
 
 # a failing property prints a @reproduce_failure blob: printed floats can
@@ -20,12 +21,12 @@ def unit_weights():
 
 @pytest.fixture(scope="session")
 def tiny_lti_problem(unit_weights):
-    return q.StackedProblem.build(q.builtin_tiny("lti"), 1, unit_weights)
+    return q.StackedProblem.build(models.builtin_tiny("lti"), 1, unit_weights)
 
 
 @pytest.fixture(scope="session")
 def tiny_qlpv_problem(unit_weights):
-    return q.StackedProblem.build(q.builtin_tiny("qlpv"), 1, unit_weights)
+    return q.StackedProblem.build(models.builtin_tiny("qlpv"), 1, unit_weights)
 
 
 @pytest.fixture(scope="session")

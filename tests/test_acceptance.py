@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 import qlmpc as q
+import qlmpc.condensing as condensing
+import qlmpc.models as models
+import qlmpc.stacked as stacked
 
 ALL_MODEL_IDS = ["unicycle", "adip", "tiny-lti", "tiny-qlpv"]
 
@@ -35,7 +38,7 @@ def test_criterion_2_sqp_equivalence(unicycle_problem, unicycle_x0):
     for _ in range(50):
         z = q.KktPoint(rng.standard_normal(unicycle_problem.n_y),
                        rng.standard_normal(unicycle_problem.n_eq))
-        a = q.sqp_step(unicycle_problem, z, unicycle_x0)
+        a = stacked.sqp_step(unicycle_problem, z, unicycle_x0)
         b = q.qlmpc_iterate(unicycle_problem, z, unicycle_x0, "exact")
         dev = np.abs(a.stack() - b.stack()).max() / (1.0 + np.abs(z.stack()).max())
         worst = max(worst, dev)
@@ -54,7 +57,7 @@ def test_criterion_3_perturbed_fixpoint_identity(unicycle_problem, unicycle_x0,
     tr_tiny = q.solve_ocp(tiny_qlpv_problem, [0.5],
                           q.initial_guess(tiny_qlpv_problem, [0.5]),
                           q.SolverOptions(variant="standard", stop_tol=1e-12))
-    e_tiny = q.cost_perturbation(tiny_qlpv_problem, tr_tiny.final.y, tr_tiny.final.lam)
+    e_tiny = stacked.cost_perturbation(tiny_qlpv_problem, tr_tiny.final.y, tr_tiny.final.lam)
     tiny_err = np.abs(e_tiny - np.array([-0.125, 0.0, 0.0])).max()
 
     ok = (tr.converged and rep.identity_error_inf <= 1e-8
@@ -88,7 +91,7 @@ def test_criterion_4_contraction_fit(scenario, request):
 
 
 def test_criterion_5_lti_degeneration():
-    m = q.builtin_tiny("lti")
+    m = models.builtin_tiny("lti")
     prob = q.StackedProblem.build(m, 3, q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
     iters = {}
     perturbations = {}
@@ -97,9 +100,9 @@ def test_criterion_5_lti_degeneration():
                          q.SolverOptions(variant=variant, stop_tol=1e-8))
         iters[variant] = (tr.converged, tr.iterations)
         perturbations[variant] = np.abs(
-            q.cost_perturbation(prob, tr.final.y, tr.final.lam)).max()
+            stacked.cost_perturbation(prob, tr.final.y, tr.final.lam)).max()
     rng = np.random.default_rng(1)
-    delta_max = max(np.abs(q.coupling_correction(prob, rng.normal(size=prob.n_y))).max()
+    delta_max = max(np.abs(stacked.coupling_correction(prob, rng.normal(size=prob.n_y))).max()
                     for _ in range(10))
     ok = (all(v == (True, 1) for v in iters.values())
           and delta_max == 0.0
@@ -122,10 +125,10 @@ def test_criterion_6_jacobian_oracle():
             z = q.KktPoint(rng.standard_normal(prob.n_y), rng.standard_normal(prob.n_eq))
 
             def residual(v):
-                return q.fonc_residual(prob, q.KktPoint(v[:prob.n_y], v[prob.n_y:]), x0)
+                return stacked.fonc_residual(prob, q.KktPoint(v[:prob.n_y], v[prob.n_y:]), x0)
 
-            j_fd = q.fd_jacobian(residual, z.stack(), 1e-6)
-            j = q.fonc_jacobian(prob, z)
+            j_fd = stacked.fd_jacobian(residual, z.stack(), 1e-6)
+            j = stacked.fonc_jacobian(prob, z)
             worst = max(worst, np.abs(j - j_fd).max() / max(1.0, np.abs(j_fd).max()))
     _verdict(6, worst <= 1e-5,
              f"exact Jacobian vs finite differences over 4 models x 20 points: "
@@ -142,10 +145,10 @@ def test_criterion_7_condensed_stacked_equivalence():
         prob = q.StackedProblem.build(m, 5, w)
         rho_traj = rng.normal(size=(5, m.dims.n_rho))
         x0 = rng.normal(size=m.dims.n_x)
-        qp = q.condense(prob, rho_traj, x0)
-        y = q.expand(qp, q.solve_condensed(qp))
-        g = q.constraint_matrix(prob, rho_traj)
-        lam = q.recover_multipliers(prob, g, y)
+        qp = condensing.condense(prob, rho_traj, x0)
+        y = condensing.expand(qp, condensing.solve_condensed(qp))
+        g = stacked.constraint_matrix(prob, rho_traj)
+        lam = stacked.recover_multipliers(prob, g, y)
         stat = 2.0 * prob.weight_matrix @ y + g.T @ lam
         feas = g @ y + prob.x0_map @ x0
         worst = max(worst, np.abs(stat).max(), np.abs(feas).max())

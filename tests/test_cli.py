@@ -3,6 +3,8 @@ import dataclasses
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import qlmpc as q
 import qlmpc.cli as cli
 import qlmpc.diagnostics as diagnostics
+import qlmpc.models as models
 import qlmpc.solver as solver
 import qlmpc.stacked as stacked
 from qlmpc.cli import build_parser, main, make_scenario, resolve_config
@@ -146,8 +149,14 @@ class TestExitCodes:
         ("tol", True),
         ("tol", math.inf),
         ("q", [[[1.0]]]),
+        # a falsy variant is no default, and a mode is looked up as a name only
+        ("variant", ""),
+        ("variant", False),
+        ("variant", []),
+        ("mode", []),
     ], ids=["repeat", "out", "steps", "horizon", "max_iter", "x0", "repeat-true", "steps-true",
-            "horizon-true", "max_iter-true", "seed-true", "tol-true", "tol-inf", "q-3d"])
+            "horizon-true", "max_iter-true", "seed-true", "tol-true", "tol-inf", "q-3d",
+            "variant-empty", "variant-false", "variant-list", "mode-list"])
     def test_wrong_value_type_writes_nothing(self, tmp_path, monkeypatch, capsys, key, value):
         monkeypatch.chdir(tmp_path)
         payload = json.loads(json.dumps(TINY_INLINE))
@@ -219,6 +228,23 @@ class TestExitCodes:
         out = tmp_path / "res"
         assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
         assert "initial state must have length 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload,message", [
+        ([1, 2], "must contain a JSON object"),
+        ({"scenario": dict(TINY_INLINE["scenario"], color="red")},
+         "unknown inline scenario keys: ['color']"),
+        ({"scenario": {k: v for k, v in TINY_INLINE["scenario"].items() if k != "p"}},
+         "inline scenario is missing field 'p'"),
+        ({"scenario": 5}, "scenario must be a builtin name or an inline object"),
+        ({"scenario": dict(PRESETS["unicycle"][0], p=[1.0, 1.0, 1.0])}, "P must be 5x5"),
+    ], ids=["file-holds-list", "unknown-inline-key", "missing-p", "scenario-number",
+            "unicycle-p-of-3"])
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_config_error_writes_nothing(self, tmp_path, capsys, command, payload, message):
+        out = tmp_path / "res"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_max_iter_zero(self, tmp_path):
@@ -369,6 +395,69 @@ def test_simulate_exit_code_contract(config):
                     assert key in nulls, key
                 elif isinstance(v, (int, float)):
                     assert math.isfinite(v), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(inline_configs())
+@example({"scenario": {"model": "tiny-lti", "x0": [1e300], "steps": 2, "horizon": 2,
+                       "q": 1e8, "r": 1.0, "p": 1e8, "name": "fuzz"}})
+@example({"scenario": {"model": "tiny-qlpv", "x0": [-1.2712454514816378e-153], "steps": 3,
+                       "horizon": 2, "q": 2.7669212212565014e-05, "r": 32.86883953626763,
+                       "p": 0.0, "name": "fuzz"}})
+@example({"scenario": {"model": "unicycle",
+                       "x0": [-1.3383550991536285e-31, 6.650343907690095e-47,
+                              1.1896928721075422e+293, 5.402748845718895e-42,
+                              2.0642836191687925e-262],
+                       "steps": 3, "horizon": 1,
+                       "q": [0.16818555124294865, 7.990327587037057e-07,
+                             0.00012696230373505465, 89670154.5369308, 94.32815511823654],
+                       "r": [4.7214460444596816e-07, 0.21603729441950575],
+                       "p": [5.524083022390191, 4.7417703013920886e-07, 0.0,
+                             2.368275779107666e-06, 163.61259158372945],
+                       "name": "fuzz"}})
+@example({"scenario": {"model": "tiny-qlpv", "x0": [1.2], "steps": 5, "horizon": 5,
+                       "q": 0.01, "r": 1.0, "p": 0.01, "name": "fuzz"}})
+def test_diagnose_exit_code_contract(config):
+    # exit 0 writes a report of finite numbers, 2 and 3 write none, and no
+    # warning escapes on the way.  The examples all exit 3: multiplier
+    # corrections that overflow, an omega fit that overflows, a cost
+    # perturbation that overflows, and a scenario without a fixpoint
+    config = {"scenario": config["scenario"]}  # diagnose runs its own standard solve
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = write_config(Path(tmp), config), Path(tmp) / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["diagnose", "--config", cfg, "--out", str(out)])
+        assert code in (0, 2, 3)
+        written = sorted(out.iterdir()) if out.exists() else []
+        if code != 0:
+            assert written == []
+            return
+        report = json.loads((out / "fuzz_diagnostics.json").read_text())
+        # README's nulls: the model note, and the radius bound of a fit
+        # without a quadratic term
+        nulls = {"note"} | ({"radius_bound"} if report["omega_hat"] == 0.0 else set())
+        for key, value in report.items():
+            for v in value if isinstance(value, list) else [value]:
+                if v is None:
+                    assert key in nulls, key
+                elif isinstance(v, (int, float)):
+                    assert math.isfinite(v), key
+
+
+def test_python_m_qlmpc_runs_the_console_entry_point(tmp_path):
+    # every other test calls cli.main; this one runs __main__ and console_main
+    src = Path(q.__file__).resolve().parents[1]
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "qlmpc", *args], cwd=src,
+                              capture_output=True, text=True)
+
+    ok = run("simulate", "--scenario", "tiny-lti", "--repeat", "1", "--out", str(tmp_path))
+    assert ok.returncode == 0, ok.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "tiny-lti_standard_summary.json", "tiny-lti_standard_trajectory.csv"]
+    assert run("simulate", "--variant", "quick").returncode == 2
 
 
 @pytest.fixture(scope="module")
@@ -523,7 +612,7 @@ class TestDiagnose:
 
 
 def _tiny_qlpv_horizon_2():
-    prob = q.StackedProblem.build(q.builtin_tiny("qlpv"), 2,
+    prob = q.StackedProblem.build(models.builtin_tiny("qlpv"), 2,
                                   q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
     return prob, np.array([0.8])
 

@@ -6,6 +6,8 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import qlmpc as q
+import qlmpc.condensing as condensing
+import qlmpc.stacked as stacked
 from qlmpc.condensing import _normal_band, stage_multipliers
 from qlmpc.stacked import StageData, stage_data, stage_stationarity
 
@@ -30,7 +32,7 @@ def gaussian_elimination(a, b):
 
 
 def test_condense_tiny_lti(tiny_lti_problem):
-    qp = q.condense(tiny_lti_problem, np.zeros((1, 1)), [1.0])
+    qp = condensing.condense(tiny_lti_problem, np.zeros((1, 1)), [1.0])
     assert_allclose(qp.hess, [[4.0]])
     assert_allclose(qp.grad, [2.0])
     assert_allclose(qp.gamma, [[0.0], [1.0]])
@@ -38,21 +40,21 @@ def test_condense_tiny_lti(tiny_lti_problem):
 
 
 def test_condense_zero_initial_state(tiny_lti_problem):
-    qp = q.condense(tiny_lti_problem, np.zeros((1, 1)), [0.0])
+    qp = condensing.condense(tiny_lti_problem, np.zeros((1, 1)), [0.0])
     assert_allclose(qp.grad, [0.0])
-    assert_allclose(q.solve_condensed(qp), [0.0])
+    assert_allclose(condensing.solve_condensed(qp), [0.0])
 
 
 def test_condense_unicycle_shape_and_pd(unicycle_problem):
     rng = np.random.default_rng(0)
-    qp = q.condense(unicycle_problem, rng.normal(size=(20, 1)), rng.normal(size=5))
+    qp = condensing.condense(unicycle_problem, rng.normal(size=(20, 1)), rng.normal(size=5))
     assert qp.hess.shape == (40, 40)
     assert np.linalg.eigvalsh(qp.hess).min() > 0.0
 
 
 def test_condense_adip_pd(adip_problem, adip_x0):
     rho_traj = adip_problem.rho_trajectory(q.initial_guess(adip_problem, adip_x0))
-    qp = q.condense(adip_problem, rho_traj, adip_x0)
+    qp = condensing.condense(adip_problem, rho_traj, adip_x0)
     assert np.linalg.eigvalsh(qp.hess).min() > 0.0
 
 
@@ -69,7 +71,7 @@ def test_condensed_hessian_equals_dense_weight_product(unicycle_problem, variant
                                       q.Weights(Q=w.Q, R=r, P=w.P))
         rng = np.random.default_rng(4)
         stages = stage_data(prob, rng.normal(size=prob.n_y), variant)
-        qp = q.condense(prob, stages, rng.normal(size=prob.n_x))
+        qp = condensing.condense(prob, stages, rng.normal(size=prob.n_x))
         n_s, dense = prob.n_eq, prob.weight_matrix
         ref = 2.0 * (qp.gamma.T @ (dense[:n_s, :n_s] @ qp.gamma) + dense[n_s:, n_s:])
         assert np.array_equal(qp.hess, 0.5 * (ref + ref.T))
@@ -93,7 +95,7 @@ def test_replaced_problem_condenses_with_its_own_weights(unicycle_problem, adip_
     rng = np.random.default_rng(6)
     for prob in (base, new_r, adip):
         stages = stage_data(prob, rng.normal(size=prob.n_y), "exact")
-        qp = q.condense(prob, stages, rng.normal(size=prob.n_x))
+        qp = condensing.condense(prob, stages, rng.normal(size=prob.n_x))
         assert qp.gamma.shape == (prob.n_eq, 3 * prob.n_u)
         n_s, dense = prob.n_eq, prob.weight_matrix
         ref = 2.0 * (qp.gamma.T @ (dense[:n_s, :n_s] @ qp.gamma) + dense[n_s:, n_s:])
@@ -101,10 +103,10 @@ def test_replaced_problem_condenses_with_its_own_weights(unicycle_problem, adip_
 
 
 def test_solve_condensed_tiny_lti(tiny_lti_problem):
-    qp = q.condense(tiny_lti_problem, np.zeros((1, 1)), [1.0])
-    u = q.solve_condensed(qp)
+    qp = condensing.condense(tiny_lti_problem, np.zeros((1, 1)), [1.0])
+    u = condensing.solve_condensed(qp)
     assert_allclose(u, [-0.5])
-    y = q.expand(qp, u)
+    y = condensing.expand(qp, u)
     assert_allclose(y, [1.0, 0.5, -0.5])
 
 
@@ -115,57 +117,63 @@ def test_solve_condensed_against_gaussian_elimination():
         m = rng.normal(size=(n, n))
         hess = m @ m.T + n * np.eye(n)
         grad = rng.normal(size=n)
-        qp = q.CondensedQp(gamma=np.zeros((1, n)), free=np.zeros(1), hess=hess, grad=grad)
-        u = q.solve_condensed(qp)
+        qp = condensing.CondensedQp(gamma=np.zeros((1, n)), free=np.zeros(1), hess=hess, grad=grad)
+        u = condensing.solve_condensed(qp)
         assert_allclose(u, gaussian_elimination(hess, -grad), atol=1e-12, rtol=1e-12)
 
 
 def test_solve_condensed_rejects_indefinite():
-    qp = q.CondensedQp(gamma=np.zeros((1, 2)), free=np.zeros(1),
+    qp = condensing.CondensedQp(gamma=np.zeros((1, 2)), free=np.zeros(1),
                        hess=np.diag([1.0, -1.0]), grad=np.zeros(2))
     with pytest.raises(q.SolverError) as err:
-        q.solve_condensed(qp)
+        condensing.solve_condensed(qp)
     assert err.value.min_eigenvalue == pytest.approx(-1.0)
 
 
 def test_solve_condensed_rejects_nonfinite():
-    qp = q.CondensedQp(gamma=np.zeros((1, 1)), free=np.zeros(1),
+    qp = condensing.CondensedQp(gamma=np.zeros((1, 1)), free=np.zeros(1),
                        hess=np.array([[np.nan]]), grad=np.zeros(1))
     with pytest.raises(q.SolverError):
-        q.solve_condensed(qp)
+        condensing.solve_condensed(qp)
 
 
 def test_expand_feasibility(unicycle_problem):
     rng = np.random.default_rng(1)
     rho_traj = rng.normal(size=(20, 1))
     x0 = rng.normal(size=5)
-    qp = q.condense(unicycle_problem, rho_traj, x0)
-    y = q.expand(qp, q.solve_condensed(qp))
-    g = q.constraint_matrix(unicycle_problem, rho_traj)
+    qp = condensing.condense(unicycle_problem, rho_traj, x0)
+    y = condensing.expand(qp, condensing.solve_condensed(qp))
+    g = stacked.constraint_matrix(unicycle_problem, rho_traj)
     resid = g @ y + unicycle_problem.x0_map @ x0
     assert np.abs(resid).max() <= 1e-10
 
 
 def test_expand_zero_input_zero_state(tiny_lti_problem):
-    qp = q.condense(tiny_lti_problem, np.zeros((1, 1)), [0.0])
-    assert np.all(q.expand(qp, np.zeros(1)) == 0.0)
+    qp = condensing.condense(tiny_lti_problem, np.zeros((1, 1)), [0.0])
+    assert np.all(condensing.expand(qp, np.zeros(1)) == 0.0)
+
+
+def test_expand_rejects_wrong_length_input(unicycle_problem):
+    qp = condensing.condense(unicycle_problem, np.zeros((20, 1)), np.zeros(5))
+    with pytest.raises(ValueError, match=r"input trajectory must have length 40, got \(39,\)"):
+        condensing.expand(qp, np.zeros(39))
 
 
 def test_recover_multipliers_tiny_lti(tiny_lti_problem):
-    g = q.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
-    lam = q.recover_multipliers(tiny_lti_problem, g, np.array([1.0, 0.5, -0.5]))
+    g = stacked.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
+    lam = stacked.recover_multipliers(tiny_lti_problem, g, np.array([1.0, 0.5, -0.5]))
     assert_allclose(lam, [-3.0, -1.0], atol=1e-12)
 
 
 def test_recover_multipliers_zero_point(tiny_lti_problem):
-    g = q.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
-    assert_allclose(q.recover_multipliers(tiny_lti_problem, g, np.zeros(3)), np.zeros(2))
+    g = stacked.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
+    assert_allclose(stacked.recover_multipliers(tiny_lti_problem, g, np.zeros(3)), np.zeros(2))
 
 
 def test_recover_multipliers_rank_deficient(tiny_lti_problem):
     g = np.zeros((2, 3))
     with pytest.raises(q.SolverError) as err:
-        q.recover_multipliers(tiny_lti_problem, g, np.zeros(3))
+        stacked.recover_multipliers(tiny_lti_problem, g, np.zeros(3))
     assert err.value.smallest_singular_value == pytest.approx(0.0)
 
 
@@ -180,10 +188,10 @@ def test_condensed_matches_dense_kkt_solve(name, horizon):
     for _ in range(20):
         rho_traj = rng.normal(size=(horizon, m.dims.n_rho))
         x0 = rng.normal(size=m.dims.n_x)
-        qp = q.condense(prob, rho_traj, x0)
-        y = q.expand(qp, q.solve_condensed(qp))
-        g = q.constraint_matrix(prob, rho_traj)
-        lam = q.recover_multipliers(prob, g, y)
+        qp = condensing.condense(prob, rho_traj, x0)
+        y = condensing.expand(qp, condensing.solve_condensed(qp))
+        g = stacked.constraint_matrix(prob, rho_traj)
+        lam = stacked.recover_multipliers(prob, g, y)
 
         n_y, n_eq = prob.n_y, prob.n_eq
         kkt = np.zeros((n_y + n_eq, n_y + n_eq))
@@ -206,8 +214,9 @@ def test_condense_from_stages_equals_condense_from_rho(unicycle_problem):
     rng = np.random.default_rng(2)
     y = rng.normal(size=unicycle_problem.n_y)
     x0 = rng.normal(size=5)
-    qp_rho = q.condense(unicycle_problem, unicycle_problem.rho_trajectory(y), x0)
-    qp_stages = q.condense(unicycle_problem, stage_data(unicycle_problem, y, "standard"), x0)
+    qp_rho = condensing.condense(unicycle_problem, unicycle_problem.rho_trajectory(y), x0)
+    qp_stages = condensing.condense(unicycle_problem,
+                                    stage_data(unicycle_problem, y, "standard"), x0)
     assert_allclose(qp_rho.hess, qp_stages.hess)
     assert_allclose(qp_rho.grad, qp_stages.grad)
     assert_allclose(qp_rho.gamma, qp_stages.gamma)
@@ -219,12 +228,12 @@ def test_condense_exact_offset_shifts_prediction(tiny_qlpv_problem):
     # linearized constraint is the feasibility oracle
     y_lin = np.array([0.5, 0.25, 0.0])
     stages = stage_data(tiny_qlpv_problem, y_lin, "exact")
-    qp = q.condense(tiny_qlpv_problem, stages, [0.5])
+    qp = condensing.condense(tiny_qlpv_problem, stages, [0.5])
     no_offset = StageData(stages.a, stages.b, np.zeros_like(stages.w))
-    qp_no_offset = q.condense(tiny_qlpv_problem, no_offset, [0.5])
+    qp_no_offset = condensing.condense(tiny_qlpv_problem, no_offset, [0.5])
     assert np.any(qp.free != qp_no_offset.free)
-    y = q.expand(qp, q.solve_condensed(qp))
-    jac, dist = q.linearized_constraint(tiny_qlpv_problem, y_lin)
+    y = condensing.expand(qp, condensing.solve_condensed(qp))
+    jac, dist = stacked.linearized_constraint(tiny_qlpv_problem, y_lin)
     resid = jac @ y + dist @ y_lin + tiny_qlpv_problem.x0_map @ np.array([0.5])
     assert np.abs(resid).max() <= 1e-12
 
@@ -238,7 +247,8 @@ def test_expand_zero_input_is_free_rollout(request, name, variant):
     rng = np.random.default_rng(3)
     stages = stage_data(prob, rng.normal(size=prob.n_y), variant)
     x0 = rng.normal(size=prob.n_x)
-    y = q.expand(q.condense(prob, stages, x0), np.zeros(prob.n_horizon * prob.n_u))
+    y = condensing.expand(condensing.condense(prob, stages, x0),
+                          np.zeros(prob.n_horizon * prob.n_u))
     xs = [x0]
     for k in range(prob.n_horizon):
         xs.append(stages.a[k] @ xs[-1] + stages.w[k])
@@ -289,7 +299,7 @@ def test_condense_matches_sequential_rollout(request, name, horizon):
     hess = 2.0 * (gamma.T @ dense[:n_s, :n_s] @ gamma + dense[n_s:, n_s:])
     grad = 2.0 * (gamma.T @ dense[:n_s, :n_s] @ free)
 
-    qp = q.condense(prob, stages, x0)
+    qp = condensing.condense(prob, stages, x0)
     for got, want in ((qp.gamma, gamma), (qp.free, free), (qp.hess, hess), (qp.grad, grad)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -303,10 +313,10 @@ def test_lapack_solves_equal_scipy_wrappers(request, name, variant):
     rng = np.random.default_rng(5)
     y = q.initial_guess(prob, request.getfixturevalue(f"{name}_x0"))
     stages = stage_data(prob, y, variant)
-    qp = q.condense(prob, stages, rng.normal(size=prob.n_x))
+    qp = condensing.condense(prob, stages, rng.normal(size=prob.n_x))
 
     factor = scipy.linalg.cho_factor(qp.hess, lower=True)
-    assert np.array_equal(q.solve_condensed(qp), scipy.linalg.cho_solve(factor, -qp.grad))
+    assert np.array_equal(condensing.solve_condensed(qp), scipy.linalg.cho_solve(factor, -qp.grad))
 
     band = scipy.linalg.cholesky_banded(_normal_band(stages)[0], lower=True)
     lam = np.zeros((prob.n_horizon + 1, prob.n_x))

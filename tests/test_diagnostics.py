@@ -10,28 +10,30 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qlmpc as q
+import qlmpc.models as models
+import qlmpc.stacked as stacked
 from qlmpc.diagnostics import _ENVELOPE_SLACK, _contraction_tail, _envelope_lstsq
 from qlmpc.solver import IterateTrace
 
 
 class TestFdJacobian:
     def test_identity(self):
-        j = q.fd_jacobian(lambda z: z, np.array([1.0, -2.0, 3.0]), 1e-6)
+        j = stacked.fd_jacobian(lambda z: z, np.array([1.0, -2.0, 3.0]), 1e-6)
         assert_allclose(j, np.eye(3), atol=1e-9)
 
     def test_square(self):
-        j = q.fd_jacobian(lambda z: z * z, np.array([3.0]), 1e-6)
+        j = stacked.fd_jacobian(lambda z: z * z, np.array([3.0]), 1e-6)
         assert_allclose(j, [[6.0]], atol=1e-9)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            q.fd_jacobian(lambda z: z, np.zeros(1), 0.0)
+            stacked.fd_jacobian(lambda z: z, np.zeros(1), 0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=2))
     def test_exact_for_linear_maps(self, vals):
         a = np.array([[2.0, -1.0], [0.5, 3.0]])
-        j = q.fd_jacobian(lambda z: a @ z, np.array(vals), 1e-4)
+        j = stacked.fd_jacobian(lambda z: a @ z, np.array(vals), 1e-4)
         assert_allclose(j, a, atol=1e-8)
 
 
@@ -66,7 +68,7 @@ class TestFixpointPerturbation:
     def test_requires_converged_trace(self):
         # with horizon 2 the second-stage parameter moves, so one
         # iteration cannot reach the fixpoint
-        m = q.builtin_tiny("qlpv")
+        m = models.builtin_tiny("qlpv")
         prob = q.StackedProblem.build(m, 2, q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
         tr = q.solve_ocp(prob, [0.8], q.initial_guess(prob, [0.8]),
                          q.SolverOptions(variant="standard", stop_tol=1e-15, max_iter=1))

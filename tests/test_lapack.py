@@ -21,7 +21,7 @@ if ORDER == "scipy-first":
 import numpy as np
 import qlmpc as q
 from qlmpc import _lapack
-from qlmpc.condensing import _normal_band
+from qlmpc.condensing import _normal_band, condense
 from qlmpc.stacked import stage_data
 print("scipy.linalg" in sys.modules)
 import scipy.linalg.lapack as lapack
@@ -30,7 +30,7 @@ scn = q.builtin_scenario("adip")
 prob = scn.problem
 stages = stage_data(prob, q.initial_guess(prob, scn.x0), "standard")
 band = _normal_band(stages, prob.inverse_weights)[0]
-hess = q.condense(prob, stages, scn.x0).hess
+hess = condense(prob, stages, scn.x0).hess
 rng = np.random.default_rng(0)
 b_rhs, h_rhs = rng.normal(size=band.shape[1]), rng.normal(size=len(hess))
 

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qlmpc as q
+import qlmpc.models as models
+import qlmpc.stacked as stacked
 from qlmpc.models import ADIP_PARAMS
 from qlmpc.stacked import per_stage, stage_data
 
@@ -23,24 +25,24 @@ def exact_stage(m, x, u):
 
 
 def test_rho_unicycle_is_heading():
-    m = q.builtin_unicycle()
+    m = models.builtin_unicycle()
     assert_allclose(m.rho(np.array([1.0, 2.0, 0.0, math.pi, 0.0]), np.zeros(2)), [math.pi])
     assert_allclose(m.rho(np.zeros(5), np.zeros(2)), [0.0])
 
 
 def test_rho_tiny_qlpv_is_state():
-    m = q.builtin_tiny("qlpv")
+    m = models.builtin_tiny("qlpv")
     assert_allclose(m.rho(np.array([0.5]), np.zeros(1)), [0.5])
 
 
 def test_eval_dynamics_unicycle_drives_forward():
-    m = q.builtin_unicycle()
+    m = models.builtin_unicycle()
     x_next = q.eval_dynamics(m, [0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0])
     assert_allclose(x_next, [0.1, 0.0, 1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_eval_dynamics_tiny_lti():
-    m = q.builtin_tiny("lti")
+    m = models.builtin_tiny("lti")
     assert_allclose(q.eval_dynamics(m, [1.0], [-0.5]), [0.5])
 
 
@@ -57,7 +59,7 @@ def test_unicycle_is_euler_step_of_its_field():
         s, qq, v, phi, omega = x
         return np.array([v * math.cos(phi), v * math.sin(phi), u[0], omega, u[1]])
 
-    m = q.builtin_unicycle()
+    m = models.builtin_unicycle()
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.normal(size=5)
@@ -71,18 +73,20 @@ def test_unicycle_is_euler_step_of_its_field():
 
 def test_unicycle_disturbance_column():
     phi = math.pi / 2.0
-    _, _, w = exact_stage(q.builtin_unicycle(), np.array([0.0, 0.0, 1.0, phi, 0.0]), np.zeros(2))
+    _, _, w = exact_stage(models.builtin_unicycle(), np.array([0.0, 0.0, 1.0, phi, 0.0]),
+                          np.zeros(2))
     assert_allclose(w / phi, [0.1, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_unicycle_linearized_matrix_entries():
-    a, _, _ = exact_stage(q.builtin_unicycle(), np.array([0.0, 0.0, 1.0, 0.0, 0.0]), np.zeros(2))
+    a, _, _ = exact_stage(models.builtin_unicycle(), np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
+                          np.zeros(2))
     assert a[0, 3] == 0.0
     assert a[1, 3] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_unicycle_disturbance_is_previous_heading():
-    m = q.builtin_unicycle()
+    m = models.builtin_unicycle()
     rng = np.random.default_rng(12)
     for _ in range(20):
         x = rng.normal(scale=2.0, size=5)
@@ -105,7 +109,7 @@ def test_stage_jacobian_matches_finite_differences(name):
         x = rng.normal(scale=1.5, size=n_x)
         u = rng.normal(scale=1.5, size=m.dims.n_u)
         _, ja = m.stage_jacobian(x, u)
-        jf = q.fd_jacobian(dynamics, np.concatenate([x, u]), 1e-6)
+        jf = stacked.fd_jacobian(dynamics, np.concatenate([x, u]), 1e-6)
         assert np.abs(ja - jf).max() <= 1e-5 * max(1.0, np.abs(jf).max())
 
 
@@ -166,7 +170,7 @@ def test_batched_stage_jacobian_matches_finite_differences(name):
         jac = per_stage("stage_jacobian", m.stage_jacobian(xs, us)[1], n,
                         (n_x, n_x + m.dims.n_u))
         for ja, x, u in zip(jac, xs, us):
-            jf = q.fd_jacobian(dynamics, np.concatenate([x, u]), 1e-6)
+            jf = stacked.fd_jacobian(dynamics, np.concatenate([x, u]), 1e-6)
             assert np.abs(ja - jf).max() <= 1e-5 * max(1.0, np.abs(jf).max())
 
     check()
@@ -223,7 +227,7 @@ def test_adip_matrices_equal_the_mass_matrix_physics(th1, th2, w1, w2):
     want[0, 2] = want[1, 3] = dt
     want[2:] += dt * np.linalg.inv(mass) @ forces
 
-    m = q.builtin_adip()
+    m = models.builtin_adip()
     r = m.rho(np.array([th1, th2, w1, w2]), np.zeros(1))
     got = np.hstack([m.a_of_rho(r), m.b_of_rho(r)])
     assert np.array_equal(got[:2], want[:2])
@@ -235,7 +239,7 @@ def test_pointwise_only_closure_is_rejected():
     # a closure written for one point sees the whole trajectory;
     # broadcasting its (1, 1) result would freeze stage 0's data on every
     # stage.  The standard variant reads rho, the exact one stage_jacobian.
-    base = q.builtin_tiny("qlpv")
+    base = models.builtin_tiny("qlpv")
     m = dataclasses.replace(
         base, rho=lambda x, u: np.array([x[0]]),
         stage_jacobian=lambda x, u: (np.array([x[0] ** 2 + u[0]]), base.stage_jacobian(x, u)[1]))
@@ -254,7 +258,7 @@ def test_stage_jacobian_must_return_f_and_j(horizon):
     # a closure that returns a bare Jacobian, or an f of the wrong shape, is
     # rejected by name; at N = 2 a bare (2, n_x, n_x + n_u) Jacobian would
     # unpack into two arrays if it were not
-    base = q.builtin_unicycle()
+    base = models.builtin_unicycle()
     prob = q.StackedProblem.build(base, horizon, q.Weights(Q=np.eye(5), R=np.eye(2), P=np.eye(5)))
     y = np.random.default_rng(4).normal(size=prob.n_y)
     lin = base.stage_jacobian
@@ -324,4 +328,4 @@ def test_get_model_unknown_id():
 
 def test_builtin_tiny_unknown_kind():
     with pytest.raises(q.ConfigError):
-        q.builtin_tiny("nonlinear")
+        models.builtin_tiny("nonlinear")

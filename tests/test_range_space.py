@@ -28,8 +28,8 @@ def _problem(name, horizon):
 
 
 def _condensed_y(prob, stages, x0):
-    qp = q.condense(prob, stages, x0)
-    return q.expand(qp, q.solve_condensed(qp))
+    qp = condensing.condense(prob, stages, x0)
+    return condensing.expand(qp, condensing.solve_condensed(qp))
 
 
 def _dense_kkt_y(prob, stages, x0):
@@ -102,6 +102,23 @@ def test_residual_miss_falls_back_to_condensing(monkeypatch, adip_problem, adip_
     assert len(checks) == 2
     np.testing.assert_array_equal(solver._step(entry).y,
                                   _condensed_y(adip_problem, entry.stages, adip_x0))
+
+
+def test_band_that_fails_to_factor_falls_back_to_condensing(monkeypatch, adip_problem, adip_x0):
+    # dpbtrf reports a leading minor that is not positive definite
+    factored = []
+
+    def not_positive_definite(band, lower):
+        factored.append(None)
+        return band, 1
+
+    monkeypatch.setattr(condensing, "dpbtrf", not_positive_definite)
+    entry = solver.TraceEntry((adip_problem, adip_x0, "standard"),
+                              q.initial_guess(adip_problem, adip_x0))
+    assert solve_range_space(adip_problem, entry.stages, adip_x0) == (None, 0.0)
+    np.testing.assert_array_equal(solver._step(entry).y,
+                                  _condensed_y(adip_problem, entry.stages, adip_x0))
+    assert len(factored) == 2
 
 
 def test_refined_residual_is_accepted(monkeypatch, adip_problem, adip_x0):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 import qlmpc as q
 import qlmpc.condensing as condensing
+import qlmpc.models as models
 import qlmpc.solver as solver
 import qlmpc.stacked as stacked
 from qlmpc.diagnostics import certificate_trace
@@ -15,7 +16,7 @@ class TestInitialGuess:
         assert np.all(q.initial_guess(tiny_lti_problem, [0.0]) == 0.0)
 
     def test_tiny_lti_rollout_is_constant(self):
-        m = q.builtin_tiny("lti")
+        m = models.builtin_tiny("lti")
         prob = q.StackedProblem.build(m, 2, q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
         assert_allclose(q.initial_guess(prob, [1.0]), [1.0, 1.0, 1.0, 0.0, 0.0])
 
@@ -28,7 +29,7 @@ class TestInitialGuess:
 
     def test_rollout_is_feasible(self, unicycle_problem, unicycle_x0):
         y = q.initial_guess(unicycle_problem, unicycle_x0)
-        g = q.constraint_matrix(unicycle_problem, unicycle_problem.rho_trajectory(y))
+        g = stacked.constraint_matrix(unicycle_problem, unicycle_problem.rho_trajectory(y))
         resid = g @ y + unicycle_problem.x0_map @ unicycle_x0
         assert np.abs(resid).max() <= 1e-12
 
@@ -47,7 +48,7 @@ class TestWarmShift:
         assert np.all(q.warm_shift(tiny_lti_problem, np.zeros(3), [0.0]) == 0.0)
 
     def test_tiny_lti_shift_rule(self):
-        m = q.builtin_tiny("lti")
+        m = models.builtin_tiny("lti")
         prob = q.StackedProblem.build(m, 2, q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
         y_prev = np.array([1.0, 0.5, 0.25, -0.5, -0.25])
         shifted = q.warm_shift(prob, y_prev, [0.5])
@@ -56,7 +57,7 @@ class TestWarmShift:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=5, max_size=5), st.floats(-10, 10))
     def test_shift_preserves_length(self, vals, x0_new):
-        m = q.builtin_tiny("qlpv")
+        m = models.builtin_tiny("qlpv")
         prob = q.StackedProblem.build(m, 2, q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
         shifted = q.warm_shift(prob, np.array(vals), [x0_new])
         assert shifted.shape == (5,)
@@ -125,7 +126,7 @@ class TestIterate:
         z0 = q.KktPoint(rng.normal(size=3), rng.normal(size=2))
         a = q.qlmpc_iterate(tiny_lti_problem, z0, [1.0], "standard")
         b = q.qlmpc_iterate(tiny_lti_problem, z0, [1.0], "exact")
-        c = q.sqp_step(tiny_lti_problem, z0, [1.0])
+        c = stacked.sqp_step(tiny_lti_problem, z0, [1.0])
         assert_allclose(a.stack(), b.stack(), atol=1e-12)
         assert_allclose(a.stack(), c.stack(), atol=1e-10)
 
@@ -143,7 +144,7 @@ def test_sqp_step_equals_exact_iterate(name, horizon):
     x0 = rng.normal(size=m.dims.n_x)
     for _ in range(25):
         z = q.KktPoint(rng.standard_normal(prob.n_y), rng.standard_normal(prob.n_eq))
-        a = q.sqp_step(prob, z, x0)
+        a = stacked.sqp_step(prob, z, x0)
         b = q.qlmpc_iterate(prob, z, x0, "exact")
         dev = np.abs(a.stack() - b.stack()).max()
         assert dev <= 1e-9 * (1.0 + np.abs(z.stack()).max())
@@ -154,7 +155,7 @@ def test_sqp_step_is_fixed_at_exact_fixpoint(unicycle_problem, unicycle_x0):
                      q.SolverOptions(variant="exact", stop_tol=1e-11, max_iter=60))
     assert tr.converged
     z = tr.final
-    z_next = q.sqp_step(unicycle_problem, z, unicycle_x0)
+    z_next = stacked.sqp_step(unicycle_problem, z, unicycle_x0)
     assert np.abs(z_next.y - z.y).max() <= 1e-9
 
 def _qp_path_problem(path, pd_problem):
@@ -199,7 +200,7 @@ def _inject_nonfinite_solution(monkeypatch, path, prob, from_call):
 
 class TestSolveOcp:
     def test_lti_converges_in_one_iteration(self):
-        m = q.builtin_tiny("lti")
+        m = models.builtin_tiny("lti")
         prob = q.StackedProblem.build(m, 3, q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
         tr = q.solve_ocp(prob, [1.0], q.initial_guess(prob, [1.0]), q.SolverOptions())
         assert tr.converged and tr.iterations == 1
@@ -241,7 +242,7 @@ class TestSolveOcp:
         tol = 1e-8
         tr = q.solve_ocp(unicycle_problem, unicycle_x0, q.initial_guess(unicycle_problem, unicycle_x0),
                          q.SolverOptions(variant="exact", stop_tol=tol, max_iter=50))
-        r = q.true_fonc_residual(unicycle_problem, tr.final, unicycle_x0)
+        r = stacked.true_fonc_residual(unicycle_problem, tr.final, unicycle_x0)
         assert np.abs(r).max() <= 10 * tol
 
     def test_standard_fixpoint_feasible_but_perturbed(self, unicycle_problem, unicycle_x0):
@@ -249,13 +250,14 @@ class TestSolveOcp:
         tr = q.solve_ocp(unicycle_problem, unicycle_x0, q.initial_guess(unicycle_problem, unicycle_x0),
                          q.SolverOptions(variant="standard", stop_tol=tol, max_iter=50))
         assert tr.converged
-        r = q.fonc_residual(unicycle_problem, tr.final, unicycle_x0)
+        r = stacked.fonc_residual(unicycle_problem, tr.final, unicycle_x0)
         assert np.abs(r).max() <= tol
         feas = r[unicycle_problem.n_y:]
         assert np.abs(feas).max() <= tol
         # true stationarity stays pinned at -e, which is far above tol here
-        true_stat = q.true_fonc_residual(unicycle_problem, tr.final, unicycle_x0)[:unicycle_problem.n_y]
-        e = q.cost_perturbation(unicycle_problem, tr.final.y, tr.final.lam)
+        true_stat = stacked.true_fonc_residual(unicycle_problem, tr.final,
+                                               unicycle_x0)[:unicycle_problem.n_y]
+        e = stacked.cost_perturbation(unicycle_problem, tr.final.y, tr.final.lam)
         assert np.abs(e).max() > 1e3 * tol
         assert_allclose(true_stat, -e, atol=1e-8)
 
@@ -334,6 +336,11 @@ class TestSolveOcp:
         tr = q.solve_ocp(unicycle_problem, unicycle_x0, q.initial_guess(unicycle_problem, unicycle_x0),
                          q.SolverOptions(variant="exact", stop_tol=1e-12, max_iter=2))
         assert not tr.converged and tr.iterations == 2
+
+    def test_wrong_length_initial_guess_raises(self, tiny_lti_problem):
+        guess = q.initial_guess(tiny_lti_problem, [1.0])
+        with pytest.raises(ValueError, match=r"decision vector must have length 3, got \(2,\)"):
+            q.solve_ocp(tiny_lti_problem, [1.0], guess[:-1], q.SolverOptions())
 
     def test_nonfinite_initial_data_raises(self, tiny_qlpv_problem):
         with pytest.raises(q.SolverError):

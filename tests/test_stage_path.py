@@ -22,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 
 import qlmpc as q
 import qlmpc.condensing as condensing
+import qlmpc.models as models
 import qlmpc.solver as solver
 import qlmpc.stacked as stacked
 from qlmpc.condensing import stage_multipliers
@@ -34,7 +35,7 @@ MODELS = ["tiny-qlpv", "unicycle", "adip"]
 
 @pytest.fixture(scope="module")
 def problems(unicycle_problem, adip_problem):
-    tiny = q.StackedProblem.build(q.builtin_tiny("qlpv"), 4,
+    tiny = q.StackedProblem.build(models.builtin_tiny("qlpv"), 4,
                                   q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
     return {"tiny-qlpv": tiny, "unicycle": unicycle_problem, "adip": adip_problem}
 
@@ -46,8 +47,8 @@ def points(n):
 def dense_constraint(prob, y, variant):
     """The constraint matrix of the QP the variant freezes at y, assembled densely."""
     if variant == "standard":
-        return q.constraint_matrix(prob, prob.rho_trajectory(y))
-    return q.linearized_constraint(prob, y)[0]
+        return stacked.constraint_matrix(prob, prob.rho_trajectory(y))
+    return stacked.linearized_constraint(prob, y)[0]
 
 
 def looped_stage_data(prob, y, variant):
@@ -99,7 +100,7 @@ def test_stage_multipliers_match_dense_least_squares(problems, name, variant):
             exact = np.zeros(prob.n_eq)
             exact[0] = -2.0 * y[0]
             assert np.abs(lam - exact).max() <= 1e-12 * np.abs(exact).max()
-        ref = q.recover_multipliers(prob, dense_constraint(prob, y, variant), y)
+        ref = stacked.recover_multipliers(prob, dense_constraint(prob, y, variant), y)
         scale = max(np.abs(ref).max(), np.abs(2.0 * prob.weight_matrix @ y).max())
         assert np.abs(lam - ref).max() <= 1e-9 * scale
 
@@ -112,7 +113,7 @@ def test_stage_multipliers_match_dense_least_squares(problems, name, variant):
 @pytest.mark.parametrize("name", MODELS)
 def test_stage_residual_matches_dense_residual(problems, name, variant):
     prob = problems[name]
-    dense = q.fonc_residual if variant == "standard" else q.true_fonc_residual
+    dense = stacked.fonc_residual if variant == "standard" else stacked.true_fonc_residual
 
     @settings(max_examples=25, deadline=None)
     @given(points(prob.n_y), points(prob.n_eq), points(prob.n_x))

@@ -267,8 +267,8 @@ def run_diagnose(cfg: RunConfig) -> int:
         trace = certificate_trace(prob, scn.x0, initial_guess(prob, scn.x0),
                                   min(fit_tol, 1e-12), 400)
 
-        # multiplier-recovery accuracy bounds the reachable residual; fall
-        # back one decade at a time if 1e-10 sits below that floor
+        # the range-space iterates' feasibility rounding floors the residual
+        # (1e-8 on ADIP); if 1e-10 is below it, fall back a decade at a time
         tight_tol = next((tol for tol in (1e-10, 1e-9, 1e-8)
                           if _solve_prefix(trace, tol, 300).converged), None)
         if tight_tol is None:

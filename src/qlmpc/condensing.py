@@ -1,9 +1,10 @@
 """The two solves of the per-iteration QP, and its stage-wise multipliers.
 
 ``solve_range_space`` solves the QP from one banded Cholesky factorization
-of ``G W^-1 G'`` when Q and P are positive definite (R always is);
-``stage_multipliers`` factors the same band with I for each inverse
-weight, and one builder, ``_normal_band``, serves both.
+of ``G W^-1 G'`` when Q and P are positive definite (R always is).
+``stage_multipliers`` needs no factorization: at a QP solution the state
+rows of stationarity fix the multipliers one stage at a time, backwards
+from the terminal cost (the adjoint recursion).
 
 Condensing solves the QPs that the range-space solve hands on.
 Eliminating the states through the (affine) frozen dynamics turns the QP
@@ -32,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
-from typing import Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .stacked import (
     StageData,
     frozen_stages,
     stage_feasibility,
-    stage_stationarity,
 )
 
 Array = np.ndarray
@@ -172,24 +171,23 @@ def _band_index(n: int, n_x: int) -> Array:
     return index
 
 
-def _normal_band(stages: StageData, inv: Optional[InverseWeights] = None) -> tuple:
-    """G W^-1 G' in LAPACK lower band storage, and G G' when ``inv`` is None.
+def _normal_band(stages: StageData, inv: InverseWeights) -> tuple:
+    """G W^-1 G' in LAPACK lower band storage.
 
     G W^-1 G' is block tridiagonal: diagonal blocks W_0^-1 (initial
     condition) and W_{k+1}^-1 + J_k blkdiag(Q^-1, R^-1) J_k' with
     ``J_k = [A_k B_k]``, sub-diagonal blocks -A_k Q^-1, so its lower
-    bandwidth is 2 n_x - 1.  G G' has I in place of each inverse weight.
-    Entry ``[d, j]`` of the band holds the matrix's ``[j + d, j]``.
+    bandwidth is 2 n_x - 1.  Entry ``[d, j]`` of the band holds its ``[j + d, j]``.
     Returns the band and the stages' ``J_k blkdiag(Q^-1, R^-1)``.
     """
     n, n_x, n_u = stages.b.shape
     jac = np.concatenate([stages.a, stages.b], axis=2)
-    jw = jac if inv is None else (jac.reshape(-1, n_x + n_u) @ inv.w).reshape(jac.shape)
+    jw = (jac.reshape(-1, n_x + n_u) @ inv.w).reshape(jac.shape)
     m = (n + 1) * n_x * n_x
     blocks = np.zeros(m + n * n_x * n_x + 1)
     diag = blocks[:m].reshape(n + 1, n_x, n_x)
     np.matmul(jw, jac.transpose(0, 2, 1), out=diag[1:])
-    diag += np.eye(n_x) if inv is None else inv.x
+    diag += inv.x
     np.negative(jw[:, :, :n_x], out=blocks[m:-1].reshape(n, n_x, n_x))
     return blocks.take(_band_index(n, n_x)), jw
 
@@ -251,29 +249,22 @@ def solve_range_space(prob: StackedProblem, stages: StageData, x0hat) -> tuple:
 
 
 def stage_multipliers(prob: StackedProblem, stages: StageData, y) -> Array:
-    """Least-squares multipliers of the QP frozen in ``stages``, stage by stage.
+    """Multipliers of the QP frozen in ``stages``, by the adjoint recursion.
 
-    The least-squares multipliers ``argmin |G' lam + 2 W y|`` of the
-    stage-built constraint matrix G.  Starting from ``lam = 0``, each
-    correction ``d = argmin |G' d + s|`` of the stationarity residual s
-    comes from the banded normal equations ``G G' d = -G s``.  The
-    normal equations square the conditioning of G; a second correction
-    removes the error this leaves in the first.
+    The state rows of ``2 W y + G' lam = 0`` give ``lam_N = -2 P x_N`` and
+    ``lam_k = A_k' lam_{k+1} - 2 Q x_k``: the QP's multipliers at its
+    solution; at any other y the input rows keep the stationarity residual.
     """
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(stages.a))
-            and np.all(np.isfinite(stages.b))):
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(stages.a))):
         raise SolverError("multiplier recovery received non-finite data")
-    # an overflowing band is caught below, like a band that fails to factor
+    xs = prob.states(y)
+    lam = np.empty(xs.shape)
+    # an overflow is caught below as non-finite multipliers
     with np.errstate(over="ignore", invalid="ignore"):
-        band, _ = _normal_band(stages)
-    factor, info = dpbtrf(band, lower=True)
-    if info != 0 or not np.all(np.isfinite(band)):
-        raise SolverError("constraint Gram matrix G G' is not numerically positive definite")
-    lam = np.zeros((prob.n_horizon + 1, prob.n_x))
-    for _ in range(2):
-        s_x, s_u = stage_stationarity(prob, stages, y, lam)
-        g_s = s_x.copy()
-        g_s[1:] -= (stages.a @ s_x[:-1, :, None] + stages.b @ s_u[:, :, None])[:, :, 0]
-        d, _ = dpbtrs(factor, -g_s.ravel(), lower=True)
-        lam += d.reshape(lam.shape)
+        lam[-1] = -2.0 * (prob.weights.P @ xs[-1])
+        grad = -2.0 * (xs[:-1] @ prob.weights.Q)
+        for k in range(prob.n_horizon - 1, -1, -1):
+            lam[k] = lam[k + 1] @ stages.a[k] + grad[k]
+    if not np.all(np.isfinite(lam)):
+        raise SolverError("multipliers are non-finite")
     return lam.ravel()

@@ -470,10 +470,8 @@ def true_fonc_residual(prob: StackedProblem, z: KktPoint, x0hat) -> Array:
 def recover_multipliers(prob: StackedProblem, g_used, y) -> Array:
     """Least-squares multipliers from the stationarity conditions.
 
-    Computes lam = -(G G')^{-1} G (2 W y), evaluated through a QR-based
-    least-squares solve of ``G' lam = -2 W y`` (same value, avoids
-    squaring the conditioning); exact at a QP optimum because the
-    stationarity system is consistent there.
+    A QR-based least-squares solve of ``G' lam = -2 W y``, exact at a QP
+    optimum because the stationarity system is consistent there.
     """
     import scipy.linalg  # a test oracle's import, kept off ``import qlmpc``
 

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 import qlmpc as q
 import qlmpc.condensing as condensing
 import qlmpc.stacked as stacked
-from qlmpc.condensing import _normal_band, stage_multipliers
-from qlmpc.stacked import StageData, stage_data, stage_stationarity
+from qlmpc.condensing import stage_multipliers
+from qlmpc.stacked import StageData, stage_data
 
 
 def gaussian_elimination(a, b):
@@ -177,6 +177,16 @@ def test_recover_multipliers_rank_deficient(tiny_lti_problem):
     assert err.value.smallest_singular_value == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["g", "y"])
+def test_recover_multipliers_reject_nonfinite(tiny_lti_problem, where, bad):
+    g = stacked.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
+    y = np.array([1.0, 0.5, -0.5])
+    (g if where == "g" else y)[-1] = bad
+    with pytest.raises(q.SolverError, match="non-finite"):
+        stacked.recover_multipliers(tiny_lti_problem, g, y)
+
+
 @pytest.mark.parametrize("name,horizon", [("unicycle", 6), ("adip", 5), ("tiny-qlpv", 4)])
 def test_condensed_matches_dense_kkt_solve(name, horizon):
     # independent oracle: solve the full equality-constrained QP as one
@@ -263,14 +273,54 @@ def test_stage_multipliers_reject_nonfinite(tiny_qlpv_problem):
         stage_multipliers(tiny_qlpv_problem, stages, y)
 
 
-def test_stage_multipliers_reject_overflowing_gram_band(unicycle_problem):
-    # A A' overflows to inf; the band must be rejected, not factored into
-    # NaN multipliers (and the overflow must not warn)
+def test_stage_multipliers_reject_overflowing_recursion(unicycle_problem):
+    # A' lam overflows to inf; the multipliers must be rejected, not
+    # returned as inf or NaN (and the overflow must not warn)
     scn = q.builtin_scenario("unicycle")
     prob = q.StackedProblem.build(unicycle_problem.model, 4, scn.weights)
     stages = StageData(a=np.full((4, 5, 5), 1e160), b=np.zeros((4, 5, 2)), w=np.zeros((4, 5)))
-    with pytest.raises(q.SolverError, match="Gram matrix"):
+    with pytest.raises(q.SolverError, match="multipliers are non-finite"):
         stage_multipliers(prob, stages, np.ones(prob.n_y))
+
+
+def _perturbed_dpotrs(monkeypatch, calls):
+    """Patch ``condensing.dpotrs`` to add 1e-3 to the solutions of the
+    calls whose (0-based) number is in ``calls``; returns the call log."""
+    dpotrs, log = condensing.dpotrs, []
+
+    def perturbed(*args, **kwargs):
+        x, info = dpotrs(*args, **kwargs)
+        if len(log) in calls:
+            x = x + 1e-3
+        log.append(None)
+        return x, info
+
+    monkeypatch.setattr(condensing, "dpotrs", perturbed)
+    return log
+
+
+def _unicycle_qp(prob):
+    rng = np.random.default_rng(3)
+    return condensing.condense(prob, rng.normal(size=(20, 1)), rng.normal(size=5))
+
+
+def test_solve_condensed_refines_a_missed_residual(monkeypatch, unicycle_problem):
+    # a first solve that misses the residual: one refinement step meets it
+    qp = _unicycle_qp(unicycle_problem)
+    log = _perturbed_dpotrs(monkeypatch, {0})
+    u = condensing.solve_condensed(qp)
+    assert len(log) == 2
+    scale = max(1.0, np.abs(qp.grad).max())
+    assert np.abs(qp.hess @ u + qp.grad).max() <= condensing._RESIDUAL_RTOL * scale
+    assert np.abs(u - scipy.linalg.solve(qp.hess, -qp.grad)).max() <= 1e-9 * np.abs(u).max()
+
+
+def test_solve_condensed_fails_when_refinement_misses(monkeypatch, unicycle_problem):
+    qp = _unicycle_qp(unicycle_problem)
+    log = _perturbed_dpotrs(monkeypatch, {0, 1})
+    with pytest.raises(q.SolverError, match="exceeds tolerance"):
+        condensing.solve_condensed(qp)
+    assert len(log) == 2
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 40])
@@ -317,12 +367,3 @@ def test_lapack_solves_equal_scipy_wrappers(request, name, variant):
 
     factor = scipy.linalg.cho_factor(qp.hess, lower=True)
     assert np.array_equal(condensing.solve_condensed(qp), scipy.linalg.cho_solve(factor, -qp.grad))
-
-    band = scipy.linalg.cholesky_banded(_normal_band(stages)[0], lower=True)
-    lam = np.zeros((prob.n_horizon + 1, prob.n_x))
-    for _ in range(2):
-        s_x, s_u = stage_stationarity(prob, stages, y, lam)
-        g_s = s_x.copy()
-        g_s[1:] -= (stages.a @ s_x[:-1, :, None] + stages.b @ s_u[:, :, None])[:, :, 0]
-        lam += scipy.linalg.cho_solve_banded((band, True), -g_s.ravel()).reshape(lam.shape)
-    assert np.array_equal(stage_multipliers(prob, stages, y), lam.ravel())

@@ -30,6 +30,12 @@ class TestWeights:
     def test_accepts_psd(self):
         q.Weights(Q=np.zeros((2, 2)), R=np.eye(1), P=np.eye(2))
 
+    def test_scalars_are_one_by_one_matrices(self):
+        w = q.Weights(Q=2.0, R=np.float64(3.0), P=np.array(0.5))
+        for got, want in ((w.Q, 2.0), (w.R, 3.0), (w.P, 0.5)):
+            assert isinstance(got, np.ndarray) and got.shape == (1, 1)
+            assert got[0, 0] == want
+
     def test_rejects_indefinite_q(self):
         with pytest.raises(ValueError):
             q.Weights(Q=np.diag([1.0, -1.0]), R=np.eye(1), P=np.eye(2))

@@ -3,8 +3,9 @@
 ``solve_ocp`` and ``qlmpc_iterate`` work on per-stage data only; the
 dense stacked matrices (G, the KKT matrix, the SQP step) are kept as
 independent oracles.  The property tests check the stage data against a
-per-stage loop over the model closures, and the stage-wise multipliers
-and residual against the dense oracles, at arbitrary points; the guard
+per-stage loop over the model closures and the stage-wise residual
+against the dense oracle at arbitrary points, and the stage-wise
+multipliers against the dense oracle at QP solutions; the guard
 tests check that the solver never calls the dense oracles, evaluates
 each model closure once per trajectory, not once per stage, solves a
 real-time step from one stage-data evaluation without multipliers or a
@@ -35,9 +36,10 @@ MODELS = ["tiny-qlpv", "unicycle", "adip"]
 
 @pytest.fixture(scope="module")
 def problems(unicycle_problem, adip_problem):
-    tiny = q.StackedProblem.build(models.builtin_tiny("qlpv"), 4,
-                                  q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
-    return {"tiny-qlpv": tiny, "unicycle": unicycle_problem, "adip": adip_problem}
+    unit = q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1))
+    tiny = {f"tiny-{kind}": q.StackedProblem.build(models.builtin_tiny(kind), 4, unit)
+            for kind in ("lti", "qlpv")}
+    return {**tiny, "unicycle": unicycle_problem, "adip": adip_problem}
 
 
 def points(n):
@@ -80,29 +82,55 @@ def test_stage_data_matches_per_stage_loop(problems, name, variant):
     check()
 
 
-# A tiny-qlpv (N = 4) point where the dense oracle returns [0, 0, 0, 0,
-# 5.6e-77] and the exact least-squares multipliers are [-2 y_0, 0, 0, 0, 0]:
-# both leave the same residual |G' lam + 2 W y| = 2.83, so lam is only
-# determined to the scale of 2 W y, not to that of either solution.
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["tiny-lti", *MODELS])
+def test_stage_multipliers_match_dense_least_squares(problems, name, variant):
+    # at a QP solution the stationarity system is consistent, so the
+    # recursion's multipliers are the dense least-squares ones; P = 0
+    # leaves the QP to condensing, P = Q to the range-space solve
+    base = problems[name]
+    weights = dataclasses.replace(base.weights, P=np.zeros_like(base.weights.P))
+    singular = dataclasses.replace(base, weights=weights)
+
+    @settings(max_examples=25, deadline=None)
+    @given(points(base.n_y), points(base.n_x), st.booleans())
+    def check(y, x0, singular_p):
+        prob = singular if singular_p else base
+        assert (prob.inverse_weights is None) == singular_p
+        step = solver._step(solver.TraceEntry((prob, x0, variant), y))
+        ref = stacked.recover_multipliers(prob, dense_constraint(prob, y, variant), step.y)
+        scale = max(np.abs(ref).max(), np.abs(2.0 * prob.weight_matrix @ step.y).max())
+        assert np.abs(step.z.lam - ref).max() <= 1e-9 * scale
+
+    check()
+
+
+# A tiny-qlpv (N = 4) point with x_0 = 1.1e-76, x_4 = 1 and x_1 = x_2 =
+# x_3 = 0, so A_1 = A_2 = A_3 = 0: the recursion gives
+# lam = [-2 x_0, 0, 0, 0, -2 x_4], each entry to its own scale, although
+# the entries lie 76 decades apart.
 TINY_SMALL_Y = np.array([1.1244175e-76, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("name", MODELS)
-def test_stage_multipliers_match_dense_least_squares(problems, name, variant):
+@pytest.mark.parametrize("name", ["tiny-lti", *MODELS])
+def test_stage_multipliers_zero_the_state_rows(problems, name, variant):
+    # at any y the recursion solves the state rows of stationarity; only
+    # the input rows keep a residual
     prob = problems[name]
 
     @settings(max_examples=25, deadline=None)
     @given(points(prob.n_y))
     def check(y):
-        lam = stage_multipliers(prob, stage_data(prob, y, variant), y)
+        stages = stage_data(prob, y, variant)
+        lam = stage_multipliers(prob, stages, y)
         if np.array_equal(y, TINY_SMALL_Y):
             exact = np.zeros(prob.n_eq)
-            exact[0] = -2.0 * y[0]
-            assert np.abs(lam - exact).max() <= 1e-12 * np.abs(exact).max()
-        ref = stacked.recover_multipliers(prob, dense_constraint(prob, y, variant), y)
-        scale = max(np.abs(ref).max(), np.abs(2.0 * prob.weight_matrix @ y).max())
-        assert np.abs(lam - ref).max() <= 1e-9 * scale
+            exact[[0, -1]] = -2.0 * y[[0, prob.n_eq - 1]]
+            np.testing.assert_allclose(lam, exact, rtol=1e-12, atol=0.0)
+        stat_x, _ = stacked.stage_stationarity(prob, stages, y, lam)
+        scale = max(np.abs(lam).max(), np.abs(2.0 * prob.weight_matrix @ y).max())
+        assert np.abs(stat_x).max() <= 1e-12 * scale
 
     if name == "tiny-qlpv":
         check = example(TINY_SMALL_Y)(check)

@@ -1,6 +1,6 @@
 """The four LAPACK routines of the QP solves, loaded without ``scipy.linalg``.
 
-The solves call ``dpotrf``/``dpotrs`` and ``dpbtrf``/``dpbtrs`` from
+The solves call ``dpotrf``/``dpotrs`` and ``dpbsv``/``dpbtrs`` from
 scipy's compiled f2py LAPACK extension.  Importing them through
 ``scipy.linalg`` runs that package's ``__init__``, which pulls in most of
 scipy's array-API layer and, through it, ``numpy.f2py``,
@@ -56,4 +56,4 @@ def _load():
 
 _flapack = _load()
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
-dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
+dpbsv, dpbtrs = _flapack.dpbsv, _flapack.dpbtrs

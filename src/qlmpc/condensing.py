@@ -23,7 +23,7 @@ batched matrix products, one that adds the terms ``d`` stages back and,
 on every level but the last, one that doubles the transition products
 to ``2d`` stages.  The Hessian is ``h + h'`` with ``h = Gamma' (Wx Gamma)``
 plus blkdiag(R, ..., R).  The factorizations call LAPACK (``dpotrf``/
-``dpotrs``, ``dpbtrf``/``dpbtrs``) without scipy's checking wrappers,
+``dpotrs``, ``dpbsv``/``dpbtrs``) without scipy's checking wrappers,
 from scipy's compiled LAPACK extension as ``_lapack`` loads it, so that
 ``import qlmpc`` never imports ``scipy.linalg``.
 """
@@ -36,13 +36,12 @@ from time import perf_counter
 
 import numpy as np
 
-from ._lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
+from ._lapack import dpbsv, dpbtrs, dpotrf, dpotrs
 from .errors import SolverError
 from .stacked import (
     InverseWeights,
     StackedProblem,
     StageData,
-    frozen_stages,
     stage_feasibility,
 )
 
@@ -59,18 +58,11 @@ class CondensedQp:
     grad: Array    # linear coefficient, 2 (Wx Gamma)' free
 
 
-def condense(prob: StackedProblem, stages, x0hat) -> CondensedQp:
-    """Eliminate the states and build the input-space quadratic.
-
-    ``stages`` is the StageData of the frozen QP, or a parameter
-    trajectory of length N, which freezes ``(A(rho_k), B(rho_k))`` with
-    no offset.
-    """
+def condense(prob: StackedProblem, stages: StageData, x0hat) -> CondensedQp:
+    """Eliminate the states of the QP frozen in ``stages`` and build the
+    input-space quadratic."""
     x0 = prob.check_x0(x0hat)
     n_x, n_u, n = prob.n_x, prob.n_u, prob.n_horizon
-    if not isinstance(stages, StageData):
-        rho_traj = np.asarray(stages, dtype=float).reshape(n, prob.model.dims.n_rho)
-        stages = frozen_stages(prob.model, rho_traj)
 
     # X[k] = [Gamma_k | free_k] solves X[k+1] = a_k X[k] + E[k+1] with
     # E[0] = [0 | x0hat] and E[k+1] = [b_k in block column k | w_k]
@@ -180,9 +172,9 @@ def _normal_band(stages: StageData, inv: InverseWeights) -> tuple:
     bandwidth is 2 n_x - 1.  Entry ``[d, j]`` of the band holds its ``[j + d, j]``.
     Returns the band and the stages' ``J_k blkdiag(Q^-1, R^-1)``.
     """
-    n, n_x, n_u = stages.b.shape
-    jac = np.concatenate([stages.a, stages.b], axis=2)
-    jw = (jac.reshape(-1, n_x + n_u) @ inv.w).reshape(jac.shape)
+    jac = stages.jac
+    n, n_x, n_z = jac.shape
+    jw = (jac.reshape(-1, n_z) @ inv.w).reshape(jac.shape)
     m = (n + 1) * n_x * n_x
     blocks = np.zeros(m + n * n_x * n_x + 1)
     diag = blocks[:m].reshape(n + 1, n_x, n_x)
@@ -211,8 +203,9 @@ def solve_range_space(prob: StackedProblem, stages: StageData, x0hat) -> tuple:
     """Solve the QP frozen in ``stages`` in range space, when W is positive definite.
 
     The multipliers solve ``G W^-1 G' lam = -2 [x0hat; w]``, a banded SPD
-    system, and ``y = -1/2 W^-1 G' lam`` satisfies stationarity by
-    construction, up to the rounding of W^-1.  Its stage-wise feasibility
+    system that one ``dpbsv`` call factors and solves, and
+    ``y = -1/2 W^-1 G' lam`` satisfies stationarity by construction, up
+    to the rounding of W^-1.  Its stage-wise feasibility
     residual must be within ``_RESIDUAL_RTOL`` of the data's scale, after
     at most one step of iterative refinement.
 
@@ -232,10 +225,9 @@ def solve_range_space(prob: StackedProblem, stages: StageData, x0hat) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         band, jw = _normal_band(stages, inv)
         t0 = perf_counter()
-        factor, info = dpbtrf(band, lower=True)
+        factor, lam, info = dpbsv(band, -2.0 * data, lower=True)
         if info != 0:
             return None, 0.0
-        lam = dpbtrs(factor, -2.0 * data, lower=True)[0]
         y = _range_space_y(prob, inv, jw, lam)
         resid = stage_feasibility(prob, stages, y, x0)
         err = np.abs(resid).max()
@@ -255,7 +247,8 @@ def stage_multipliers(prob: StackedProblem, stages: StageData, y) -> Array:
     ``lam_k = A_k' lam_{k+1} - 2 Q x_k``: the QP's multipliers at its
     solution; at any other y the input rows keep the stationarity residual.
     """
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(stages.a))):
+    a = stages.a
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(a))):
         raise SolverError("multiplier recovery received non-finite data")
     xs = prob.states(y)
     lam = np.empty(xs.shape)
@@ -264,7 +257,7 @@ def stage_multipliers(prob: StackedProblem, stages: StageData, y) -> Array:
         lam[-1] = -2.0 * (prob.weights.P @ xs[-1])
         grad = -2.0 * (xs[:-1] @ prob.weights.Q)
         for k in range(prob.n_horizon - 1, -1, -1):
-            lam[k] = lam[k + 1] @ stages.a[k] + grad[k]
+            lam[k] = lam[k + 1] @ a[k] + grad[k]
     if not np.all(np.isfinite(lam)):
         raise SolverError("multipliers are non-finite")
     return lam.ravel()

@@ -162,21 +162,17 @@ def initial_guess(prob: StackedProblem, x0hat) -> Array:
 def warm_shift(prob: StackedProblem, y_prev, x0hat_new) -> Array:
     """Shift a solution by one stage for the next sampling instant.
 
-    States and inputs move up one slot, the last input is duplicated,
-    the new terminal state is the dynamics applied to the old terminal
-    state under the duplicated input, and the first state slot is
-    overwritten with the new measurement.
+    States and inputs move up one slot, the last state and the last
+    input are duplicated, and the first state slot is overwritten with
+    the new measurement.  No model is evaluated: the terminal state of
+    a guess enters no QP (the stage data read stages 0..N-1 only), so
+    rolling the dynamics forward there would change no QP solution.
     """
     y_prev = prob.check_y(y_prev)
-    xs_prev, us_prev = prob.states(y_prev), prob.inputs(y_prev)
-    y = np.empty_like(y_prev)
-    xs, us = prob.states(y), prob.inputs(y)
-    xs[0] = prob.check_x0(x0hat_new)
-    xs[1:-1] = xs_prev[2:]
-    xs[-1] = eval_dynamics(prob.model, xs_prev[-1], us_prev[-1])
-    us[:-1] = us_prev[1:]
-    us[-1] = us_prev[-1]
-    return y
+    n_x, n_u, n_eq = prob.n_x, prob.n_u, prob.n_eq
+    # x0hat, x_2 .. x_N, x_N, u_1 .. u_{N-1}, u_{N-1}
+    return np.concatenate((prob.check_x0(x0hat_new), y_prev[2 * n_x:n_eq],
+                           y_prev[n_eq - n_x:n_eq], y_prev[n_eq + n_u:], y_prev[-n_u:]))
 
 
 def _step(entry: TraceEntry) -> TraceEntry:
@@ -200,7 +196,7 @@ def qlmpc_iterate(prob: StackedProblem, z: KktPoint, x0hat, variant: str = "stan
 
 
 def _same_qp(s: StageData, t: StageData) -> bool:
-    return all((getattr(s, f) == getattr(t, f)).all() for f in ("a", "b", "w"))
+    return bool((s.jac == t.jac).all() and (s.w == t.w).all())
 
 
 def _rate(steps: list) -> float:

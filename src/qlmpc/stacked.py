@@ -13,9 +13,9 @@ carries a hidden coupling: its derivative is G plus a correction term
 assembled from the per-stage dynamics Jacobians.
 
 The solver works on per-stage data only: ``stage_data`` gives the QP
-that a variant freezes at an iterate as
-``x_{k+1} = A_k x_k + B_k u_k + w_k``, and ``stage_residual`` evaluates
-its optimality residual stage by stage.  The dense stacked functions
+that a variant freezes at an iterate as ``x_{k+1} = J_k [x_k; u_k] + w_k``
+with ``J_k = [A_k B_k]``, and ``stage_residual`` evaluates its
+optimality residual stage by stage.  The dense stacked functions
 below them (``constraint_matrix``, ``linearized_constraint``,
 ``coupling_correction``, ``kkt_matrix``, the residuals and their
 Jacobian, the least-squares multipliers ``recover_multipliers`` and the
@@ -241,49 +241,60 @@ def per_stage(closure: str, out, n: int, shape: tuple) -> Array:
 
 @dataclass(frozen=True)
 class StageData:
-    """Per-stage data of one frozen QP: ``x_{k+1} = a[k] x_k + b[k] u_k + w[k]``.
+    """Per-stage data of one frozen QP: ``x_{k+1} = jac[k] [x_k; u_k] + w[k]``.
 
-    Arrays are stacked over the N stages: ``a`` is (N, n_x, n_x), ``b``
-    is (N, n_x, n_u) and ``w`` is (N, n_x).
+    Arrays are stacked over the N stages: ``jac`` holds ``J_k = [A_k B_k]``,
+    shape (N, n_x, n_x + n_u), and ``w`` is (N, n_x).  ``a`` and ``b``
+    are views of ``jac``.
     """
 
-    a: Array
-    b: Array
+    jac: Array
     w: Array
+
+    @property
+    def a(self) -> Array:
+        return self.jac[:, :, :self.jac.shape[1]]
+
+    @property
+    def b(self) -> Array:
+        return self.jac[:, :, self.jac.shape[1]:]
+
+
+def stage_points(prob: StackedProblem, y) -> Array:
+    """``[x_k; u_k]`` of the N stages of y, shape (N, n_x + n_u)."""
+    return np.concatenate((prob.states(y)[:-1], prob.inputs(y)), axis=1)
 
 
 def frozen_stages(model: LpvModel, rho_traj) -> StageData:
-    """Frozen-parameter stage data (A(rho_k), B(rho_k), 0) of a parameter trajectory."""
+    """Frozen-parameter stage data ([A(rho_k) B(rho_k)], 0) of a parameter trajectory."""
     n, n_x, n_u = len(rho_traj), model.dims.n_x, model.dims.n_u
     a = per_stage("a_of_rho", model.a_of_rho(rho_traj), n, (n_x, n_x))
     b = per_stage("b_of_rho", model.b_of_rho(rho_traj), n, (n_x, n_u))
-    return StageData(a, b, np.zeros((n, n_x)))
+    return StageData(np.concatenate((a, b), axis=2), np.zeros((n, n_x)))
 
 
 def stage_data(prob: StackedProblem, y, variant: str) -> StageData:
     """Stage data of the QP that the given variant freezes at the iterate y.
 
-    standard: the frozen-parameter matrices ``(A(rho_k), B(rho_k))`` with
+    standard: the frozen-parameter matrices ``[A(rho_k) B(rho_k)]`` with
     no offset.  exact: the stage Jacobian ``J_k = [A_k B_k]`` of the
-    dynamics f at ``(x_k, u_k)`` and the offset
-    ``w_k = f(x_k, u_k) - J_k [x_k; u_k]``, i.e. the linearization of
-    the dynamics at y, both from one call of the model's ``stage_jacobian``.
+    dynamics f at ``z_k = [x_k; u_k]`` and the offset
+    ``w_k = f(x_k, u_k) - J_k z_k``, i.e. the linearization of the
+    dynamics at y, both from one call of the model's ``stage_jacobian``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if variant == "standard":
         return frozen_stages(prob.model, prob.rho_trajectory(y))
-    xs, us = prob.states(y)[:-1], prob.inputs(y)
-    out = prob.model.stage_jacobian(xs, us)
+    out = prob.model.stage_jacobian(prob.states(y)[:-1], prob.inputs(y))
     if not (isinstance(out, tuple) and len(out) == 2):
         raise ValueError(f"model closure stage_jacobian returned {type(out).__name__}; "
                          "expected the tuple (f, J)")
     f = per_stage("stage_jacobian (f)", out[0], prob.n_horizon, (prob.n_x,))
     jac = per_stage("stage_jacobian (J)", out[1], prob.n_horizon, (prob.n_x, prob.n_x + prob.n_u))
-    a, b = jac[:, :, :prob.n_x], jac[:, :, prob.n_x:]
     with np.errstate(over="ignore", invalid="ignore"):
-        w = f - (a @ xs[:, :, None] + b @ us[:, :, None])[:, :, 0]
-    return StageData(a, b, w)
+        w = f - (jac @ stage_points(prob, y)[:, :, None])[:, :, 0]
+    return StageData(jac, w)
 
 
 def stage_stationarity(prob: StackedProblem, stages: StageData, y: Array, lam: Array):
@@ -293,24 +304,23 @@ def stage_stationarity(prob: StackedProblem, stages: StageData, y: Array, lam: A
     row per constraint block (initial condition, then each stage).
     """
     xs = prob.states(y)
-    us = prob.inputs(y)
     lam = np.asarray(lam, dtype=float).reshape(prob.n_horizon + 1, prob.n_x)
     weights = prob.weights
+    lam_j = (lam[1:, None, :] @ stages.jac)[:, 0, :]
     stat_x = lam.copy()
-    stat_x[:-1] += 2.0 * (xs[:-1] @ weights.Q) - (lam[1:, None, :] @ stages.a)[:, 0, :]
+    stat_x[:-1] += 2.0 * (xs[:-1] @ weights.Q) - lam_j[:, :prob.n_x]
     stat_x[-1] += 2.0 * (weights.P @ xs[-1])
-    stat_u = 2.0 * (us @ weights.R) - (lam[1:, None, :] @ stages.b)[:, 0, :]
+    stat_u = 2.0 * (prob.inputs(y) @ weights.R) - lam_j[:, prob.n_x:]
     return stat_x, stat_u
 
 
 def stage_feasibility(prob: StackedProblem, stages: StageData, y: Array, x0hat) -> Array:
-    """Rows ``x_0 - x0hat`` and ``x_{k+1} - a[k] x_k - b[k] u_k - w[k]`` of
+    """Rows ``x_0 - x0hat`` and ``x_{k+1} - jac[k] [x_k; u_k] - w[k]`` of
     ``G y + C x0hat``, shape (N+1, n_x)."""
-    xs, us = prob.states(y), prob.inputs(y)
+    xs = prob.states(y)
     feas = np.empty(xs.shape)
     feas[0] = xs[0] - x0hat
-    feas[1:] = xs[1:] - ((stages.a @ xs[:-1, :, None] + stages.b @ us[:, :, None])[:, :, 0]
-                         + stages.w)
+    feas[1:] = xs[1:] - ((stages.jac @ stage_points(prob, y)[:, :, None])[:, :, 0] + stages.w)
     return feas
 
 

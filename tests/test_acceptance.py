@@ -145,7 +145,7 @@ def test_criterion_7_condensed_stacked_equivalence():
         prob = q.StackedProblem.build(m, 5, w)
         rho_traj = rng.normal(size=(5, m.dims.n_rho))
         x0 = rng.normal(size=m.dims.n_x)
-        qp = condensing.condense(prob, rho_traj, x0)
+        qp = condensing.condense(prob, stacked.frozen_stages(m, rho_traj), x0)
         y = condensing.expand(qp, condensing.solve_condensed(qp))
         g = stacked.constraint_matrix(prob, rho_traj)
         lam = stacked.recover_multipliers(prob, g, y)

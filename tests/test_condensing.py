@@ -31,8 +31,13 @@ def gaussian_elimination(a, b):
     return x
 
 
+def condense_rho(prob, rho_traj, x0):
+    """Condense the QP frozen at a parameter trajectory, with no offset."""
+    return condensing.condense(prob, stacked.frozen_stages(prob.model, rho_traj), x0)
+
+
 def test_condense_tiny_lti(tiny_lti_problem):
-    qp = condensing.condense(tiny_lti_problem, np.zeros((1, 1)), [1.0])
+    qp = condense_rho(tiny_lti_problem, np.zeros((1, 1)), [1.0])
     assert_allclose(qp.hess, [[4.0]])
     assert_allclose(qp.grad, [2.0])
     assert_allclose(qp.gamma, [[0.0], [1.0]])
@@ -40,21 +45,21 @@ def test_condense_tiny_lti(tiny_lti_problem):
 
 
 def test_condense_zero_initial_state(tiny_lti_problem):
-    qp = condensing.condense(tiny_lti_problem, np.zeros((1, 1)), [0.0])
+    qp = condense_rho(tiny_lti_problem, np.zeros((1, 1)), [0.0])
     assert_allclose(qp.grad, [0.0])
     assert_allclose(condensing.solve_condensed(qp), [0.0])
 
 
 def test_condense_unicycle_shape_and_pd(unicycle_problem):
     rng = np.random.default_rng(0)
-    qp = condensing.condense(unicycle_problem, rng.normal(size=(20, 1)), rng.normal(size=5))
+    qp = condense_rho(unicycle_problem, rng.normal(size=(20, 1)), rng.normal(size=5))
     assert qp.hess.shape == (40, 40)
     assert np.linalg.eigvalsh(qp.hess).min() > 0.0
 
 
 def test_condense_adip_pd(adip_problem, adip_x0):
     rho_traj = adip_problem.rho_trajectory(q.initial_guess(adip_problem, adip_x0))
-    qp = condensing.condense(adip_problem, rho_traj, adip_x0)
+    qp = condense_rho(adip_problem, rho_traj, adip_x0)
     assert np.linalg.eigvalsh(qp.hess).min() > 0.0
 
 
@@ -103,7 +108,7 @@ def test_replaced_problem_condenses_with_its_own_weights(unicycle_problem, adip_
 
 
 def test_solve_condensed_tiny_lti(tiny_lti_problem):
-    qp = condensing.condense(tiny_lti_problem, np.zeros((1, 1)), [1.0])
+    qp = condense_rho(tiny_lti_problem, np.zeros((1, 1)), [1.0])
     u = condensing.solve_condensed(qp)
     assert_allclose(u, [-0.5])
     y = condensing.expand(qp, u)
@@ -141,7 +146,7 @@ def test_expand_feasibility(unicycle_problem):
     rng = np.random.default_rng(1)
     rho_traj = rng.normal(size=(20, 1))
     x0 = rng.normal(size=5)
-    qp = condensing.condense(unicycle_problem, rho_traj, x0)
+    qp = condense_rho(unicycle_problem, rho_traj, x0)
     y = condensing.expand(qp, condensing.solve_condensed(qp))
     g = stacked.constraint_matrix(unicycle_problem, rho_traj)
     resid = g @ y + unicycle_problem.x0_map @ x0
@@ -149,12 +154,12 @@ def test_expand_feasibility(unicycle_problem):
 
 
 def test_expand_zero_input_zero_state(tiny_lti_problem):
-    qp = condensing.condense(tiny_lti_problem, np.zeros((1, 1)), [0.0])
+    qp = condense_rho(tiny_lti_problem, np.zeros((1, 1)), [0.0])
     assert np.all(condensing.expand(qp, np.zeros(1)) == 0.0)
 
 
 def test_expand_rejects_wrong_length_input(unicycle_problem):
-    qp = condensing.condense(unicycle_problem, np.zeros((20, 1)), np.zeros(5))
+    qp = condense_rho(unicycle_problem, np.zeros((20, 1)), np.zeros(5))
     with pytest.raises(ValueError, match=r"input trajectory must have length 40, got \(39,\)"):
         condensing.expand(qp, np.zeros(39))
 
@@ -198,7 +203,7 @@ def test_condensed_matches_dense_kkt_solve(name, horizon):
     for _ in range(20):
         rho_traj = rng.normal(size=(horizon, m.dims.n_rho))
         x0 = rng.normal(size=m.dims.n_x)
-        qp = condensing.condense(prob, rho_traj, x0)
+        qp = condense_rho(prob, rho_traj, x0)
         y = condensing.expand(qp, condensing.solve_condensed(qp))
         g = stacked.constraint_matrix(prob, rho_traj)
         lam = stacked.recover_multipliers(prob, g, y)
@@ -224,7 +229,7 @@ def test_condense_from_stages_equals_condense_from_rho(unicycle_problem):
     rng = np.random.default_rng(2)
     y = rng.normal(size=unicycle_problem.n_y)
     x0 = rng.normal(size=5)
-    qp_rho = condensing.condense(unicycle_problem, unicycle_problem.rho_trajectory(y), x0)
+    qp_rho = condense_rho(unicycle_problem, unicycle_problem.rho_trajectory(y), x0)
     qp_stages = condensing.condense(unicycle_problem,
                                     stage_data(unicycle_problem, y, "standard"), x0)
     assert_allclose(qp_rho.hess, qp_stages.hess)
@@ -239,7 +244,7 @@ def test_condense_exact_offset_shifts_prediction(tiny_qlpv_problem):
     y_lin = np.array([0.5, 0.25, 0.0])
     stages = stage_data(tiny_qlpv_problem, y_lin, "exact")
     qp = condensing.condense(tiny_qlpv_problem, stages, [0.5])
-    no_offset = StageData(stages.a, stages.b, np.zeros_like(stages.w))
+    no_offset = StageData(stages.jac, np.zeros_like(stages.w))
     qp_no_offset = condensing.condense(tiny_qlpv_problem, no_offset, [0.5])
     assert np.any(qp.free != qp_no_offset.free)
     y = condensing.expand(qp, condensing.solve_condensed(qp))
@@ -278,7 +283,8 @@ def test_stage_multipliers_reject_overflowing_recursion(unicycle_problem):
     # returned as inf or NaN (and the overflow must not warn)
     scn = q.builtin_scenario("unicycle")
     prob = q.StackedProblem.build(unicycle_problem.model, 4, scn.weights)
-    stages = StageData(a=np.full((4, 5, 5), 1e160), b=np.zeros((4, 5, 2)), w=np.zeros((4, 5)))
+    jac = np.concatenate([np.full((4, 5, 5), 1e160), np.zeros((4, 5, 2))], axis=2)
+    stages = StageData(jac=jac, w=np.zeros((4, 5)))
     with pytest.raises(q.SolverError, match="multipliers are non-finite"):
         stage_multipliers(prob, stages, np.ones(prob.n_y))
 
@@ -301,7 +307,7 @@ def _perturbed_dpotrs(monkeypatch, calls):
 
 def _unicycle_qp(prob):
     rng = np.random.default_rng(3)
-    return condensing.condense(prob, rng.normal(size=(20, 1)), rng.normal(size=5))
+    return condense_rho(prob, rng.normal(size=(20, 1)), rng.normal(size=5))
 
 
 def test_solve_condensed_refines_a_missed_residual(monkeypatch, unicycle_problem):
@@ -334,7 +340,8 @@ def test_condense_matches_sequential_rollout(request, name, horizon):
     rng = np.random.default_rng(horizon)
     # near-identity transitions keep the N = 40 products at a moderate scale
     a = np.eye(n_x) + 0.3 * rng.normal(size=(n, n_x, n_x)) / np.sqrt(n_x)
-    stages = StageData(a=a, b=rng.normal(size=(n, n_x, n_u)), w=rng.normal(size=(n, n_x)))
+    stages = StageData(jac=np.concatenate([a, rng.normal(size=(n, n_x, n_u))], axis=2),
+                       w=rng.normal(size=(n, n_x)))
     x0 = rng.normal(size=n_x)
 
     free = [x0]

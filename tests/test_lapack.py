@@ -10,7 +10,7 @@ import pytest
 import qlmpc as q
 from qlmpc import _lapack
 
-ROUTINES = ("dpotrf", "dpotrs", "dpbtrf", "dpbtrs")
+ROUTINES = ("dpotrf", "dpotrs", "dpbsv", "dpbtrs")
 
 # solves an ADIP band and a condensed ADIP Hessian with both modules'
 # routines; ORDER says which of qlmpc and scipy.linalg is imported first
@@ -36,9 +36,9 @@ b_rhs, h_rhs = rng.normal(size=band.shape[1]), rng.normal(size=len(hess))
 
 
 def solves(mod):
-    b_factor, b_info = mod.dpbtrf(band, lower=1)
+    b_factor, b_sol, b_info = mod.dpbsv(band, b_rhs, lower=1)
     h_factor, h_info = mod.dpotrf(hess, lower=1, clean=0)
-    return (b_info, h_info, b_factor, mod.dpbtrs(b_factor, b_rhs, lower=1)[0],
+    return (b_info, h_info, b_factor, b_sol, mod.dpbtrs(b_factor, b_rhs, lower=1)[0],
             h_factor, mod.dpotrs(h_factor, h_rhs, lower=1)[0])
 
 

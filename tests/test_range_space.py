@@ -105,14 +105,14 @@ def test_residual_miss_falls_back_to_condensing(monkeypatch, adip_problem, adip_
 
 
 def test_band_that_fails_to_factor_falls_back_to_condensing(monkeypatch, adip_problem, adip_x0):
-    # dpbtrf reports a leading minor that is not positive definite
+    # dpbsv reports a leading minor that is not positive definite
     factored = []
 
-    def not_positive_definite(band, lower):
+    def not_positive_definite(band, rhs, lower):
         factored.append(None)
-        return band, 1
+        return band, rhs, 1
 
-    monkeypatch.setattr(condensing, "dpbtrf", not_positive_definite)
+    monkeypatch.setattr(condensing, "dpbsv", not_positive_definite)
     entry = solver.TraceEntry((adip_problem, adip_x0, "standard"),
                               q.initial_guess(adip_problem, adip_x0))
     assert solve_range_space(adip_problem, entry.stages, adip_x0) == (None, 0.0)

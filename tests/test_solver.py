@@ -38,7 +38,7 @@ def stacked_shift(prob, y_prev, x0hat_new):
     """The shift built stage by stage from states and inputs (test oracle)."""
     n = prob.n_horizon
     xs, us = prob.states(y_prev), prob.inputs(y_prev)
-    xs_new = np.vstack([x0hat_new, xs[2:], q.eval_dynamics(prob.model, xs[n], us[n - 1])])
+    xs_new = np.vstack([x0hat_new, xs[2:], xs[n]])
     us_new = np.vstack([us[1:], us[n - 1]])
     return np.concatenate([xs_new.ravel(), us_new.ravel()])
 
@@ -52,7 +52,7 @@ class TestWarmShift:
         prob = q.StackedProblem.build(m, 2, q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
         y_prev = np.array([1.0, 0.5, 0.25, -0.5, -0.25])
         shifted = q.warm_shift(prob, y_prev, [0.5])
-        assert_allclose(shifted, [0.5, 0.25, 0.0, -0.25, -0.25])
+        assert_allclose(shifted, [0.5, 0.25, 0.25, -0.25, -0.25])
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=5, max_size=5), st.floats(-10, 10))

@@ -10,7 +10,9 @@ tests check that the solver never calls the dense oracles, evaluates
 each model closure once per trajectory, not once per stage, solves a
 real-time step from one stage-data evaluation without multipliers or a
 residual, and that the certificate loop evaluates stage data once per
-iterate.
+iterate.  A warm-started real-time closed-loop step evaluates the model
+for its stage data and the plant only: the warm shift needs no model,
+because the first QP never reads the guess's terminal state.
 """
 
 import collections
@@ -240,6 +242,46 @@ def test_real_time_step_is_one_qp(monkeypatch, name, adip_problem, adip_x0,
         else:
             assert calls == {"rho": 1, "a_of_rho": 1, "b_of_rho": 1}
         assert np.array_equal(tr.iterates[-1].y, expected[variant])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["tiny-lti", "tiny-qlpv", "unicycle", "adip"])
+def test_first_qp_ignores_the_guess_terminal_state(problems, name, variant):
+    # the stage data read stages 0..N-1 only; warm_shift relies on this
+    # when it duplicates the last state instead of rolling the model on
+    prob = problems[name]
+    rng = np.random.default_rng(11)
+    for mode in ("real_time_single_iteration", "converge"):
+        opts = q.SolverOptions(variant=variant, mode=mode, max_iter=1)
+        for _ in range(5):
+            y0 = 0.5 * rng.normal(size=prob.n_y)
+            x0 = rng.normal(size=prob.n_x)
+            moved = y0.copy()
+            prob.states(moved)[-1] += rng.normal(size=prob.n_x)
+            first = q.solve_ocp(prob, x0, y0, opts).iterates[1].y
+            assert first.tobytes() == q.solve_ocp(prob, x0, moved, opts).iterates[1].y.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["adip", "unicycle"])
+def test_warm_started_real_time_step_evaluates_stage_data_and_plant_only(
+        name, variant, adip_problem, adip_x0, unicycle_problem, unicycle_x0):
+    base, x0 = {"adip": (adip_problem, adip_x0), "unicycle": (unicycle_problem, unicycle_x0)}[name]
+    calls = collections.Counter()
+    prob = q.StackedProblem.build(counted(base.model, calls), base.n_horizon, base.weights)
+    q.warm_shift(prob, q.initial_guess(base, x0), x0)
+    assert not calls
+    rti = q.SolverOptions(variant=variant, mode="real_time_single_iteration")
+    totals = []
+    for steps in (1, 2):
+        calls.clear()
+        states = q.run_control_loop(prob, x0, steps, rti)[0]
+        assert len(states) == steps + 1
+        totals.append(calls.copy())
+    # the second step is warm-started: one stage-data evaluation, one plant step
+    plant = collections.Counter(rho=1, a_of_rho=1, b_of_rho=1)
+    stage = collections.Counter(stage_jacobian=1) if variant == "exact" else plant
+    assert totals[1] - totals[0] == plant + stage
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -1,9 +1,9 @@
-"""The four LAPACK routines of the QP solves, loaded without ``scipy.linalg``.
+"""The three LAPACK routines of the QP solves, loaded without ``scipy.linalg``.
 
-The solves call ``dpotrf``/``dpotrs`` and ``dpbsv``/``dpbtrs`` from
-scipy's compiled f2py LAPACK extension.  Importing them through
-``scipy.linalg`` runs that package's ``__init__``, which pulls in most of
-scipy's array-API layer and, through it, ``numpy.f2py``,
+The solves call ``dpotrf``/``dpotrs`` and ``dpbsv`` from scipy's
+compiled f2py LAPACK extension.  Importing them through ``scipy.linalg``
+runs that package's ``__init__``, which pulls in most of scipy's
+array-API layer and, through it, ``numpy.f2py``,
 ``numpy.testing``, ``numpy.random`` and more: about two thirds of the
 time ``import qlmpc`` took.  So the extension module
 ``scipy/linalg/_flapack`` is loaded here straight from its file, under
@@ -56,4 +56,4 @@ def _load():
 
 _flapack = _load()
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
-dpbsv, dpbtrs = _flapack.dpbsv, _flapack.dpbtrs
+dpbsv = _flapack.dpbsv

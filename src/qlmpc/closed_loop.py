@@ -216,11 +216,9 @@ def simulate(scn: Scenario) -> ScenarioResult:
 
 def _weight_matrix(value, what: str) -> Array:
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return arr.reshape(1, 1)
     if arr.ndim == 1:
         return np.diag(arr)
-    if arr.ndim == 2:
+    if arr.ndim <= 2:  # Weights makes a scalar 1x1
         return arr
     raise ConfigError(f"{what} must be a scalar, vector (diagonal) or matrix")
 

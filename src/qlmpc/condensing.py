@@ -17,14 +17,11 @@ the linearization offset for the exact variant).
 Both are rolled out together as ``X[k] = [Gamma_k | free_k]``, which
 solves ``X[k+1] = A_k X[k] + E[k+1]``.  ``condense`` writes x0hat and
 the offsets ``w_k`` into the free column of ``X`` and each input matrix
-``B_k`` into its block column.  Rather than one stage at a time, it runs
-a prefix scan by recursive doubling: ``ceil(log2(N+1))`` levels of
-batched matrix products, one that adds the terms ``d`` stages back and,
-on every level but the last, one that doubles the transition products
-to ``2d`` stages.  The Hessian is ``h + h'`` with ``h = Gamma' (Wx Gamma)``
-plus blkdiag(R, ..., R).  The factorizations call LAPACK (``dpotrf``/
-``dpotrs``, ``dpbsv``/``dpbtrs``) without scipy's checking wrappers,
-from scipy's compiled LAPACK extension as ``_lapack`` loads it, so that
+``B_k`` into its block column, then rolls out one stage at a time.  The
+Hessian is ``h + h'`` with ``h = Gamma' (Wx Gamma)`` plus
+blkdiag(R, ..., R).  The factorizations call LAPACK (``dpotrf``/
+``dpotrs`` and ``dpbsv``) without scipy's checking wrappers, from
+scipy's compiled LAPACK extension as ``_lapack`` loads it, so that
 ``import qlmpc`` never imports ``scipy.linalg``.
 """
 
@@ -36,7 +33,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ._lapack import dpbsv, dpbtrs, dpotrf, dpotrs
+from ._lapack import dpbsv, dpotrf, dpotrs
 from .errors import SolverError
 from .stacked import (
     InverseWeights,
@@ -74,16 +71,8 @@ def condense(prob: StackedProblem, stages: StageData, x0hat) -> CondensedQp:
     # diverged iterates can overflow the rollout products; the solve
     # rejects the resulting non-finite QP, so do not warn here
     with np.errstate(over="ignore", invalid="ignore"):
-        # doubling: at offset d, phi[k] holds a_k ... a_{k-d+1} and x[k]
-        # the sum of its last d rollout terms; each level doubles both,
-        # except that the last level's products would never be read
-        phi = stages.a.copy()
-        d = 1
-        while d <= n:
-            x[d:] += phi[d - 1:] @ x[:n + 1 - d]
-            if 2 * d <= n:
-                phi[2 * d - 1:] = phi[2 * d - 1:] @ phi[d - 1:n - d]
-            d *= 2
+        for k, a in enumerate(stages.a):
+            x[k + 1] += a @ x[k]
         gamma, free = x[:, :, :-1], x[:, :, -1]
 
         # the state weight is block diagonal (Q, ..., Q, P): Q X_k and
@@ -205,9 +194,8 @@ def solve_range_space(prob: StackedProblem, stages: StageData, x0hat) -> tuple:
     The multipliers solve ``G W^-1 G' lam = -2 [x0hat; w]``, a banded SPD
     system that one ``dpbsv`` call factors and solves, and
     ``y = -1/2 W^-1 G' lam`` satisfies stationarity by construction, up
-    to the rounding of W^-1.  Its stage-wise feasibility
-    residual must be within ``_RESIDUAL_RTOL`` of the data's scale, after
-    at most one step of iterative refinement.
+    to the rounding of W^-1.  Its stage-wise feasibility residual must be
+    within ``_RESIDUAL_RTOL`` of the data's scale.
 
     Returns y and the seconds of the factorization and solve, or
     ``(None, 0.0)`` when Q or P is singular, or the band fails to factor,
@@ -225,17 +213,11 @@ def solve_range_space(prob: StackedProblem, stages: StageData, x0hat) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         band, jw = _normal_band(stages, inv)
         t0 = perf_counter()
-        factor, lam, info = dpbsv(band, -2.0 * data, lower=True)
+        _, lam, info = dpbsv(band, -2.0 * data, lower=True)
         if info != 0:
             return None, 0.0
         y = _range_space_y(prob, inv, jw, lam)
-        resid = stage_feasibility(prob, stages, y, x0)
-        err = np.abs(resid).max()
-        if not err <= tol:
-            lam += dpbtrs(factor, 2.0 * resid.ravel(), lower=True)[0]
-            y = _range_space_y(prob, inv, jw, lam)
-            err = np.abs(stage_feasibility(prob, stages, y, x0)).max()
-        if err <= tol < np.inf:
+        if np.abs(stage_feasibility(prob, stages, y, x0)).max() <= tol < np.inf:
             return y, perf_counter() - t0
     return None, 0.0
 

@@ -66,9 +66,8 @@ def test_condense_adip_pd(adip_problem, adip_x0):
 @pytest.mark.parametrize("variant", ["standard", "exact"])
 def test_condensed_hessian_equals_dense_weight_product(unicycle_problem, variant):
     # a non-diagonal R has entries off the diagonal of each input block;
-    # with R = I an R entry added at the wrong place could not show.  The
-    # doubling skips its last level's transition product, which at N = 1
-    # leaves none and at N = 2 one
+    # with R = I an R entry added at the wrong place could not show.  N = 1
+    # and N = 2 are the shortest rollouts
     w = unicycle_problem.weights
     r = np.array([[2.0, 0.7], [0.7, 1.5]])
     for horizon in (1, 2, unicycle_problem.n_horizon):
@@ -332,8 +331,8 @@ def test_solve_condensed_fails_when_refinement_misses(monkeypatch, unicycle_prob
 @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 40])
 @pytest.mark.parametrize("name", ["unicycle", "adip"])
 def test_condense_matches_sequential_rollout(request, name, horizon):
-    # the doubling levels must cover every stage for each horizon on either
-    # side of a power of two; the oracle rolls out one stage at a time
+    # the oracle adds b_k and w_k stage by stage, where condense writes
+    # them into one buffer before its rollout
     base = request.getfixturevalue(f"{name}_problem")
     prob = q.StackedProblem.build(base.model, horizon, base.weights)
     n, n_x, n_u = prob.n_horizon, prob.n_x, prob.n_u

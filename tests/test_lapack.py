@@ -1,5 +1,6 @@
 """The LAPACK routines that ``qlmpc._lapack`` loads without ``scipy.linalg``."""
 
+import ast
 import importlib.machinery
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 import qlmpc as q
 from qlmpc import _lapack
 
-ROUTINES = ("dpotrf", "dpotrs", "dpbsv", "dpbtrs")
+ROUTINES = ("dpotrf", "dpotrs", "dpbsv")
 
 # solves an ADIP band and a condensed ADIP Hessian with both modules'
 # routines; ORDER says which of qlmpc and scipy.linalg is imported first
@@ -38,8 +39,7 @@ b_rhs, h_rhs = rng.normal(size=band.shape[1]), rng.normal(size=len(hess))
 def solves(mod):
     b_factor, b_sol, b_info = mod.dpbsv(band, b_rhs, lower=1)
     h_factor, h_info = mod.dpotrf(hess, lower=1, clean=0)
-    return (b_info, h_info, b_factor, b_sol, mod.dpbtrs(b_factor, b_rhs, lower=1)[0],
-            h_factor, mod.dpotrs(h_factor, h_rhs, lower=1)[0])
+    return (b_info, h_info, b_factor, b_sol, h_factor, mod.dpotrs(h_factor, h_rhs, lower=1)[0])
 
 
 ours, theirs = solves(_lapack), solves(lapack)
@@ -66,3 +66,14 @@ def test_falls_back_to_scipy_linalg_lapack_without_the_file(monkeypatch):
     assert module is scipy.linalg.lapack
     for name in ROUTINES:
         assert getattr(module, name) is getattr(_lapack, name)
+
+
+def test_routines_are_the_ones_the_solves_import():
+    # a binding that no solve imports is dead code
+    imported = set()
+    for path in Path(q.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "_lapack":
+                imported.update(alias.name for alias in node.names)
+    bound = {name for name, value in vars(_lapack).items() if type(value) is type(_lapack.dpbsv)}
+    assert imported == bound == set(ROUTINES)

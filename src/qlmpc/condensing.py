@@ -1,12 +1,14 @@
 """The two solves of the per-iteration QP, and its stage-wise multipliers.
 
 ``solve_range_space`` solves the QP from one banded Cholesky factorization
-of ``G W^-1 G'`` when Q and P are positive definite (R always is).
+of ``G W^-1 G'`` when Q and P are positive definite (R always is), in one
+pass over the stage arrays that takes x0 as the caller validated it.
 ``stage_multipliers`` needs no factorization: at a QP solution the state
 rows of stationarity fix the multipliers one stage at a time, backwards
 from the terminal cost (the adjoint recursion).
 
-Condensing solves the QPs that the range-space solve hands on.
+Condensing solves the QPs that the range-space solve hands on; a
+condensed solve that misses its residual tolerance raises.
 Eliminating the states through the (affine) frozen dynamics turns the QP
 into an unconstrained quadratic in the stacked inputs, solved by a single
 positive-definite factorization.  The state prediction is
@@ -35,12 +37,7 @@ import numpy as np
 
 from ._lapack import dpbsv, dpotrf, dpotrs
 from .errors import SolverError
-from .stacked import (
-    InverseWeights,
-    StackedProblem,
-    StageData,
-    stage_feasibility,
-)
+from .stacked import StackedProblem, StageData
 
 Array = np.ndarray
 
@@ -112,15 +109,9 @@ def solve_condensed(qp: CondensedQp) -> Array:
         )
     u, _ = dpotrs(factor, -qp.grad, lower=True)
     scale = max(1.0, float(np.abs(qp.grad).max(initial=0.0)))
-    resid = qp.hess @ u + qp.grad
-    if np.abs(resid).max(initial=0.0) > _RESIDUAL_RTOL * scale:
-        # one step of iterative refinement before giving up
-        u = u - dpotrs(factor, resid, lower=True)[0]
-        resid = qp.hess @ u + qp.grad
-        if np.abs(resid).max(initial=0.0) > _RESIDUAL_RTOL * scale:
-            raise SolverError(
-                f"condensed solve residual {np.abs(resid).max():.3e} exceeds tolerance"
-            )
+    resid = np.abs(qp.hess @ u + qp.grad).max(initial=0.0)
+    if resid > _RESIDUAL_RTOL * scale:
+        raise SolverError(f"condensed solve residual {resid:.3e} exceeds tolerance")
     return u
 
 
@@ -134,7 +125,10 @@ def expand(qp: CondensedQp, u) -> Array:
 
 @lru_cache(maxsize=16)
 def _band_index(n: int, n_x: int) -> Array:
-    """Where ``_normal_band`` reads each entry of its lower band.
+    """Where ``solve_range_space`` reads the lower band of ``G W^-1 G'``,
+    transposed: ``index[j, d]`` locates the band's entry ``[d, j]``, which
+    holds ``[j + d, j]``.  Taking it gives the band's transpose, so the band
+    itself comes out in LAPACK's column order.
 
     The source is flat: the N+1 diagonal blocks, the N sub-diagonal
     blocks and a zero, which fills the band below the sub-diagonal blocks.
@@ -147,55 +141,22 @@ def _band_index(n: int, n_x: int) -> Array:
     sub = ((n + 1 + k) * n_x + row - n_x) * n_x + c
     index = np.where(row < n_x, diag,
                      np.where((row < 2 * n_x) & (k < n), sub, (2 * n + 1) * n_x * n_x))
-    index = index.reshape(2 * n_x, (n + 1) * n_x)
+    index = np.ascontiguousarray(index.reshape(2 * n_x, (n + 1) * n_x).T)
     index.flags.writeable = False
     return index
 
 
-def _normal_band(stages: StageData, inv: InverseWeights) -> tuple:
-    """G W^-1 G' in LAPACK lower band storage.
-
-    G W^-1 G' is block tridiagonal: diagonal blocks W_0^-1 (initial
-    condition) and W_{k+1}^-1 + J_k blkdiag(Q^-1, R^-1) J_k' with
-    ``J_k = [A_k B_k]``, sub-diagonal blocks -A_k Q^-1, so its lower
-    bandwidth is 2 n_x - 1.  Entry ``[d, j]`` of the band holds its ``[j + d, j]``.
-    Returns the band and the stages' ``J_k blkdiag(Q^-1, R^-1)``.
-    """
-    jac = stages.jac
-    n, n_x, n_z = jac.shape
-    jw = (jac.reshape(-1, n_z) @ inv.w).reshape(jac.shape)
-    m = (n + 1) * n_x * n_x
-    blocks = np.zeros(m + n * n_x * n_x + 1)
-    diag = blocks[:m].reshape(n + 1, n_x, n_x)
-    np.matmul(jw, jac.transpose(0, 2, 1), out=diag[1:])
-    diag += inv.x
-    np.negative(jw[:, :, :n_x], out=blocks[m:-1].reshape(n, n_x, n_x))
-    return blocks.take(_band_index(n, n_x)), jw
-
-
-def _range_space_y(prob: StackedProblem, inv: InverseWeights, jw: Array, lam: Array) -> Array:
-    """``y = -1/2 W^-1 G' lam``.  With ``t_k = lam_{k+1}' J_k blkdiag(Q^-1, R^-1)``,
-    ``x_k = -1/2 (lam_k' W_k^-1 - t_k[:n_x])`` and ``u_k = 1/2 t_k[n_x:]``."""
-    n_x = prob.n_x
-    lam = lam.reshape(prob.n_horizon + 1, n_x)
-    t = (lam[1:, None, :] @ jw)[:, 0, :]
-    y = np.empty(prob.n_y)
-    xs = prob.states(y)
-    np.matmul(lam[:, None, :], inv.x, out=xs[:, None, :])
-    xs[:-1] -= t[:, :n_x]
-    xs *= -0.5
-    prob.inputs(y)[:] = 0.5 * t[:, n_x:]
-    return y
-
-
-def solve_range_space(prob: StackedProblem, stages: StageData, x0hat) -> tuple:
+def solve_range_space(prob: StackedProblem, stages: StageData, x0) -> tuple:
     """Solve the QP frozen in ``stages`` in range space, when W is positive definite.
 
     The multipliers solve ``G W^-1 G' lam = -2 [x0hat; w]``, a banded SPD
     system that one ``dpbsv`` call factors and solves, and
     ``y = -1/2 W^-1 G' lam`` satisfies stationarity by construction, up
     to the rounding of W^-1.  Its stage-wise feasibility residual must be
-    within ``_RESIDUAL_RTOL`` of the data's scale.
+    within ``_RESIDUAL_RTOL`` of the data's scale.  One pass builds the
+    band, solves it, forms y and checks it on buffers made once; ``x0``
+    is the initial state as the caller validated it (``solve_ocp`` and
+    ``qlmpc_iterate`` check it once per solve).
 
     Returns y and the seconds of the factorization and solve, or
     ``(None, 0.0)`` when Q or P is singular, or the band fails to factor,
@@ -205,19 +166,46 @@ def solve_range_space(prob: StackedProblem, stages: StageData, x0hat) -> tuple:
     inv = prob.inverse_weights
     if inv is None:
         return None, 0.0
-    x0 = prob.check_x0(x0hat)
-    data = np.concatenate([x0, stages.w.ravel()])
+    jac = stages.jac
+    n, n_x, n_z = jac.shape
+    # [x0hat; w]: the right side, its scale, and then what y's states must meet
+    data = np.empty((n + 1, n_x))
+    data[0] = x0
+    data[1:] = stages.w
     tol = _RESIDUAL_RTOL * max(1.0, float(np.abs(data).max()))
     # overflow, in the data or on the way, surfaces as a residual that
     # misses the tolerance
     with np.errstate(over="ignore", invalid="ignore"):
-        band, jw = _normal_band(stages, inv)
+        # G W^-1 G' is block tridiagonal, of lower bandwidth 2 n_x - 1:
+        # diagonal blocks W_0^-1 (initial condition) and
+        # W_{k+1}^-1 + J_k blkdiag(Q^-1, R^-1) J_k', sub-diagonal blocks
+        # -A_k Q^-1; one gather takes its lower band from them
+        jw = (jac.reshape(-1, n_z) @ inv.w).reshape(jac.shape)
+        n_eq = (n + 1) * n_x
+        m = n_eq * n_x
+        blocks = np.zeros(m + n * n_x * n_x + 1)
+        diag = blocks[:m].reshape(n + 1, n_x, n_x)
+        np.matmul(jw, jac.transpose(0, 2, 1), out=diag[1:])
+        diag += inv.x
+        np.negative(jw[:, :, :n_x], out=blocks[m:-1].reshape(n, n_x, n_x))
         t0 = perf_counter()
-        _, lam, info = dpbsv(band, -2.0 * data, lower=True)
+        _, lam, info = dpbsv(blocks.take(_band_index(n, n_x)).T, -2.0 * data.ravel(),
+                             lower=True, overwrite_ab=True, overwrite_b=True)
         if info != 0:
             return None, 0.0
-        y = _range_space_y(prob, inv, jw, lam)
-        if np.abs(stage_feasibility(prob, stages, y, x0)).max() <= tol < np.inf:
+        # with t_k = lam_{k+1}' J_k blkdiag(Q^-1, R^-1):
+        # x_k = -1/2 (lam_k' W_k^-1 - t_k[:n_x]) and u_k = 1/2 t_k[n_x:]
+        lam = lam.reshape(n + 1, n_x)
+        t = (lam[1:, None, :] @ jw)[:, 0, :]
+        y = np.empty(prob.n_y)
+        xs, us = y[:n_eq].reshape(n + 1, n_x), y[n_eq:].reshape(n, n_z - n_x)
+        np.matmul(lam[:, None, :], inv.x, out=xs[:, None, :])
+        xs[:-1] -= t[:, :n_x]
+        xs *= -0.5
+        np.multiply(t[:, n_x:], 0.5, out=us)
+        # feasibility: x_0 = x0hat and x_{k+1} = J_k [x_k; u_k] + w_k
+        data[1:] += (jac @ np.concatenate((xs[:-1], us), axis=1)[:, :, None])[:, :, 0]
+        if np.abs(xs - data).max() <= tol < np.inf:
             return y, perf_counter() - t0
     return None, 0.0
 

@@ -18,7 +18,8 @@ frozen at the stage data of a trace entry and returns the next entry.
 ``_step`` solves in range space, from one banded Cholesky factorization
 of ``G W^-1 G'``, and condenses only the QPs that the range-space solve
 hands on: those of a singular Q or P, and any whose band fails to factor
-or whose feasibility residual misses the tolerance.
+or whose feasibility residual misses the tolerance.  x0 is validated once
+per solve, by ``solve_ocp`` or ``qlmpc_iterate``; each QP takes it as is.
 
 Both variants stop on the a-posteriori error bound of a contraction,
 ``|y[l+1] - y*| <= k / (1 - k) |y[l+1] - y[l]|``, which needs neither
@@ -127,8 +128,8 @@ class TraceEntry:
 class IterateTrace:
     """Iteration record; entry 0 is the initial point, untimed.  A real-time
     trace is the start and one QP solution, unconverged.  Reading ``final``
-    or ``residuals`` computes multipliers or residuals; ``iterates[-1].y``
-    computes nothing."""
+    computes multipliers, and an entry's ``fonc_inf`` its residual;
+    ``iterates[-1].y`` computes nothing."""
 
     iterates: list
     converged: bool
@@ -140,10 +141,6 @@ class IterateTrace:
     @property
     def final(self) -> KktPoint:
         return self.iterates[-1].z
-
-    @property
-    def residuals(self) -> Array:
-        return np.array([e.fonc_inf for e in self.iterates])
 
 
 def initial_guess(prob: StackedProblem, x0hat) -> Array:

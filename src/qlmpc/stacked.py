@@ -15,7 +15,10 @@ assembled from the per-stage dynamics Jacobians.
 The solver works on per-stage data only: ``stage_data`` gives the QP
 that a variant freezes at an iterate as ``x_{k+1} = J_k [x_k; u_k] + w_k``
 with ``J_k = [A_k B_k]``, and ``stage_residual`` evaluates its
-optimality residual stage by stage.  The dense stacked functions
+optimality residual stage by stage.  ``stage_data`` takes the iterate's
+state and input views once; the range-space solve in ``condensing``
+checks its solution's feasibility in its own pass, on the x0 that the
+caller validated.  The dense stacked functions
 below them (``constraint_matrix``, ``linearized_constraint``,
 ``coupling_correction``, ``kkt_matrix``, the residuals and their
 Jacobian, the least-squares multipliers ``recover_multipliers`` and the
@@ -260,11 +263,6 @@ class StageData:
         return self.jac[:, :, self.jac.shape[1]:]
 
 
-def stage_points(prob: StackedProblem, y) -> Array:
-    """``[x_k; u_k]`` of the N stages of y, shape (N, n_x + n_u)."""
-    return np.concatenate((prob.states(y)[:-1], prob.inputs(y)), axis=1)
-
-
 def frozen_stages(model: LpvModel, rho_traj) -> StageData:
     """Frozen-parameter stage data ([A(rho_k) B(rho_k)], 0) of a parameter trajectory."""
     n, n_x, n_u = len(rho_traj), model.dims.n_x, model.dims.n_u
@@ -286,14 +284,15 @@ def stage_data(prob: StackedProblem, y, variant: str) -> StageData:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if variant == "standard":
         return frozen_stages(prob.model, prob.rho_trajectory(y))
-    out = prob.model.stage_jacobian(prob.states(y)[:-1], prob.inputs(y))
+    xs, us = prob.states(y)[:-1], prob.inputs(y)
+    out = prob.model.stage_jacobian(xs, us)
     if not (isinstance(out, tuple) and len(out) == 2):
         raise ValueError(f"model closure stage_jacobian returned {type(out).__name__}; "
                          "expected the tuple (f, J)")
     f = per_stage("stage_jacobian (f)", out[0], prob.n_horizon, (prob.n_x,))
     jac = per_stage("stage_jacobian (J)", out[1], prob.n_horizon, (prob.n_x, prob.n_x + prob.n_u))
     with np.errstate(over="ignore", invalid="ignore"):
-        w = f - (jac @ stage_points(prob, y)[:, :, None])[:, :, 0]
+        w = f - (jac @ np.concatenate((xs, us), axis=1)[:, :, None])[:, :, 0]
     return StageData(jac, w)
 
 
@@ -320,7 +319,8 @@ def stage_feasibility(prob: StackedProblem, stages: StageData, y: Array, x0hat) 
     xs = prob.states(y)
     feas = np.empty(xs.shape)
     feas[0] = xs[0] - x0hat
-    feas[1:] = xs[1:] - ((stages.jac @ stage_points(prob, y)[:, :, None])[:, :, 0] + stages.w)
+    z = np.concatenate((xs[:-1], prob.inputs(y)), axis=1)
+    feas[1:] = xs[1:] - ((stages.jac @ z[:, :, None])[:, :, 0] + stages.w)
     return feas
 
 

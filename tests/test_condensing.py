@@ -288,44 +288,26 @@ def test_stage_multipliers_reject_overflowing_recursion(unicycle_problem):
         stage_multipliers(prob, stages, np.ones(prob.n_y))
 
 
-def _perturbed_dpotrs(monkeypatch, calls):
-    """Patch ``condensing.dpotrs`` to add 1e-3 to the solutions of the
-    calls whose (0-based) number is in ``calls``; returns the call log."""
-    dpotrs, log = condensing.dpotrs, []
-
-    def perturbed(*args, **kwargs):
-        x, info = dpotrs(*args, **kwargs)
-        if len(log) in calls:
-            x = x + 1e-3
-        log.append(None)
-        return x, info
-
-    monkeypatch.setattr(condensing, "dpotrs", perturbed)
-    return log
-
-
 def _unicycle_qp(prob):
     rng = np.random.default_rng(3)
     return condense_rho(prob, rng.normal(size=(20, 1)), rng.normal(size=5))
 
 
-def test_solve_condensed_refines_a_missed_residual(monkeypatch, unicycle_problem):
-    # a first solve that misses the residual: one refinement step meets it
+def test_solve_condensed_raises_after_one_solve_on_a_missed_residual(monkeypatch,
+                                                                     unicycle_problem):
+    # a solve that misses the residual is an error: no second dpotrs call
     qp = _unicycle_qp(unicycle_problem)
-    log = _perturbed_dpotrs(monkeypatch, {0})
-    u = condensing.solve_condensed(qp)
-    assert len(log) == 2
-    scale = max(1.0, np.abs(qp.grad).max())
-    assert np.abs(qp.hess @ u + qp.grad).max() <= condensing._RESIDUAL_RTOL * scale
-    assert np.abs(u - scipy.linalg.solve(qp.hess, -qp.grad)).max() <= 1e-9 * np.abs(u).max()
+    dpotrs, log = condensing.dpotrs, []
 
+    def perturbed(*args, **kwargs):
+        log.append(None)
+        x, info = dpotrs(*args, **kwargs)
+        return x + 1e-3, info
 
-def test_solve_condensed_fails_when_refinement_misses(monkeypatch, unicycle_problem):
-    qp = _unicycle_qp(unicycle_problem)
-    log = _perturbed_dpotrs(monkeypatch, {0, 1})
+    monkeypatch.setattr(condensing, "dpotrs", perturbed)
     with pytest.raises(q.SolverError, match="exceeds tolerance"):
         condensing.solve_condensed(qp)
-    assert len(log) == 2
+    assert len(log) == 1
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 40])

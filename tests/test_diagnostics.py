@@ -275,7 +275,7 @@ def test_exact_variant_rate_not_asserted_superlinear(unicycle_problem, unicycle_
     tr = q.solve_ocp(unicycle_problem, unicycle_x0, q.initial_guess(unicycle_problem, unicycle_x0),
                      q.SolverOptions(variant="exact", stop_tol=1e-10, max_iter=60))
     assert tr.converged
-    res = tr.residuals
+    res = np.array([e.fonc_inf for e in tr.iterates])
     tail = res[-4:]
     ratios = tail[1:] / tail[:-1]
     assert np.all(ratios < 1.0)

@@ -13,8 +13,8 @@ from qlmpc import _lapack
 
 ROUTINES = ("dpotrf", "dpotrs", "dpbsv")
 
-# solves an ADIP band and a condensed ADIP Hessian with both modules'
-# routines; ORDER says which of qlmpc and scipy.linalg is imported first
+# solves the band of an ADIP G W^-1 G' and a condensed ADIP Hessian with
+# both modules' routines; ORDER says which of qlmpc and scipy.linalg is imported first
 _BOTH_ORDERS = """
 import sys
 if ORDER == "scipy-first":
@@ -22,15 +22,17 @@ if ORDER == "scipy-first":
 import numpy as np
 import qlmpc as q
 from qlmpc import _lapack
-from qlmpc.condensing import _normal_band, condense
-from qlmpc.stacked import stage_data
+from qlmpc.condensing import condense
+from qlmpc.stacked import _assemble_g, stage_data
 print("scipy.linalg" in sys.modules)
 import scipy.linalg.lapack as lapack
 
 scn = q.builtin_scenario("adip")
 prob = scn.problem
 stages = stage_data(prob, q.initial_guess(prob, scn.x0), "standard")
-band = _normal_band(stages, prob.inverse_weights)[0]
+g = _assemble_g(prob, stages)
+normal = g @ np.linalg.solve(prob.weight_matrix, g.T)
+band = np.array([np.append(np.diagonal(normal, -d), np.zeros(d)) for d in range(2 * prob.n_x)])
 hess = condense(prob, stages, scn.x0).hess
 rng = np.random.default_rng(0)
 b_rhs, h_rhs = rng.normal(size=band.shape[1]), rng.normal(size=len(hess))

@@ -3,20 +3,23 @@
 ``solver._step`` solves each QP from the stage data in range space,
 through one banded Cholesky factorization of ``G W^-1 G'``, when Q and P
 are positive definite; condensing solves the QPs of singular weights and
-any QP the range-space solve hands on.
+any QP the range-space solve hands on.  The solve is one pass over the
+stage arrays; ``_composed`` keeps it as separate steps (band, ``dpbsv``,
+y, feasibility residual), and the pass must equal it bitwise.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbsv
 
 import qlmpc as q
 import qlmpc.condensing as condensing
 import qlmpc.solver as solver
 from qlmpc.closed_loop import REFERENCE_OPTIONS
 from qlmpc.condensing import solve_range_space
-from qlmpc.stacked import _assemble_g, _kkt, stage_data
+from qlmpc.stacked import _assemble_g, _kkt, stage_data, stage_feasibility
 
 MODELS = ["tiny-lti", "tiny-qlpv", "unicycle", "adip"]
 
@@ -36,6 +39,84 @@ def _dense_kkt_y(prob, stages, x0):
     g = _assemble_g(prob, stages)
     rhs = np.concatenate([np.zeros(prob.n_y), x0, stages.w.ravel()])
     return np.linalg.solve(_kkt(prob, g.T, g), rhs)[:prob.n_y]
+
+
+def _lower_band(blocks, n, n_x):
+    """The lower band, in LAPACK storage, of the block tridiagonal matrix
+    whose N+1 diagonal and N sub-diagonal blocks ``blocks`` holds in turn."""
+    m = (n + 1) * n_x * n_x
+    diag, sub = blocks[:m].reshape(n + 1, n_x, n_x), blocks[m:m + n * n_x * n_x]
+    dense = np.zeros(((n + 1) * n_x,) * 2)
+    for k in range(n + 1):
+        dense[k * n_x:(k + 1) * n_x, k * n_x:(k + 1) * n_x] = diag[k]
+    for k, block in enumerate(sub.reshape(n, n_x, n_x)):
+        dense[(k + 1) * n_x:(k + 2) * n_x, k * n_x:(k + 1) * n_x] = block
+    return np.array([np.append(np.diagonal(dense, -d), np.zeros(d)) for d in range(2 * n_x)])
+
+
+def _composed(prob, stages, x0):
+    """The range-space solve as four separate steps, each on its own
+    arrays: the band of G W^-1 G', one dpbsv call, y, and y's feasibility
+    residual.  The reference that the one-pass solve equals bitwise."""
+    inv = prob.inverse_weights
+    if inv is None:
+        return None, 0.0
+    data = np.concatenate([x0, stages.w.ravel()])
+    tol = condensing._RESIDUAL_RTOL * max(1.0, float(np.abs(data).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = stages.jac
+        n, n_x, n_z = jac.shape
+        jw = (jac.reshape(-1, n_z) @ inv.w).reshape(jac.shape)
+        m = (n + 1) * n_x * n_x
+        blocks = np.zeros(m + n * n_x * n_x)
+        diag = blocks[:m].reshape(n + 1, n_x, n_x)
+        np.matmul(jw, jac.transpose(0, 2, 1), out=diag[1:])
+        diag += inv.x
+        np.negative(jw[:, :, :n_x], out=blocks[m:].reshape(n, n_x, n_x))
+        _, lam, info = dpbsv(_lower_band(blocks, n, n_x), -2.0 * data, lower=True)
+        if info != 0:
+            return None, 0.0
+        lam = lam.reshape(n + 1, n_x)
+        t = (lam[1:, None, :] @ jw)[:, 0, :]
+        y = np.empty(prob.n_y)
+        xs = prob.states(y)
+        np.matmul(lam[:, None, :], inv.x, out=xs[:, None, :])
+        xs[:-1] -= t[:, :n_x]
+        xs *= -0.5
+        prob.inputs(y)[:] = 0.5 * t[:, n_x:]
+        if np.abs(stage_feasibility(prob, stages, y, x0)).max() <= tol < np.inf:
+            return y, 0.0
+    return None, 0.0
+
+
+def _ill_conditioned(prob):
+    """The unicycle problem prob with Q = P positive definite of condition number 1e10."""
+    rng = np.random.default_rng(0)
+    v = np.linalg.qr(rng.normal(size=(prob.n_x,) * 2))[0]
+    q_ill = v @ np.diag([1.0, 1.0, 1.0, 1.0, 1e-10]) @ v.T
+    q_ill = 0.5 * (q_ill + q_ill.T)
+    return dataclasses.replace(prob, weights=q.Weights(Q=q_ill, R=prob.weights.R, P=q_ill))
+
+
+@pytest.mark.parametrize("variant", ["standard", "exact"])
+@pytest.mark.parametrize("horizon", [1, 2, 7, 20, 40])
+@pytest.mark.parametrize("name", MODELS)
+def test_one_pass_equals_the_composed_solve_bitwise(name, horizon, variant):
+    prob = _problem(name, horizon)
+    rng = np.random.default_rng(100 + horizon)
+    for _ in range(5):
+        x0 = rng.normal(size=prob.n_x)
+        stages = stage_data(prob, 0.5 * rng.normal(size=prob.n_y), variant)
+        want, _ = _composed(prob, stages, x0)
+        y, _ = solve_range_space(prob, stages, x0)
+        assert want is not None and np.array_equal(y, want)
+
+
+def test_one_pass_and_the_composed_solve_miss_together(unicycle_problem, unicycle_x0):
+    prob = _ill_conditioned(unicycle_problem)
+    stages = stage_data(prob, q.initial_guess(prob, unicycle_x0), "exact")
+    assert _composed(prob, stages, unicycle_x0) == (None, 0.0)
+    assert solve_range_space(prob, stages, unicycle_x0) == (None, 0.0)
 
 
 @pytest.mark.parametrize("variant", ["standard", "exact"])
@@ -87,18 +168,21 @@ def test_singular_weights_take_the_condensing_path(monkeypatch, unicycle_problem
 
 
 def test_residual_miss_falls_back_to_condensing(monkeypatch, adip_problem, adip_x0):
-    # a residual that misses the tolerance: one read, then condensing
-    checks = []
+    # multipliers off by 1e-3 give a y that misses the feasibility residual:
+    # one band solve, then condensing, which reads no band
+    solved = []
+    dpbsv = condensing.dpbsv
 
-    def missed(prob, stages, y, x0):
-        checks.append(None)
-        return np.full((prob.n_horizon + 1, prob.n_x), np.inf)
+    def off(*args, **kwargs):
+        solved.append(None)
+        band, lam, info = dpbsv(*args, **kwargs)
+        return band, lam + 1e-3, info
 
-    monkeypatch.setattr(condensing, "stage_feasibility", missed)
+    monkeypatch.setattr(condensing, "dpbsv", off)
     entry = solver.TraceEntry((adip_problem, adip_x0, "standard"),
                               q.initial_guess(adip_problem, adip_x0))
     assert solve_range_space(adip_problem, entry.stages, adip_x0) == (None, 0.0)
-    assert len(checks) == 1
+    assert len(solved) == 1
     np.testing.assert_array_equal(solver._step(entry).y,
                                   _condensed_y(adip_problem, entry.stages, adip_x0))
 
@@ -107,7 +191,7 @@ def test_band_that_fails_to_factor_falls_back_to_condensing(monkeypatch, adip_pr
     # dpbsv reports a leading minor that is not positive definite
     factored = []
 
-    def not_positive_definite(band, rhs, lower):
+    def not_positive_definite(band, rhs, **kwargs):
         factored.append(None)
         return band, rhs, 1
 
@@ -172,12 +256,7 @@ def test_preset_qps_all_solve_in_range_space(monkeypatch, scenario, variant, ref
 def test_ill_conditioned_weights_fall_back_to_condensing(unicycle_problem, unicycle_x0):
     # Q and P positive definite with condition number 1e10: W^-1 loses too
     # many digits for the feasibility residual, and condensing solves the QP
-    rng = np.random.default_rng(0)
-    v = np.linalg.qr(rng.normal(size=(unicycle_problem.n_x,) * 2))[0]
-    q_ill = v @ np.diag([1.0, 1.0, 1.0, 1.0, 1e-10]) @ v.T
-    q_ill = 0.5 * (q_ill + q_ill.T)
-    prob = dataclasses.replace(unicycle_problem,
-                               weights=q.Weights(Q=q_ill, R=unicycle_problem.weights.R, P=q_ill))
+    prob = _ill_conditioned(unicycle_problem)
     assert prob.inverse_weights is not None
     entry = solver.TraceEntry((prob, unicycle_x0, "exact"), q.initial_guess(prob, unicycle_x0))
     assert solve_range_space(prob, entry.stages, unicycle_x0) == (None, 0.0)

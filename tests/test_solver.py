@@ -265,7 +265,7 @@ class TestSolveOcp:
     def test_monotone_residual_tail_unicycle(self, unicycle_problem, unicycle_x0, variant):
         tr = q.solve_ocp(unicycle_problem, unicycle_x0, q.initial_guess(unicycle_problem, unicycle_x0),
                          q.SolverOptions(variant=variant, stop_tol=1e-8, max_iter=50))
-        res = tr.residuals
+        res = np.array([e.fonc_inf for e in tr.iterates])
         assert np.all(res[2:] < res[1:-1])
 
     @pytest.mark.parametrize("variant", ["standard", "exact"])
@@ -275,7 +275,7 @@ class TestSolveOcp:
         tr = q.solve_ocp(adip_problem, adip_x0, q.initial_guess(adip_problem, adip_x0),
                          q.SolverOptions(variant=variant, stop_tol=1e-6, max_iter=60))
         assert tr.converged
-        res = tr.residuals
+        res = np.array([e.fonc_inf for e in tr.iterates])
         start = len(res) - 1
         while start > 0 and res[start - 1] > res[start]:
             start -= 1
@@ -319,7 +319,7 @@ class TestSolveOcp:
         z = q.qlmpc_iterate(unicycle_problem, z0, unicycle_x0, variant)
         np.testing.assert_array_equal(tr.final.y, z.y)
         np.testing.assert_array_equal(tr.final.lam, z.lam)
-        assert np.isfinite(tr.residuals).all()
+        assert np.isfinite(np.array([e.fonc_inf for e in tr.iterates])).all()
 
     def test_exact_fixpoint_costs_no_more_than_standard(self, unicycle_problem, unicycle_x0):
         y0 = q.initial_guess(unicycle_problem, unicycle_x0)

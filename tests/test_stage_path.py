@@ -12,7 +12,8 @@ real-time step from one stage-data evaluation without multipliers or a
 residual, and that the certificate loop evaluates stage data once per
 iterate.  A warm-started real-time closed-loop step evaluates the model
 for its stage data and the plant only: the warm shift needs no model,
-because the first QP never reads the guess's terminal state.
+because the first QP never reads the guess's terminal state.  A
+closed-loop step checks its data once per solve, not once per QP.
 """
 
 import collections
@@ -282,6 +283,34 @@ def test_warm_started_real_time_step_evaluates_stage_data_and_plant_only(
     plant = collections.Counter(rho=1, a_of_rho=1, b_of_rho=1)
     stage = collections.Counter(stage_jacobian=1) if variant == "exact" else plant
     assert totals[1] - totals[0] == plant + stage
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["adip", "unicycle"])
+def test_converge_step_validates_its_data_once_per_solve(monkeypatch, name, variant, adip_problem,
+                                                        adip_x0, unicycle_problem, unicycle_x0):
+    # solve_ocp checks x0 once; its QPs take the checked x0 as it is, so a
+    # closed-loop step's vector checks do not grow with its iteration count
+    prob, x0 = {"adip": (adip_problem, adip_x0), "unicycle": (unicycle_problem, unicycle_x0)}[name]
+    checks = []
+    as_vector = models._as_vector
+
+    def counted_as_vector(*args):
+        checks.append(None)
+        return as_vector(*args)
+
+    monkeypatch.setattr(models, "_as_vector", counted_as_vector)
+    monkeypatch.setattr(stacked, "_as_vector", counted_as_vector)
+    counts, iterations = [], []
+    for max_iter in (1, 3):
+        checks.clear()
+        opts = q.SolverOptions(variant=variant, max_iter=max_iter, stop_tol=1e-300)
+        _, _, stats, fail_step, _ = q.run_control_loop(prob, x0, 2, opts)
+        assert fail_step is None
+        counts.append(len(checks))
+        iterations.append(sum(s.iterations for s in stats))
+    assert iterations[0] == 2 and iterations[1] >= 4
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

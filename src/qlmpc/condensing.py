@@ -52,10 +52,11 @@ class CondensedQp:
     grad: Array    # linear coefficient, 2 (Wx Gamma)' free
 
 
-def condense(prob: StackedProblem, stages: StageData, x0hat) -> CondensedQp:
+def condense(prob: StackedProblem, stages: StageData, x0) -> CondensedQp:
     """Eliminate the states of the QP frozen in ``stages`` and build the
-    input-space quadratic."""
-    x0 = prob.check_x0(x0hat)
+    input-space quadratic; ``x0`` is the initial state as the caller
+    validated it (``solve_ocp`` and ``qlmpc_iterate`` check it once per
+    solve)."""
     n_x, n_u, n = prob.n_x, prob.n_u, prob.n_horizon
 
     # X[k] = [Gamma_k | free_k] solves X[k+1] = a_k X[k] + E[k+1] with

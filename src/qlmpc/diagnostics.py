@@ -6,7 +6,8 @@ the standard variant (its converged iterates are stationary points of a
 linearly perturbed cost), an empirical contraction-rate fit for the
 error recursion  err[l+1] <= kappa err[l] + omega/2 err[l]^2, and the
 agreement of exact-variant iterates with a dense Gauss-Newton SQP step.
-The finite-difference Jacobian oracle is ``stacked.fd_jacobian``.
+The finite-difference Jacobian oracle lives with the tests, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations

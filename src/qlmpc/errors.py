@@ -12,12 +12,10 @@ class ConfigError(QlmpcError, ValueError):
 class SolverError(QlmpcError, RuntimeError):
     """Numerical failure inside a solve.
 
-    Carries optional context such as the smallest eigenvalue of a
-    factorization target or the smallest singular value of a
-    rank-deficient constraint matrix.
+    Carries the smallest eigenvalue of a factorization target that is
+    not positive definite, when there is one.
     """
 
-    def __init__(self, message, *, min_eigenvalue=None, smallest_singular_value=None):
+    def __init__(self, message, *, min_eigenvalue=None):
         super().__init__(message)
         self.min_eigenvalue = min_eigenvalue
-        self.smallest_singular_value = smallest_singular_value

@@ -20,10 +20,12 @@ state and input views once; the range-space solve in ``condensing``
 checks its solution's feasibility in its own pass, on the x0 that the
 caller validated.  The dense stacked functions
 below them (``constraint_matrix``, ``linearized_constraint``,
-``coupling_correction``, ``kkt_matrix``, the residuals and their
-Jacobian, the least-squares multipliers ``recover_multipliers`` and the
-Gauss-Newton ``sqp_step``) are independent oracles for tests and
-diagnostics; the solver never calls them.
+``coupling_correction``, ``cost_perturbation``, the residuals and the
+Gauss-Newton ``sqp_step``) are what ``diagnose`` reads and independent
+oracles for the tests; the solver never calls them.  The oracles that
+only the tests call (the KKT matrix, the residual's Jacobian, a
+finite-difference Jacobian and least-squares multipliers) are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -385,17 +387,6 @@ def fonc_residual(prob: StackedProblem, z: KktPoint, x0hat) -> Array:
     return _residual(prob, g.T, g, y, z.lam, x0)
 
 
-def kkt_matrix(prob: StackedProblem, z: KktPoint) -> Array:
-    """Fixed-parameter KKT matrix [[2W, G'], [G, 0]] at rho(y).
-
-    This is the Newton-type matrix the iteration implicitly applies; it
-    is symmetric by construction.
-    """
-    y = prob.check_y(z.y)
-    g = constraint_matrix(prob, prob.rho_trajectory(y))
-    return _kkt(prob, g.T, g)
-
-
 def coupling_correction(prob: StackedProblem, y) -> Array:
     """Hidden-coupling term: d[G(rho(y)) y]/dy - G(rho(y)).
 
@@ -419,45 +410,6 @@ def linearized_constraint(prob: StackedProblem, y) -> tuple[Array, Array]:
     return jac, g - jac
 
 
-def fd_jacobian(f, z, step: float) -> Array:
-    """Central-difference Jacobian of a vector function at z."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    f0 = np.atleast_1d(np.asarray(f(z), dtype=float))
-    out = np.empty((f0.size, z.size))
-    for j in range(z.size):
-        zp = z.copy()
-        zm = z.copy()
-        zp[j] += step
-        zm[j] -= step
-        out[:, j] = (np.asarray(f(zp), dtype=float) - np.asarray(f(zm), dtype=float)) / (2.0 * step)
-    return out
-
-
-def fonc_jacobian(prob: StackedProblem, z: KktPoint) -> Array:
-    """Exact Jacobian of the optimality residual map.
-
-    The constraint block is assembled from the per-stage dynamics
-    Jacobians; the curvature block d[G' lam]/dy is approximated by
-    central finite differences (step 1e-6) since it feeds diagnostics
-    only, never the iteration.
-    """
-    y = prob.check_y(z.y)
-    lam = np.asarray(z.lam, dtype=float)
-
-    def gt_lam(yv):
-        g = constraint_matrix(prob, prob.rho_trajectory(yv))
-        return g.T @ lam
-
-    curvature = fd_jacobian(gt_lam, y, 1e-6)
-    g = constraint_matrix(prob, prob.rho_trajectory(y))
-    jac_constraint, _ = linearized_constraint(prob, y)
-    out = _kkt(prob, g.T, jac_constraint)
-    out[:prob.n_y, :prob.n_y] += curvature
-    return out
-
-
 def cost_perturbation(prob: StackedProblem, y, lam) -> Array:
     """Linear cost perturbation picked up by the standard fixpoint.
 
@@ -475,29 +427,6 @@ def true_fonc_residual(prob: StackedProblem, z: KktPoint, x0hat) -> Array:
     x0 = prob.check_x0(x0hat)
     jac, dist = linearized_constraint(prob, y)
     return _residual(prob, jac.T, jac + dist, y, z.lam, x0)
-
-
-def recover_multipliers(prob: StackedProblem, g_used, y) -> Array:
-    """Least-squares multipliers from the stationarity conditions.
-
-    A QR-based least-squares solve of ``G' lam = -2 W y``, exact at a QP
-    optimum because the stationarity system is consistent there.
-    """
-    import scipy.linalg  # a test oracle's import, kept off ``import qlmpc``
-
-    g = np.asarray(g_used, dtype=float)
-    y = prob.check_y(y)
-    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(y)):
-        raise SolverError("multiplier recovery received non-finite data")
-    rhs = -2.0 * (prob.weight_matrix @ y)
-    lam, _, rank = scipy.linalg.lstsq(g.T, rhs, lapack_driver="gelsy", check_finite=False)[:3]
-    if rank < g.shape[0]:
-        smallest = float(np.linalg.svd(g, compute_uv=False).min())
-        raise SolverError(
-            f"constraint matrix is rank deficient (smallest singular value {smallest:.3e})",
-            smallest_singular_value=smallest,
-        )
-    return lam
 
 
 def sqp_step(prob: StackedProblem, z: KktPoint, x0hat) -> KktPoint:

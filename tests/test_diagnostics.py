@@ -11,29 +11,30 @@ from numpy.testing import assert_allclose
 
 import qlmpc as q
 import qlmpc.models as models
-import qlmpc.stacked as stacked
 from qlmpc.diagnostics import _ENVELOPE_SLACK, _contraction_tail, _envelope_lstsq
 from qlmpc.solver import IterateTrace
+
+import oracles
 
 
 class TestFdJacobian:
     def test_identity(self):
-        j = stacked.fd_jacobian(lambda z: z, np.array([1.0, -2.0, 3.0]), 1e-6)
+        j = oracles.fd_jacobian(lambda z: z, np.array([1.0, -2.0, 3.0]), 1e-6)
         assert_allclose(j, np.eye(3), atol=1e-9)
 
     def test_square(self):
-        j = stacked.fd_jacobian(lambda z: z * z, np.array([3.0]), 1e-6)
+        j = oracles.fd_jacobian(lambda z: z * z, np.array([3.0]), 1e-6)
         assert_allclose(j, [[6.0]], atol=1e-9)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            stacked.fd_jacobian(lambda z: z, np.zeros(1), 0.0)
+            oracles.fd_jacobian(lambda z: z, np.zeros(1), 0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=2))
     def test_exact_for_linear_maps(self, vals):
         a = np.array([[2.0, -1.0], [0.5, 3.0]])
-        j = stacked.fd_jacobian(lambda z: a @ z, np.array(vals), 1e-4)
+        j = oracles.fd_jacobian(lambda z: a @ z, np.array(vals), 1e-4)
         assert_allclose(j, a, atol=1e-8)
 
 

@@ -9,9 +9,10 @@ from numpy.testing import assert_allclose
 
 import qlmpc as q
 import qlmpc.models as models
-import qlmpc.stacked as stacked
 from qlmpc.models import ADIP_PARAMS
 from qlmpc.stacked import per_stage, stage_data
+
+import oracles
 
 ALL_MODEL_IDS = ["unicycle", "adip", "tiny-lti", "tiny-qlpv"]
 
@@ -109,7 +110,7 @@ def test_stage_jacobian_matches_finite_differences(name):
         x = rng.normal(scale=1.5, size=n_x)
         u = rng.normal(scale=1.5, size=m.dims.n_u)
         _, ja = m.stage_jacobian(x, u)
-        jf = stacked.fd_jacobian(dynamics, np.concatenate([x, u]), 1e-6)
+        jf = oracles.fd_jacobian(dynamics, np.concatenate([x, u]), 1e-6)
         assert np.abs(ja - jf).max() <= 1e-5 * max(1.0, np.abs(jf).max())
 
 
@@ -170,7 +171,7 @@ def test_batched_stage_jacobian_matches_finite_differences(name):
         jac = per_stage("stage_jacobian", m.stage_jacobian(xs, us)[1], n,
                         (n_x, n_x + m.dims.n_u))
         for ja, x, u in zip(jac, xs, us):
-            jf = stacked.fd_jacobian(dynamics, np.concatenate([x, u]), 1e-6)
+            jf = oracles.fd_jacobian(dynamics, np.concatenate([x, u]), 1e-6)
             assert np.abs(ja - jf).max() <= 1e-5 * max(1.0, np.abs(jf).max())
 
     check()

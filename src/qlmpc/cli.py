@@ -28,14 +28,9 @@ from .closed_loop import (
     run_control_loop,
     simulate,
 )
-from .diagnostics import (
-    certificate_trace,
-    contraction_fit,
-    sqp_equivalence_max_deviation,
-    verify_fixpoint_perturbation,
-)
+from .diagnostics import first_timestep_report
 from .errors import ConfigError, SolverError
-from .solver import IterateTrace, _is_int, _step, initial_guess
+from .solver import _is_int
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -242,73 +237,24 @@ def run_simulate(cfg: RunConfig) -> int:
     return EXIT_NUMERICAL if res.failed else EXIT_OK
 
 
-def _solve_prefix(trace: IterateTrace, tol: float, cap: int) -> IterateTrace:
-    """The ``certificate_trace`` of tolerance tol and cap iterations, read off the
-    longer, tighter ``trace``: iterates do not depend on the tolerance."""
-    for i, entry in enumerate(trace.iterates[:cap + 1]):
-        if entry.fonc_inf <= tol:
-            return IterateTrace(trace.iterates[:i + 1], converged=True)
-    return IterateTrace(trace.iterates[:cap + 1], converged=False)
-
-
 def run_diagnose(cfg: RunConfig) -> int:
     ignored = [key for key in ("variant", "mode", "max_iter") if getattr(cfg, key) is not None]
     if ignored:
         raise ConfigError(f"diagnose does not read {', '.join(ignored)}: it runs its own "
                           f"standard-variant residual-stopped solve")
     scn = make_scenario(cfg)
-    prob = scn.problem
     [report_path] = _out_paths(cfg, f"{scn.name}_diagnostics.json")
-    # one residual-stopped solve serves every check: each reads the prefix
-    # its own (tol, max_iter) solve would return; an overflow shows up as a
-    # non-finite number below, so it raises no warning on the way
-    fit_tol = cfg.tol if cfg.tol is not None else 1e-6
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = certificate_trace(prob, scn.x0, initial_guess(prob, scn.x0),
-                                  min(fit_tol, 1e-12), 400)
-
-        # the range-space iterates' feasibility rounding floors the residual
-        # (1e-8 on ADIP); if 1e-10 is below it, fall back a decade at a time
-        tight_tol = next((tol for tol in (1e-10, 1e-9, 1e-8)
-                          if _solve_prefix(trace, tol, 300).converged), None)
-        if tight_tol is None:
-            raise SolverError("standard variant did not converge to tol 1e-8 at the first timestep")
-        report = verify_fixpoint_perturbation(prob, _solve_prefix(trace, tight_tol, 300), scn.x0)
-
-        # pad a one-step solve (LTI degeneration) with iterates at the fixpoint
-        fit_trace = _solve_prefix(trace, fit_tol, 100)
-        while len(fit_trace.iterates) < 3:
-            fit_trace.iterates.append(_step(fit_trace.iterates[-1]))
-        ref_trace = _solve_prefix(trace, 1e-12, 400)
-        estimate = contraction_fit(fit_trace, ref_trace.final)
-
-        sqp_dev = sqp_equivalence_max_deviation(prob, scn.x0, seed=cfg.seed)
-
-        payload = {
-            "scenario": scn.name,
-            "model": scn.model_id,
-            "seed": cfg.seed,
-            "fixpoint_tol": tight_tol,
-            "e_norm_inf": float(np.max(np.abs(report.e), initial=0.0)),
-            "identity_error_inf": report.identity_error_inf,
-            "feasibility_residual_inf": report.feasibility_residual_inf,
-            "kappa_hat": estimate.kappa_hat,
-            "omega_hat": estimate.omega_hat,
-            "radius_bound": estimate.radius_bound,
-            "fit_residual_inf": estimate.fit_residual_inf,
-            "contraction_errors": estimate.errors,
-            "contraction_reference_converged": ref_trace.converged,
-            "sqp_equivalence_max_dev": sqp_dev,
-            "note": prob.model.note,
-        }
+    numbers = first_timestep_report(scn.problem, scn.x0,
+                                    fit_tol=1e-6 if cfg.tol is None else cfg.tol, seed=cfg.seed)
     # every number of a report is finite, but the radius bound, which is
     # infinite (written as null) when the fit finds no quadratic term
-    bad = [key for key, value in payload.items()
-           if key not in ("scenario", "model", "note")
-           and not (key == "radius_bound" and estimate.omega_hat == 0.0)
+    bad = [key for key, value in numbers.items()
+           if not (key == "radius_bound" and numbers["omega_hat"] == 0.0)
            and not np.all(np.isfinite(value))]
     if bad:
         raise SolverError(f"diagnostics are not finite: {', '.join(bad)}")
+    payload = {"scenario": scn.name, "model": scn.model_id, "seed": cfg.seed, **numbers,
+               "note": scn.problem.model.note}
     report_path.write_text(
         json.dumps(_json_safe(payload), indent=2) + "\n", encoding="utf-8", newline="\n")
     return EXIT_OK

@@ -104,10 +104,8 @@ def solve_condensed(qp: CondensedQp) -> Array:
     factor, info = dpotrf(qp.hess, lower=True, clean=False)
     if info != 0:
         min_eig = float(np.linalg.eigvalsh(qp.hess).min())
-        raise SolverError(
-            f"condensed Hessian is not positive definite (min eigenvalue {min_eig:.3e})",
-            min_eigenvalue=min_eig,
-        )
+        raise SolverError("condensed Hessian is not positive definite "
+                          f"(min eigenvalue {min_eig:.3e})")
     u, _ = dpotrs(factor, -qp.grad, lower=True)
     scale = max(1.0, float(np.abs(qp.grad).max(initial=0.0)))
     resid = np.abs(qp.hess @ u + qp.grad).max(initial=0.0)

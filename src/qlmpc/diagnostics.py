@@ -5,9 +5,9 @@ that certifies their fixpoints: the perturbed-fixpoint identity of
 the standard variant (its converged iterates are stationary points of a
 linearly perturbed cost), an empirical contraction-rate fit for the
 error recursion  err[l+1] <= kappa err[l] + omega/2 err[l]^2, and the
-agreement of exact-variant iterates with a dense Gauss-Newton SQP step.
-The finite-difference Jacobian oracle lives with the tests, in
-``tests/oracles.py``.
+agreement of exact-variant iterates with a dense Gauss-Newton SQP step;
+``first_timestep_report`` runs them for ``qlmpc diagnose``.  The
+finite-difference Jacobian oracle lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .solver import IterateTrace, TraceEntry, _step, qlmpc_iterate
+from .solver import IterateTrace, TraceEntry, _step, initial_guess, qlmpc_iterate
 from .stacked import (
     KktPoint,
     StackedProblem,
@@ -214,6 +214,26 @@ def contraction_fit(trace: IterateTrace, z_bar: KktPoint) -> ContractionEstimate
     )
 
 
+def _prefix(entries: list, tol: float, cap: int) -> IterateTrace:
+    """The residual-stopped trace of tolerance tol and at most cap steps from
+    entries[0]: the entries up to the first whose optimality residual is at
+    most tol, or ``cap + 1`` entries marked unconverged.
+
+    entries holds one solve's iterates, and a cut appends the steps it reads
+    past its end, so cuts of one list share their steps: iterates do not
+    depend on the tolerance.  A non-finite residual raises SolverError.
+    """
+    for i in range(cap + 1):
+        if i == len(entries):
+            entries.append(_step(entries[-1]))
+        res = entries[i].fonc_inf
+        if not np.isfinite(res):
+            raise SolverError(f"optimality residual is non-finite after {i} steps")
+        if res <= tol:
+            return IterateTrace(entries[:i + 1], converged=True)
+    return IterateTrace(entries[:cap + 1], converged=False)
+
+
 def certificate_trace(prob: StackedProblem, x0hat, y_init, stop_tol: float, max_iter: int,
                       variant: str = "standard") -> IterateTrace:
     """Step from y_init until the optimality residual of the QP frozen at the
@@ -224,14 +244,8 @@ def certificate_trace(prob: StackedProblem, x0hat, y_init, stop_tol: float, max_
     certificate for the fixpoint checks, which ``solve_ocp``'s stopping
     rule does not need.  A non-finite residual raises SolverError.
     """
-    entries = [TraceEntry((prob, prob.check_x0(x0hat), variant), prob.check_y(y_init))]
-    while True:
-        res = entries[-1].fonc_inf
-        if not np.isfinite(res):
-            raise SolverError(f"optimality residual is non-finite after {len(entries) - 1} steps")
-        if res <= stop_tol or len(entries) > max_iter:
-            return IterateTrace(entries, converged=bool(res <= stop_tol))
-        entries.append(_step(entries[-1]))
+    start = TraceEntry((prob, prob.check_x0(x0hat), variant), prob.check_y(y_init))
+    return _prefix([start], stop_tol, max_iter)
 
 
 def sqp_equivalence_max_deviation(prob: StackedProblem, x0hat, seed: int = 0) -> float:
@@ -252,3 +266,42 @@ def sqp_equivalence_max_deviation(prob: StackedProblem, x0hat, seed: int = 0) ->
         dev = float(np.max(np.abs(a.stack() - b.stack())))
         worst = max(worst, dev / (1.0 + float(np.max(np.abs(z.stack())))))
     return worst
+
+
+def first_timestep_report(prob: StackedProblem, x0hat, fit_tol: float, seed: int) -> dict:
+    """The numbers of the ``qlmpc diagnose`` report at x0hat, keyed as written.
+
+    Each check reads a cut of one standard-variant residual-stopped solve
+    from the zero-input rollout: the fixpoint check the first of tol 1e-10,
+    1e-9, 1e-8 (cap 300) that converges, the contraction fit tol fit_tol
+    (cap 100) and its reference tol 1e-12 (cap 400).  An overflow shows up
+    as a non-finite number, which the caller judges, and raises no warning.
+    """
+    x0 = prob.check_x0(x0hat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = [TraceEntry((prob, x0, "standard"), initial_guess(prob, x0))]
+        # the range-space iterates' feasibility rounding floors the residual
+        # (1e-8 on ADIP); if 1e-10 is below it, fall back a decade at a time
+        tight_tol = next((tol for tol in (1e-10, 1e-9, 1e-8)
+                          if _prefix(entries, tol, 300).converged), None)
+        if tight_tol is None:
+            raise SolverError("standard variant did not converge to tol 1e-8 at the first timestep")
+        report = verify_fixpoint_perturbation(prob, _prefix(entries, tight_tol, 300), x0)
+        fit = _prefix(entries, fit_tol, 100)
+        if len(fit.iterates) < 3:  # a one-step solve (LTI) reads on past its fixpoint
+            fit = _prefix(entries, -np.inf, 2)
+        ref = _prefix(entries, 1e-12, 400)
+        estimate = contraction_fit(fit, ref.final)
+        return {
+            "fixpoint_tol": tight_tol,
+            "e_norm_inf": float(np.max(np.abs(report.e), initial=0.0)),
+            "identity_error_inf": report.identity_error_inf,
+            "feasibility_residual_inf": report.feasibility_residual_inf,
+            "kappa_hat": estimate.kappa_hat,
+            "omega_hat": estimate.omega_hat,
+            "radius_bound": estimate.radius_bound,
+            "fit_residual_inf": estimate.fit_residual_inf,
+            "contraction_errors": estimate.errors,
+            "contraction_reference_converged": ref.converged,
+            "sqp_equivalence_max_dev": sqp_equivalence_max_deviation(prob, x0, seed=seed),
+        }

@@ -210,7 +210,8 @@ def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> Itera
     Each iteration solves one QP.  The loop stops, converged, when the
     contraction bound ``k / (1 - k) |dy|_inf`` of the latest step ``dy`` is at
     most ``stop_tol (1 + |y|_inf)``, or when the refreshed stage data equals
-    the frozen data bitwise; it stops at max_iter with ``converged=False``.
+    the frozen data bitwise; it stops at max_iter with ``converged=False``,
+    tested before the stage data, so m QPs evaluate m stage data.
     Numerical failures raise SolverError.  Real-time mode solves one QP and
     traces the start and its solution with ``converged=False``.
     """
@@ -231,6 +232,7 @@ def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> Itera
         k = _rate(steps)
         if k / (1.0 - k) * steps[-1] <= opts.stop_tol * (1.0 + float(np.abs(entry.y).max())):
             return IterateTrace(entries, converged=True)
-        same = _same_qp(entry.frozen, entry.stages)
-        if same or len(entries) > opts.max_iter:
-            return IterateTrace(entries, converged=same)
+        if len(entries) > opts.max_iter:  # checked first: no stage data for a QP not run
+            return IterateTrace(entries, converged=False)
+        if _same_qp(entry.frozen, entry.stages):
+            return IterateTrace(entries, converged=True)

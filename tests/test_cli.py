@@ -195,7 +195,7 @@ class TestExitCodes:
             raise AssertionError("solved before the output names were checked")
 
         monkeypatch.setattr(cli, "simulate", no_solve)
-        monkeypatch.setattr(cli, "certificate_trace", no_solve)
+        monkeypatch.setattr(diagnostics, "_prefix", no_solve)
         payload = json.loads(json.dumps(TINY_INLINE))
         payload["scenario"]["name"] = "x" * 300
         out = tmp_path / "res"
@@ -292,12 +292,14 @@ class TestExitCodes:
     def test_infeasible_contraction_fit_is_exit_3(self, tmp_path, monkeypatch):
         # a trace that returns to the reference after leaving it has an
         # error pair (0, e > 0) that no nonnegative envelope bounds
+        fit = diagnostics.contraction_fit
+
         def fit_with_return(trace, z_bar):
             at_ref = SimpleNamespace(z=z_bar)  # all contraction_fit reads of an entry
             away = solver.IterateTrace([at_ref, trace.iterates[0], at_ref], False)
-            return diagnostics.contraction_fit(away, z_bar)
+            return fit(away, z_bar)
 
-        monkeypatch.setattr(cli, "contraction_fit", fit_with_return)
+        monkeypatch.setattr(diagnostics, "contraction_fit", fit_with_return)
         assert main(["diagnose", "--scenario", "tiny-qlpv", "--out", str(tmp_path)]) == 3
 
     def test_linalg_error_is_exit_3(self, tmp_path, monkeypatch, capsys):
@@ -305,7 +307,7 @@ class TestExitCodes:
         def failing_fit(trace, z_bar):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(cli, "contraction_fit", failing_fit)
+        monkeypatch.setattr(diagnostics, "contraction_fit", failing_fit)
         assert main(["diagnose", "--scenario", "tiny-qlpv", "--out", str(tmp_path)]) == 3
         assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
@@ -580,22 +582,23 @@ class TestDiagnose:
 
     def test_adip_contraction_reference_is_unconverged(self, tmp_path, monkeypatch):
         # the tol-1e-12 ADIP reference stalls near 5e-9 and runs out of
-        # iterations; the report must say so.  All checks read one solve.
-        traces = []
+        # iterations; the report must say so.  All checks cut one solve, so
+        # its steps are the reference's 400.
+        steps = []
 
-        def recording_solve(*args):
-            traces.append(diagnostics.certificate_trace(*args))
-            return traces[-1]
+        def counted_step(entry):
+            steps.append(entry)
+            return solver._step(entry)
 
-        monkeypatch.setattr(cli, "certificate_trace", recording_solve)
+        monkeypatch.setattr(diagnostics, "_step", counted_step)
         out = tmp_path / "diag"
         assert main(["diagnose", "--scenario", "adip", "--out", str(out)]) == 0
         payload = json.loads((out / "adip_diagnostics.json").read_text())
         assert payload["contraction_reference_converged"] is False
-        assert [t.iterations for t in traces] == [400]
+        assert len(steps) == 400
 
     def test_lti_one_step_convergence_gives_zero_rate(self, tmp_path):
-        # the solve stops after one step; the fit pads it to three iterates
+        # the solve stops after one step; the fit reads on to three iterates
         out = tmp_path / "diag"
         assert main(["diagnose", "--scenario", "tiny-lti", "--out", str(out)]) == 0
         payload = json.loads((out / "tiny-lti_diagnostics.json").read_text())
@@ -621,21 +624,25 @@ def _tiny_qlpv_horizon_2():
     ("adip", [(1e-10, 60), (1e-9, 100), (1e-6, 100), (1e-6, 10), (1e-8, 3)]),
     ("unicycle", [(1e-10, 300), (1e-12, 100), (1e-3, 100), (1e-6, 1)]),
     ("tiny-qlpv", [(1e-10, 300), (1e-6, 100), (1e-6, 4), (1e-12, 10), (1e-12, 9)]),
+    # the last cut reads past every earlier cut's reach, and past the 400
+    # steps of diagnose's longest cut
+    ("adip", [(1e-6, 10), (1e-8, 3), (1e-10, 60), (1e-12, 450)]),
 ])
 def test_solve_prefix_equals_its_own_solve(request, scenario, pairs):
-    # diagnose reads each check's trace off one tighter, longer
-    # residual-stopped solve
+    # diagnose cuts each check's trace from one residual-stopped solve,
+    # which steps only as far as the cuts read
     if scenario == "tiny-qlpv":
         prob, x0 = _tiny_qlpv_horizon_2()
     else:
         prob = request.getfixturevalue(f"{scenario}_problem")
         x0 = request.getfixturevalue(f"{scenario}_x0")
     y0 = q.initial_guess(prob, x0)
-    cap = max(c for _, c in pairs)
-    full = diagnostics.certificate_trace(prob, x0, y0, 1e-12, cap)
+    entries = [solver.TraceEntry((prob, prob.check_x0(x0), "standard"), y0)]
     for tol, max_iter in pairs:
+        reach = len(entries)
         own = diagnostics.certificate_trace(prob, x0, y0, tol, max_iter)
-        read = cli._solve_prefix(full, tol, max_iter)
+        read = diagnostics._prefix(entries, tol, max_iter)
+        assert len(entries) == max(reach, len(read.iterates)), (tol, max_iter)
         assert read.converged == own.converged, (tol, max_iter)
         assert len(read.iterates) == len(own.iterates), (tol, max_iter)
         for a, b in zip(read.iterates, own.iterates):

@@ -131,9 +131,8 @@ def test_solve_condensed_against_gaussian_elimination():
 def test_solve_condensed_rejects_indefinite():
     qp = condensing.CondensedQp(gamma=np.zeros((1, 2)), free=np.zeros(1),
                        hess=np.diag([1.0, -1.0]), grad=np.zeros(2))
-    with pytest.raises(q.SolverError) as err:
+    with pytest.raises(q.SolverError, match=r"not positive definite \(min eigenvalue -1\.000e\+00\)"):
         condensing.solve_condensed(qp)
-    assert err.value.min_eigenvalue == pytest.approx(-1.0)
 
 
 def test_solve_condensed_rejects_nonfinite():

@@ -337,6 +337,35 @@ class TestSolveOcp:
                          q.SolverOptions(variant="exact", stop_tol=1e-12, max_iter=2))
         assert not tr.converged and tr.iterations == 2
 
+    @pytest.mark.parametrize("variant", ["standard", "exact"])
+    def test_a_budget_of_m_qps_evaluates_m_stage_data(self, monkeypatch, adip_problem, adip_x0,
+                                                      variant):
+        # the cap is tested before the same-QP test, so the stage data of a
+        # QP that the budget does not run are never built
+        calls = []
+
+        def counted_stage_data(*args):
+            calls.append(args)
+            return stacked.stage_data(*args)
+
+        monkeypatch.setattr(solver, "stage_data", counted_stage_data)
+        y0 = q.initial_guess(adip_problem, adip_x0)
+        for m in (1, 2, 3, 5):
+            calls.clear()
+            tr = q.solve_ocp(adip_problem, adip_x0, y0,
+                             q.SolverOptions(variant=variant, stop_tol=1e-12, max_iter=m))
+            assert not tr.converged and tr.iterations == m
+            assert len(calls) == m
+
+    def test_lti_at_a_budget_of_one_qp_is_unconverged(self, tiny_lti_problem):
+        # its second QP would repeat the first, but a verdict at the cap
+        # comes from the error bound alone
+        tr = q.solve_ocp(tiny_lti_problem, [1.0], q.initial_guess(tiny_lti_problem, [1.0]),
+                         q.SolverOptions(max_iter=1))
+        assert not tr.converged and tr.iterations == 1
+        assert q.solve_ocp(tiny_lti_problem, [1.0], q.initial_guess(tiny_lti_problem, [1.0]),
+                           q.SolverOptions(max_iter=2)).converged
+
     def test_wrong_length_initial_guess_raises(self, tiny_lti_problem):
         guess = q.initial_guess(tiny_lti_problem, [1.0])
         with pytest.raises(ValueError, match=r"decision vector must have length 3, got \(2,\)"):

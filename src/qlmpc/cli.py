@@ -230,7 +230,7 @@ def run_simulate(cfg: RunConfig) -> int:
         "failed": res.failed,
         "failure_step": res.failure_step,
         "failure_message": res.failure_message,
-        "note": res.note,
+        "note": scn.problem.model.note,
     }
     summary_path.write_text(
         json.dumps(_json_safe(summary), indent=2) + "\n", encoding="utf-8", newline="\n")

@@ -99,7 +99,6 @@ class ScenarioResult:
     failed: bool = False
     failure_step: Optional[int] = None
     failure_message: Optional[str] = None
-    note: Optional[str] = None
 
 
 def dr_series(states, inputs, Q, R) -> Array:
@@ -154,7 +153,7 @@ def run_control_loop(prob: StackedProblem, x0, steps: int, opts: SolverOptions):
             except SolverError as exc:
                 return states, inputs, stats, k, str(exc)
             y = trace.iterates[-1].y  # reading trace.final would compute multipliers
-            u0 = y[prob.u_slice(0)].copy()
+            u0 = prob.inputs(y)[0].copy()
             inputs.append(u0)
             states.append(eval_dynamics(prob.model, xk, u0))
             qp_s = float(sum(e.qp_time for e in trace.iterates))
@@ -210,7 +209,6 @@ def simulate(scn: Scenario) -> ScenarioResult:
         failed=failed,
         failure_step=step,
         failure_message=message,
-        note=prob.model.note,
     )
 
 

@@ -234,20 +234,6 @@ def _prefix(entries: list, tol: float, cap: int) -> IterateTrace:
     return IterateTrace(entries[:cap + 1], converged=False)
 
 
-def certificate_trace(prob: StackedProblem, x0hat, y_init, stop_tol: float, max_iter: int,
-                      variant: str = "standard") -> IterateTrace:
-    """Step from y_init until the optimality residual of the QP frozen at the
-    iterate is at most stop_tol, or max_iter times.
-
-    Its iterates and multipliers are those of ``solve_ocp`` from the same
-    start; this loop evaluates the residual at every iterate, as a KKT
-    certificate for the fixpoint checks, which ``solve_ocp``'s stopping
-    rule does not need.  A non-finite residual raises SolverError.
-    """
-    start = TraceEntry((prob, prob.check_x0(x0hat), variant), prob.check_y(y_init))
-    return _prefix([start], stop_tol, max_iter)
-
-
 def sqp_equivalence_max_deviation(prob: StackedProblem, x0hat, seed: int = 0) -> float:
     """Largest normalized gap between the SQP step and the exact iterate.
 
@@ -274,7 +260,8 @@ def first_timestep_report(prob: StackedProblem, x0hat, fit_tol: float, seed: int
     Each check reads a cut of one standard-variant residual-stopped solve
     from the zero-input rollout: the fixpoint check the first of tol 1e-10,
     1e-9, 1e-8 (cap 300) that converges, the contraction fit tol fit_tol
-    (cap 100) and its reference tol 1e-12 (cap 400).  An overflow shows up
+    (cap 100) and its reference tol 1e-12 (cap 400).  A fixpoint ladder or
+    fit cut that does not converge raises SolverError.  An overflow shows up
     as a non-finite number, which the caller judges, and raises no warning.
     """
     x0 = prob.check_x0(x0hat)
@@ -288,6 +275,9 @@ def first_timestep_report(prob: StackedProblem, x0hat, fit_tol: float, seed: int
             raise SolverError("standard variant did not converge to tol 1e-8 at the first timestep")
         report = verify_fixpoint_perturbation(prob, _prefix(entries, tight_tol, 300), x0)
         fit = _prefix(entries, fit_tol, 100)
+        if not fit.converged:
+            raise SolverError(f"standard variant did not converge to the fit tol {fit_tol:g} "
+                              "in 100 steps at the first timestep")
         if len(fit.iterates) < 3:  # a one-step solve (LTI) reads on past its fixpoint
             fit = _prefix(entries, -np.inf, 2)
         ref = _prefix(entries, 1e-12, 400)

@@ -205,13 +205,6 @@ class StackedProblem:
     def n_eq(self) -> int:
         return (self.n_horizon + 1) * self.n_x
 
-    def x_slice(self, k: int) -> slice:
-        return slice(k * self.n_x, (k + 1) * self.n_x)
-
-    def u_slice(self, k: int) -> slice:
-        base = (self.n_horizon + 1) * self.n_x
-        return slice(base + k * self.n_u, base + (k + 1) * self.n_u)
-
     def states(self, y: Array) -> Array:
         return np.asarray(y)[:self.n_eq].reshape(self.n_horizon + 1, self.n_x)
 
@@ -342,12 +335,12 @@ def stage_residual(prob: StackedProblem, stages: StageData, z: KktPoint, x0hat) 
 
 def _assemble_g(prob: StackedProblem, stages: StageData) -> Array:
     """Dense constraint matrix with the stages' (A_k, B_k) blocks."""
+    n_x, n_u, n = prob.n_x, prob.n_u, prob.n_horizon
     g = np.zeros((prob.n_eq, prob.n_y))
     np.fill_diagonal(g[:, :prob.n_eq], 1.0)
-    for k in range(prob.n_horizon):
-        rows = prob.x_slice(k + 1)
-        g[rows, prob.x_slice(k)] = -stages.a[k]
-        g[rows, prob.u_slice(k)] = -stages.b[k]
+    # -a_k and -b_k go into block row k+1 through einsum's writeable diagonal views
+    np.einsum("kikj->kij", g[n_x:, :n * n_x].reshape(n, n_x, n, n_x))[...] = -stages.a
+    np.einsum("kiku->kiu", g[n_x:, prob.n_eq:].reshape(n, n_x, n, n_u))[...] = -stages.b
     return g
 
 

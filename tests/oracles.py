@@ -4,13 +4,17 @@ The fixed-parameter KKT matrix, the exact Jacobian of the optimality
 residual map, a central-difference Jacobian and the least-squares
 multipliers of a QP solution.  Each builds the dense stacked algebra of
 ``qlmpc.stacked`` independently of the solver's per-stage path, so the
-tests can check one against the other.
+tests can check one against the other.  ``certificate_trace`` is the
+residual-stopped solve from a given start: a cut of a fresh one-entry
+list, where ``qlmpc diagnose`` cuts one shared list.
 """
 
 import numpy as np
 import scipy.linalg
 
+from qlmpc.diagnostics import _prefix
 from qlmpc.errors import SolverError
+from qlmpc.solver import IterateTrace, TraceEntry
 from qlmpc.stacked import (
     KktPoint,
     StackedProblem,
@@ -91,3 +95,11 @@ def recover_multipliers(prob: StackedProblem, g_used, y) -> Array:
         raise SolverError(
             f"constraint matrix is rank deficient (smallest singular value {smallest:.3e})")
     return lam
+
+
+def certificate_trace(prob: StackedProblem, x0hat, y_init, stop_tol: float, max_iter: int,
+                      variant: str = "standard") -> IterateTrace:
+    """The residual-stopped solve from y_init: its iterates up to the first
+    whose optimality residual is at most stop_tol, or max_iter steps."""
+    start = TraceEntry((prob, prob.check_x0(x0hat), variant), prob.check_y(y_init))
+    return _prefix([start], stop_tol, max_iter)

@@ -1,6 +1,7 @@
 """The top level is the solver's API; QP internals and oracles live in their modules."""
 
 import ast
+import collections
 import importlib
 from pathlib import Path
 
@@ -27,8 +28,12 @@ MODULE_ONLY = {
     "models": ["builtin_adip", "builtin_tiny", "builtin_unicycle"],
 }
 
-# dense oracles that only the tests call; they live in tests/oracles.py
-TEST_ORACLES = {"kkt_matrix", "fonc_jacobian", "fd_jacobian", "recover_multipliers"}
+# oracles that only the tests call; they live in tests/oracles.py
+TEST_ORACLES = {"kkt_matrix", "fonc_jacobian", "fd_jacobian", "recover_multipliers",
+                "certificate_trace"}
+
+SRC = Path(q.__file__).parent
+ROOT = SRC.parents[1]
 
 
 def test_all_is_the_solver_api():
@@ -58,7 +63,7 @@ def test_src_holds_no_test_oracle_and_imports_scipy_linalg_only_as_the_lapack_fa
     # the package holds what it runs; scipy.linalg is imported only where
     # scipy's LAPACK extension file is missing
     linalg_imports, defined = set(), set()
-    for path in Path(q.__file__).parent.glob("*.py"):
+    for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text())
         owner = {}
         for fn in ast.walk(tree):
@@ -71,3 +76,33 @@ def test_src_holds_no_test_oracle_and_imports_scipy_linalg_only_as_the_lapack_fa
                 linalg_imports.add((path.name, owner.get(id(node))))
     assert linalg_imports == {("_lapack.py", "_load")}
     assert not defined & TEST_ORACLES
+
+
+def _definitions(tree):
+    """The module-level functions and classes of a module and its classes'
+    non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body
+                        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def _names(nodes) -> collections.Counter:
+    """How often each name is read, as an ``ast.Name`` or an ``ast.Attribute``."""
+    return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr for n in nodes
+                               if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_src_definition_is_named_outside_its_own_definition():
+    # the package holds what it runs: each definition in src/qlmpc is named
+    # by src/qlmpc outside its own body, by scripts/ or by perfbench/
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    in_src = sum((_names(ast.walk(t)) for t in trees), collections.Counter())
+    elsewhere = [p for d in ("scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    outside = set(_names(n for p in elsewhere for n in ast.walk(ast.parse(p.read_text()))))
+    unnamed = sorted(d.name for t in trees for d in _definitions(t)
+                     if d.name not in outside and in_src[d.name] == _names(ast.walk(d))[d.name])
+    assert unnamed == []

@@ -24,6 +24,8 @@ from qlmpc.cli import build_parser, main, make_scenario, resolve_config
 from qlmpc.closed_loop import PRESETS, PerStepStats, Scenario
 from qlmpc.models import MODEL_IDS
 
+import oracles
+
 TINY_INLINE = {
     "scenario": {
         "model": "tiny-qlpv",
@@ -288,6 +290,14 @@ class TestExitCodes:
     def test_diagnose_reads_tol_as_fit_tolerance(self, tmp_path):
         assert main(["diagnose", "--scenario", "unicycle", "--tol", "1e-7",
                      "--out", str(tmp_path)]) == 0
+
+    def test_unconverged_contraction_fit_is_exit_3(self, tmp_path, capsys):
+        # the ADIP residual floors near 1e-8, so a fit to 1e-9 runs to its
+        # cap of 100 steps unconverged; no fit is written over it
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--scenario", "adip", "--tol", "1e-9", "--out", str(out)]) == 3
+        assert "did not converge to the fit tol 1e-09" in capsys.readouterr().err
+        assert not (out / "adip_diagnostics.json").exists()
 
     def test_infeasible_contraction_fit_is_exit_3(self, tmp_path, monkeypatch):
         # a trace that returns to the reference after leaving it has an
@@ -640,7 +650,7 @@ def test_solve_prefix_equals_its_own_solve(request, scenario, pairs):
     entries = [solver.TraceEntry((prob, prob.check_x0(x0), "standard"), y0)]
     for tol, max_iter in pairs:
         reach = len(entries)
-        own = diagnostics.certificate_trace(prob, x0, y0, tol, max_iter)
+        own = oracles.certificate_trace(prob, x0, y0, tol, max_iter)
         read = diagnostics._prefix(entries, tol, max_iter)
         assert len(entries) == max(reach, len(read.iterates)), (tol, max_iter)
         assert read.converged == own.converged, (tol, max_iter)

@@ -8,7 +8,8 @@ import qlmpc.condensing as condensing
 import qlmpc.models as models
 import qlmpc.solver as solver
 import qlmpc.stacked as stacked
-from qlmpc.diagnostics import certificate_trace
+
+from oracles import certificate_trace
 
 
 class TestInitialGuess:

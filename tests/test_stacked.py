@@ -164,14 +164,16 @@ class TestCouplingCorrection:
         delta = stacked.coupling_correction(unicycle_problem, y)
         dt = 0.1  # the unicycle's sampling time
         xs = unicycle_problem.states(y)
+        n_eq = unicycle_problem.n_eq
         for k in range(unicycle_problem.n_horizon):
             v, phi = xs[k][2], xs[k][3]
-            block = delta[unicycle_problem.x_slice(k + 1), unicycle_problem.x_slice(k)]
+            rows = slice(5 * (k + 1), 5 * (k + 2))  # n_x = 5, n_u = 2
+            block = delta[rows, 5 * k:5 * (k + 1)]
             expect = np.zeros((5, 5))
             expect[0, 3] = dt * v * math.sin(phi)
             expect[1, 3] = -dt * v * math.cos(phi)
             assert_allclose(block, expect, atol=1e-14)
-            assert np.all(delta[unicycle_problem.x_slice(k + 1), unicycle_problem.u_slice(k)] == 0.0)
+            assert np.all(delta[rows, n_eq + 2 * k:n_eq + 2 * (k + 1)] == 0.0)
 
 
 @pytest.mark.parametrize("name", ALL_MODEL_IDS)
@@ -194,11 +196,29 @@ def test_linearized_constraint_matches_unicycle_extension(unicycle_problem):
     y = rng.normal(size=unicycle_problem.n_y)
     jac, _ = stacked.linearized_constraint(unicycle_problem, y)
     stages = stage_data(unicycle_problem, y, "exact")
+    n_eq = unicycle_problem.n_eq
     for k in range(unicycle_problem.n_horizon):
-        assert_allclose(jac[unicycle_problem.x_slice(k + 1), unicycle_problem.x_slice(k)],
-                        -stages.a[k], atol=1e-14)
-        assert_allclose(jac[unicycle_problem.x_slice(k + 1), unicycle_problem.u_slice(k)],
-                        -stages.b[k], atol=1e-14)
+        rows = slice(5 * (k + 1), 5 * (k + 2))  # n_x = 5, n_u = 2
+        assert_allclose(jac[rows, 5 * k:5 * (k + 1)], -stages.a[k], atol=1e-14)
+        assert_allclose(jac[rows, n_eq + 2 * k:n_eq + 2 * (k + 1)], -stages.b[k], atol=1e-14)
+
+
+@pytest.mark.parametrize("variant", stacked.VARIANTS)
+@pytest.mark.parametrize("name", ALL_MODEL_IDS)
+def test_assemble_g_equals_a_per_stage_slice_loop(name, variant):
+    # G's blocks go in through einsum's diagonal views; a per-stage slice
+    # loop places the same values bitwise
+    prob = build_problem(name, 5)
+    n_x, n_u = prob.n_x, prob.n_u
+    y = np.random.default_rng(11).normal(size=prob.n_y)
+    stages = stage_data(prob, y, variant)
+    expect = np.zeros((prob.n_eq, prob.n_y))
+    np.fill_diagonal(expect[:, :prob.n_eq], 1.0)
+    for k in range(prob.n_horizon):
+        rows = slice((k + 1) * n_x, (k + 2) * n_x)
+        expect[rows, k * n_x:(k + 1) * n_x] = -stages.a[k]
+        expect[rows, prob.n_eq + k * n_u:prob.n_eq + (k + 1) * n_u] = -stages.b[k]
+    np.testing.assert_array_equal(stacked._assemble_g(prob, stages), expect, strict=True)
 
 
 def test_cost_perturbation_zero_for_lti(tiny_lti_problem):

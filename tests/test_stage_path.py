@@ -30,7 +30,6 @@ import qlmpc.models as models
 import qlmpc.solver as solver
 import qlmpc.stacked as stacked
 from qlmpc.condensing import stage_multipliers
-from qlmpc.diagnostics import certificate_trace
 from qlmpc.stacked import stage_data, stage_residual
 
 import oracles
@@ -328,7 +327,7 @@ def test_certificate_trace_runs_model_closures_once_per_iterate(name, variant, a
     base, x0 = {"adip": (adip_problem, adip_x0), "unicycle": (unicycle_problem, unicycle_x0)}[name]
     calls = collections.Counter()
     prob = q.StackedProblem.build(counted(base.model, calls), base.n_horizon, base.weights)
-    tr = certificate_trace(prob, x0, q.initial_guess(base, x0), 1e-9, 50, variant)
+    tr = oracles.certificate_trace(prob, x0, q.initial_guess(base, x0), 1e-9, 50, variant)
     assert tr.iterations >= 2
     # the residual and the next QP of an iterate share its one stage-data evaluation
     assert max(calls.values()) == len(tr.iterates)

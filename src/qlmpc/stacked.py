@@ -14,17 +14,15 @@ assembled from the per-stage dynamics Jacobians.
 
 The solver works on per-stage data only: ``stage_data`` gives the QP
 that a variant freezes at an iterate as ``x_{k+1} = J_k [x_k; u_k] + w_k``
-with ``J_k = [A_k B_k]``, and ``stage_residual`` evaluates its
-optimality residual stage by stage.  ``stage_data`` takes the iterate's
-state and input views once; the range-space solve in ``condensing``
-checks its solution's feasibility in its own pass, on the x0 that the
-caller validated.  The dense stacked functions
-below them (``constraint_matrix``, ``linearized_constraint``,
-``coupling_correction``, ``cost_perturbation``, the residuals and the
-Gauss-Newton ``sqp_step``) are what ``diagnose`` reads and independent
-oracles for the tests; the solver never calls them.  The oracles that
-only the tests call (the KKT matrix, the residual's Jacobian, a
-finite-difference Jacobian and least-squares multipliers) are in
+with ``J_k = [A_k B_k]``, and ``stage_stationarity``,
+``stage_feasibility`` and ``stage_residual`` evaluate its optimality
+residual stage by stage.  ``cost_perturbation`` gives the paper's ``e``
+from the stage data too: ``e_k = (J^ex_k - J^std_k)' lam_{k+1}``.
+
+The one dense path is the SQP cross-check that ``diagnose`` runs
+(``linearized_constraint``, ``_assemble_g``, ``_kkt``, ``_residual``
+and ``sqp_step``, a separate dense KKT solve); the solver never calls
+it.  The dense oracles that only the tests call are in
 ``tests/oracles.py``.
 """
 
@@ -344,12 +342,6 @@ def _assemble_g(prob: StackedProblem, stages: StageData) -> Array:
     return g
 
 
-def constraint_matrix(prob: StackedProblem, rho_traj) -> Array:
-    """Constraint matrix G for a frozen parameter trajectory."""
-    rho_traj = np.asarray(rho_traj, dtype=float).reshape(prob.n_horizon, prob.model.dims.n_rho)
-    return _assemble_g(prob, frozen_stages(prob.model, rho_traj))
-
-
 def _kkt(prob: StackedProblem, top: Array, bottom: Array) -> Array:
     """Saddle-point matrix [[2W, top], [bottom, 0]] acting on (y, lam)."""
     n_y, n_eq = prob.n_y, prob.n_eq
@@ -367,35 +359,12 @@ def _residual(prob: StackedProblem, top: Array, bottom: Array, y: Array, lam, x0
     return np.concatenate([stat, feas])
 
 
-def fonc_residual(prob: StackedProblem, z: KktPoint, x0hat) -> Array:
-    """First-order optimality residual with the parameter refreshed from y.
-
-    Stationarity block: 2 W y + G(rho(y))' lam.  Feasibility block:
-    G(rho(y)) y + C x0hat.  Both solver variants drive the feasibility
-    block to zero; only the standard variant zeroes this stationarity.
-    """
-    y = prob.check_y(z.y)
-    x0 = prob.check_x0(x0hat)
-    g = constraint_matrix(prob, prob.rho_trajectory(y))
-    return _residual(prob, g.T, g, y, z.lam, x0)
-
-
-def coupling_correction(prob: StackedProblem, y) -> Array:
-    """Hidden-coupling term: d[G(rho(y)) y]/dy - G(rho(y)).
-
-    The difference between the dynamics Jacobian and the
-    frozen-parameter matrices [A(rho_k) B(rho_k)], stage by stage; zero
-    for LTI models.
-    """
-    return -linearized_constraint(prob, y)[1]
-
-
 def linearized_constraint(prob: StackedProblem, y) -> tuple[Array, Array]:
     """Jacobian of the constraint map and its disturbance companion.
 
     Returns ``(jac, dist)`` with ``jac = d[G(rho(y)) y]/dy`` and
-    ``dist`` the negated coupling correction, so that
-    ``(jac + dist) y == G(rho(y)) y`` for every y.
+    ``dist = G(rho(y)) - jac``, the negated hidden-coupling correction,
+    so that ``(jac + dist) y == G(rho(y)) y`` for every y.
     """
     y = prob.check_y(y)
     g = _assemble_g(prob, stage_data(prob, y, "standard"))
@@ -408,18 +377,16 @@ def cost_perturbation(prob: StackedProblem, y, lam) -> Array:
 
     e = -correction(y)' lam; a converged standard iterate is a
     stationary point of the cost ``y' W y + e' y`` under the true
-    constraint.  Vanishes for LTI models and for the exact variant.
+    constraint.  Stage by stage, ``e_k = (J^ex_k - J^std_k)' lam_{k+1}``
+    in the ``(x_k, u_k)`` slots and zero in the ``x_N`` slot, so e
+    vanishes where the two variants' stage Jacobians agree, as on LTI models.
     """
-    delta = coupling_correction(prob, y)
-    return -delta.T @ np.asarray(lam, dtype=float)
-
-
-def true_fonc_residual(prob: StackedProblem, z: KktPoint, x0hat) -> Array:
-    """Optimality residual of the original NLP (full constraint Jacobian)."""
-    y = prob.check_y(z.y)
-    x0 = prob.check_x0(x0hat)
-    jac, dist = linearized_constraint(prob, y)
-    return _residual(prob, jac.T, jac + dist, y, z.lam, x0)
+    y = prob.check_y(y)
+    lam = np.asarray(lam, dtype=float).reshape(prob.n_horizon + 1, prob.n_x)
+    gap = stage_data(prob, y, "exact").jac - stage_data(prob, y, "standard").jac
+    e_z = (lam[1:, None, :] @ gap)[:, 0, :]
+    n_x = prob.n_x
+    return np.concatenate([e_z[:, :n_x].ravel(), np.zeros(n_x), e_z[:, n_x:].ravel()])
 
 
 def sqp_step(prob: StackedProblem, z: KktPoint, x0hat) -> KktPoint:
@@ -433,8 +400,10 @@ def sqp_step(prob: StackedProblem, z: KktPoint, x0hat) -> KktPoint:
     cross-check.
     """
     y = prob.check_y(z.y)
+    x0 = prob.check_x0(x0hat)
     jac, _ = linearized_constraint(prob, y)
-    rhs = -fonc_residual(prob, KktPoint(y, np.zeros(prob.n_eq)), x0hat)
+    g = _assemble_g(prob, stage_data(prob, y, "standard"))
+    rhs = -_residual(prob, g.T, g, y, np.zeros(prob.n_eq), x0)
     try:
         sol = np.linalg.solve(_kkt(prob, jac.T, jac), rhs)
     except np.linalg.LinAlgError as exc:

@@ -1,12 +1,16 @@
 """Dense oracles that only the tests call.
 
-The fixed-parameter KKT matrix, the exact Jacobian of the optimality
-residual map, a central-difference Jacobian and the least-squares
-multipliers of a QP solution.  Each builds the dense stacked algebra of
-``qlmpc.stacked`` independently of the solver's per-stage path, so the
-tests can check one against the other.  ``certificate_trace`` is the
-residual-stopped solve from a given start: a cut of a fresh one-entry
-list, where ``qlmpc diagnose`` cuts one shared list.
+The constraint matrix G of a parameter trajectory, the frozen-parameter
+and the NLP optimality residuals, the hidden-coupling correction and the
+paper's cost perturbation ``e`` from it, the fixed-parameter KKT matrix,
+the exact Jacobian of the optimality residual map, a central-difference
+Jacobian and the least-squares multipliers of a QP solution.  Each
+builds the dense stacked algebra of ``qlmpc.stacked`` independently of
+the solver's per-stage path and of the stage-wise ``e`` and residuals
+that ``diagnose`` reads, so the tests can check one against the other.
+``certificate_trace`` is the residual-stopped solve from a given start:
+a cut of a fresh one-entry list, where ``qlmpc diagnose`` cuts one
+shared list.
 """
 
 import numpy as np
@@ -18,12 +22,63 @@ from qlmpc.solver import IterateTrace, TraceEntry
 from qlmpc.stacked import (
     KktPoint,
     StackedProblem,
+    _assemble_g,
     _kkt,
-    constraint_matrix,
+    _residual,
+    frozen_stages,
     linearized_constraint,
 )
 
 Array = np.ndarray
+
+
+def constraint_matrix(prob: StackedProblem, rho_traj) -> Array:
+    """Constraint matrix G for a frozen parameter trajectory."""
+    rho_traj = np.asarray(rho_traj, dtype=float).reshape(prob.n_horizon, prob.model.dims.n_rho)
+    return _assemble_g(prob, frozen_stages(prob.model, rho_traj))
+
+
+def fonc_residual(prob: StackedProblem, z: KktPoint, x0hat) -> Array:
+    """First-order optimality residual with the parameter refreshed from y.
+
+    Stationarity block: 2 W y + G(rho(y))' lam.  Feasibility block:
+    G(rho(y)) y + C x0hat.  Both solver variants drive the feasibility
+    block to zero; only the standard variant zeroes this stationarity.
+    """
+    y = prob.check_y(z.y)
+    x0 = prob.check_x0(x0hat)
+    g = constraint_matrix(prob, prob.rho_trajectory(y))
+    return _residual(prob, g.T, g, y, z.lam, x0)
+
+
+def coupling_correction(prob: StackedProblem, y) -> Array:
+    """Hidden-coupling term: d[G(rho(y)) y]/dy - G(rho(y)).
+
+    The difference between the dynamics Jacobian and the
+    frozen-parameter matrices [A(rho_k) B(rho_k)], stage by stage; zero
+    for LTI models.
+    """
+    return -linearized_constraint(prob, y)[1]
+
+
+def cost_perturbation(prob: StackedProblem, y, lam) -> Array:
+    """Linear cost perturbation picked up by the standard fixpoint, densely.
+
+    e = -correction(y)' lam; a converged standard iterate is a
+    stationary point of the cost ``y' W y + e' y`` under the true
+    constraint.  e depends on (y, lam) and vanishes where the two
+    variants' stage Jacobians agree, as they do on LTI models.
+    """
+    delta = coupling_correction(prob, y)
+    return -delta.T @ np.asarray(lam, dtype=float)
+
+
+def true_fonc_residual(prob: StackedProblem, z: KktPoint, x0hat) -> Array:
+    """Optimality residual of the original NLP (full constraint Jacobian)."""
+    y = prob.check_y(z.y)
+    x0 = prob.check_x0(x0hat)
+    jac, dist = linearized_constraint(prob, y)
+    return _residual(prob, jac.T, jac + dist, y, z.lam, x0)
 
 
 def kkt_matrix(prob: StackedProblem, z: KktPoint) -> Array:

@@ -59,7 +59,7 @@ def test_criterion_3_perturbed_fixpoint_identity(unicycle_problem, unicycle_x0,
     tr_tiny = q.solve_ocp(tiny_qlpv_problem, [0.5],
                           q.initial_guess(tiny_qlpv_problem, [0.5]),
                           q.SolverOptions(variant="standard", stop_tol=1e-12))
-    e_tiny = stacked.cost_perturbation(tiny_qlpv_problem, tr_tiny.final.y, tr_tiny.final.lam)
+    e_tiny = oracles.cost_perturbation(tiny_qlpv_problem, tr_tiny.final.y, tr_tiny.final.lam)
     tiny_err = np.abs(e_tiny - np.array([-0.125, 0.0, 0.0])).max()
 
     ok = (tr.converged and rep.identity_error_inf <= 1e-8
@@ -102,9 +102,9 @@ def test_criterion_5_lti_degeneration():
                          q.SolverOptions(variant=variant, stop_tol=1e-8))
         iters[variant] = (tr.converged, tr.iterations)
         perturbations[variant] = np.abs(
-            stacked.cost_perturbation(prob, tr.final.y, tr.final.lam)).max()
+            oracles.cost_perturbation(prob, tr.final.y, tr.final.lam)).max()
     rng = np.random.default_rng(1)
-    delta_max = max(np.abs(stacked.coupling_correction(prob, rng.normal(size=prob.n_y))).max()
+    delta_max = max(np.abs(oracles.coupling_correction(prob, rng.normal(size=prob.n_y))).max()
                     for _ in range(10))
     ok = (all(v == (True, 1) for v in iters.values())
           and delta_max == 0.0
@@ -127,7 +127,7 @@ def test_criterion_6_jacobian_oracle():
             z = q.KktPoint(rng.standard_normal(prob.n_y), rng.standard_normal(prob.n_eq))
 
             def residual(v):
-                return stacked.fonc_residual(prob, q.KktPoint(v[:prob.n_y], v[prob.n_y:]), x0)
+                return oracles.fonc_residual(prob, q.KktPoint(v[:prob.n_y], v[prob.n_y:]), x0)
 
             j_fd = oracles.fd_jacobian(residual, z.stack(), 1e-6)
             j = oracles.fonc_jacobian(prob, z)
@@ -149,7 +149,7 @@ def test_criterion_7_condensed_stacked_equivalence():
         x0 = rng.normal(size=m.dims.n_x)
         qp = condensing.condense(prob, stacked.frozen_stages(m, rho_traj), x0)
         y = condensing.expand(qp, condensing.solve_condensed(qp))
-        g = stacked.constraint_matrix(prob, rho_traj)
+        g = oracles.constraint_matrix(prob, rho_traj)
         lam = oracles.recover_multipliers(prob, g, y)
         stat = 2.0 * prob.weight_matrix @ y + g.T @ lam
         feas = g @ y + prob.x0_map @ x0

@@ -323,7 +323,7 @@ class TestExitCodes:
 
     def test_singular_sqp_kkt_is_exit_3(self, tmp_path, monkeypatch, capsys):
         # a zero constraint Jacobian makes the SQP step's KKT matrix
-        # singular; the zero disturbance lets the fixpoint check run first
+        # singular; the fixpoint check reads the stage data and runs first
         def zero_jacobian(prob, y):
             zero = np.zeros((prob.n_eq, prob.n_y))
             return zero, zero

@@ -148,7 +148,7 @@ def test_expand_feasibility(unicycle_problem):
     x0 = rng.normal(size=5)
     qp = condense_rho(unicycle_problem, rho_traj, x0)
     y = condensing.expand(qp, condensing.solve_condensed(qp))
-    g = stacked.constraint_matrix(unicycle_problem, rho_traj)
+    g = oracles.constraint_matrix(unicycle_problem, rho_traj)
     resid = g @ y + unicycle_problem.x0_map @ x0
     assert np.abs(resid).max() <= 1e-10
 
@@ -165,13 +165,13 @@ def test_expand_rejects_wrong_length_input(unicycle_problem):
 
 
 def test_recover_multipliers_tiny_lti(tiny_lti_problem):
-    g = stacked.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
+    g = oracles.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
     lam = oracles.recover_multipliers(tiny_lti_problem, g, np.array([1.0, 0.5, -0.5]))
     assert_allclose(lam, [-3.0, -1.0], atol=1e-12)
 
 
 def test_recover_multipliers_zero_point(tiny_lti_problem):
-    g = stacked.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
+    g = oracles.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
     assert_allclose(oracles.recover_multipliers(tiny_lti_problem, g, np.zeros(3)), np.zeros(2))
 
 
@@ -184,7 +184,7 @@ def test_recover_multipliers_rank_deficient(tiny_lti_problem):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["g", "y"])
 def test_recover_multipliers_reject_nonfinite(tiny_lti_problem, where, bad):
-    g = stacked.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
+    g = oracles.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
     y = np.array([1.0, 0.5, -0.5])
     (g if where == "g" else y)[-1] = bad
     with pytest.raises(q.SolverError, match="non-finite"):
@@ -204,7 +204,7 @@ def test_condensed_matches_dense_kkt_solve(name, horizon):
         x0 = rng.normal(size=m.dims.n_x)
         qp = condense_rho(prob, rho_traj, x0)
         y = condensing.expand(qp, condensing.solve_condensed(qp))
-        g = stacked.constraint_matrix(prob, rho_traj)
+        g = oracles.constraint_matrix(prob, rho_traj)
         lam = oracles.recover_multipliers(prob, g, y)
 
         n_y, n_eq = prob.n_y, prob.n_eq

@@ -66,6 +66,23 @@ class TestFixpointPerturbation:
         assert rep.feasibility_residual_inf <= 1e-8
         assert np.abs(rep.e).max() > 0.0
 
+    @pytest.mark.parametrize("name", ["tiny-lti", "tiny-qlpv", "unicycle", "adip"])
+    def test_stage_wise_report_matches_the_dense_route(self, name):
+        # e, the NLP stationarity and its feasibility from the stage data,
+        # against the dense oracles at the preset's fixpoint
+        scn = q.builtin_scenario(name)
+        prob, x0 = scn.problem, scn.x0
+        tr = _converged_standard_trace(prob, x0, tol=1e-8, max_iter=300)
+        assert tr.converged
+        rep = q.verify_fixpoint_perturbation(prob, tr, x0)
+        z = tr.final
+        full = oracles.true_fonc_residual(prob, z, x0)
+        scale = max(np.abs(z.lam).max(), np.abs(2.0 * prob.weight_matrix @ z.y).max())
+        assert np.abs(rep.e - oracles.cost_perturbation(prob, z.y, z.lam)).max() <= 1e-14 * scale
+        assert np.abs(rep.true_stationarity_residual - full[:prob.n_y]).max() <= 1e-14 * scale
+        feas = float(np.abs(full[prob.n_y:]).max())
+        assert abs(rep.feasibility_residual_inf - feas) <= 1e-14 * max(1.0, np.abs(z.y).max())
+
     def test_requires_converged_trace(self):
         # with horizon 2 the second-stage parameter moves, so one
         # iteration cannot reach the fixpoint

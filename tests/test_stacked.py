@@ -79,12 +79,12 @@ def test_direct_construction_checks_horizon(unit_weights):
 
 
 def test_constraint_matrix_tiny_lti(tiny_lti_problem):
-    g = stacked.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
+    g = oracles.constraint_matrix(tiny_lti_problem, np.zeros((1, 1)))
     assert_allclose(g, [[1.0, 0.0, 0.0], [-1.0, 1.0, -1.0]])
 
 
 def test_constraint_matrix_unicycle_shape(unicycle_problem):
-    g = stacked.constraint_matrix(unicycle_problem, np.zeros((20, 1)))
+    g = oracles.constraint_matrix(unicycle_problem, np.zeros((20, 1)))
     assert g.shape == (105, 145)
 
 
@@ -94,18 +94,18 @@ def test_constraint_matrix_full_row_rank(name):
     rng = np.random.default_rng(5)
     for _ in range(100):
         rho_traj = rng.normal(scale=2.0, size=(5, prob.model.dims.n_rho))
-        smallest = np.linalg.svd(stacked.constraint_matrix(prob, rho_traj), compute_uv=False).min()
+        smallest = np.linalg.svd(oracles.constraint_matrix(prob, rho_traj), compute_uv=False).min()
         assert smallest > 1e-10
 
 
 def test_fonc_residual_zero_at_tiny_lti_optimum(tiny_lti_problem):
     z = q.KktPoint(np.array([1.0, 0.5, -0.5]), np.array([-3.0, -1.0]))
-    assert_allclose(stacked.fonc_residual(tiny_lti_problem, z, [1.0]), 0.0, atol=1e-14)
+    assert_allclose(oracles.fonc_residual(tiny_lti_problem, z, [1.0]), 0.0, atol=1e-14)
 
 
 def test_fonc_residual_zero_at_origin(unicycle_problem):
     z = q.KktPoint(np.zeros(unicycle_problem.n_y), np.zeros(unicycle_problem.n_eq))
-    assert_allclose(stacked.fonc_residual(unicycle_problem, z, np.zeros(5)), 0.0)
+    assert_allclose(oracles.fonc_residual(unicycle_problem, z, np.zeros(5)), 0.0)
 
 
 def test_kkt_matrix_exactly_symmetric(unicycle_problem):
@@ -139,7 +139,7 @@ def test_fonc_jacobian_matches_finite_differences(name):
         z = random_point(prob, rng)
 
         def residual(v):
-            return stacked.fonc_residual(prob, q.KktPoint(v[:prob.n_y], v[prob.n_y:]), x0)
+            return oracles.fonc_residual(prob, q.KktPoint(v[:prob.n_y], v[prob.n_y:]), x0)
 
         j_fd = oracles.fd_jacobian(residual, z.stack(), 1e-6)
         j = oracles.fonc_jacobian(prob, z)
@@ -148,12 +148,12 @@ def test_fonc_jacobian_matches_finite_differences(name):
 
 class TestCouplingCorrection:
     def test_zero_for_lti(self, tiny_lti_problem):
-        delta = stacked.coupling_correction(tiny_lti_problem, np.array([1.0, 2.0, 3.0]))
+        delta = oracles.coupling_correction(tiny_lti_problem, np.array([1.0, 2.0, 3.0]))
         assert np.all(delta == 0.0)
 
     def test_tiny_qlpv_single_entry(self, tiny_qlpv_problem):
         # dynamics row of d[G y]/dy - G picks up -x0 from x1 - x0^2 - u0
-        delta = stacked.coupling_correction(tiny_qlpv_problem, np.array([0.5, 0.0, 0.0]))
+        delta = oracles.coupling_correction(tiny_qlpv_problem, np.array([0.5, 0.0, 0.0]))
         expect = np.zeros((2, 3))
         expect[1, 0] = -0.5
         assert_allclose(delta, expect)
@@ -161,7 +161,7 @@ class TestCouplingCorrection:
     def test_unicycle_heading_columns(self, unicycle_problem):
         rng = np.random.default_rng(4)
         y = rng.normal(size=unicycle_problem.n_y)
-        delta = stacked.coupling_correction(unicycle_problem, y)
+        delta = oracles.coupling_correction(unicycle_problem, y)
         dt = 0.1  # the unicycle's sampling time
         xs = unicycle_problem.states(y)
         n_eq = unicycle_problem.n_eq
@@ -183,8 +183,8 @@ def test_linearized_constraint_identities(name):
     for _ in range(100):
         y = rng.normal(scale=2.0, size=prob.n_y)
         jac, dist = stacked.linearized_constraint(prob, y)
-        g = stacked.constraint_matrix(prob, prob.rho_trajectory(y))
-        delta = stacked.coupling_correction(prob, y)
+        g = oracles.constraint_matrix(prob, prob.rho_trajectory(y))
+        delta = oracles.coupling_correction(prob, y)
         assert np.abs(jac - (g + delta)).max() <= 1e-12
         assert np.abs(dist + delta).max() <= 1e-12
         assert np.abs((jac + dist) @ y - g @ y).max() <= 1e-12 * max(1.0, np.abs(g @ y).max())
@@ -240,7 +240,7 @@ def test_cost_positive_definite_on_constraint_nullspace(name):
     rng = np.random.default_rng(9)
     for _ in range(10):
         rho_traj = rng.normal(size=(4, prob.model.dims.n_rho))
-        g = stacked.constraint_matrix(prob, rho_traj)
+        g = oracles.constraint_matrix(prob, rho_traj)
         basis = scipy.linalg.null_space(g)
         reduced = basis.T @ (2.0 * prob.weight_matrix) @ basis
         assert np.linalg.eigvalsh(reduced).min() > 0.0
@@ -253,7 +253,7 @@ def test_linearized_constraint_identity_property(vals):
     prob = q.StackedProblem.build(m, 1, q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
     y = np.array(vals)
     jac, dist = stacked.linearized_constraint(prob, y)
-    g = stacked.constraint_matrix(prob, prob.rho_trajectory(y))
+    g = oracles.constraint_matrix(prob, prob.rho_trajectory(y))
     assert np.abs((jac + dist) - g).max() <= 1e-12
 
 

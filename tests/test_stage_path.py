@@ -3,17 +3,19 @@
 ``solve_ocp`` and ``qlmpc_iterate`` work on per-stage data only; the
 dense stacked matrices (G, the KKT matrix, the SQP step) are kept as
 independent oracles.  The property tests check the stage data against a
-per-stage loop over the model closures and the stage-wise residual
-against the dense oracle at arbitrary points, and the stage-wise
-multipliers against the dense oracle at QP solutions; the guard
-tests check that the solver never calls the dense oracles, evaluates
-each model closure once per trajectory, not once per stage, solves a
-real-time step from one stage-data evaluation without multipliers or a
-residual, and that the certificate loop evaluates stage data once per
-iterate.  A warm-started real-time closed-loop step evaluates the model
-for its stage data and the plant only: the warm shift needs no model,
-because the first QP never reads the guess's terminal state.  A
-closed-loop step checks its data once per solve, not once per QP.
+per-stage loop over the model closures, the stage-wise residual and the
+paper's ``e`` against the dense oracles at arbitrary points, and the
+stage-wise multipliers against the dense oracle at QP solutions; the SQP
+step equals its dense-residual form bitwise.  The guard tests check
+that the solver never calls the dense SQP cross-check or computes
+``e``, evaluates each model closure once per trajectory, not once per
+stage, solves a real-time step from one stage-data evaluation without
+multipliers or a residual, and that the certificate loop evaluates stage
+data once per iterate.  A warm-started real-time closed-loop step
+evaluates the model for its stage data and the plant only: the warm
+shift needs no model, because the first QP never reads the guess's
+terminal state.  A closed-loop step checks its data once per solve, not
+once per QP.
 """
 
 import collections
@@ -53,7 +55,7 @@ def points(n):
 def dense_constraint(prob, y, variant):
     """The constraint matrix of the QP the variant freezes at y, assembled densely."""
     if variant == "standard":
-        return stacked.constraint_matrix(prob, prob.rho_trajectory(y))
+        return oracles.constraint_matrix(prob, prob.rho_trajectory(y))
     return stacked.linearized_constraint(prob, y)[0]
 
 
@@ -145,7 +147,7 @@ def test_stage_multipliers_zero_the_state_rows(problems, name, variant):
 @pytest.mark.parametrize("name", MODELS)
 def test_stage_residual_matches_dense_residual(problems, name, variant):
     prob = problems[name]
-    dense = stacked.fonc_residual if variant == "standard" else stacked.true_fonc_residual
+    dense = oracles.fonc_residual if variant == "standard" else oracles.true_fonc_residual
 
     @settings(max_examples=25, deadline=None)
     @given(points(prob.n_y), points(prob.n_eq), points(prob.n_x))
@@ -158,9 +160,47 @@ def test_stage_residual_matches_dense_residual(problems, name, variant):
     check()
 
 
+@pytest.mark.parametrize("horizon", [1, 7, 40])
+@pytest.mark.parametrize("name", ["tiny-lti", *MODELS])
+def test_stage_wise_cost_perturbation_matches_dense_oracle(name, horizon):
+    # e_k = (J^ex_k - J^std_k)' lam_{k+1} against the dense -corr(y)' lam,
+    # relative to the size of the terms summed: a draw whose terms cancel
+    # leaves e far below them
+    prob = q.StackedProblem.build(q.get_model(name), horizon, q.builtin_scenario(name).weights)
+    rng = np.random.default_rng(horizon)
+    for _ in range(20):
+        y, lam = rng.normal(size=prob.n_y), rng.normal(size=prob.n_eq)
+        e = stacked.cost_perturbation(prob, y, lam)
+        ref = oracles.cost_perturbation(prob, y, lam)
+        assert e.shape == ref.shape and not e[prob.n_eq - prob.n_x:prob.n_eq].any()
+        if name == "tiny-lti":
+            assert not e.any() and not ref.any()
+        scale = (np.abs(oracles.coupling_correction(prob, y)).T @ np.abs(lam)).max()
+        assert np.abs(e - ref).max() <= 1e-14 * scale
+
+
+def dense_sqp_step(prob, z, x0):
+    """The SQP step with its right side from the dense frozen-parameter residual."""
+    jac, _ = stacked.linearized_constraint(prob, z.y)
+    rhs = -oracles.fonc_residual(prob, q.KktPoint(z.y, np.zeros(prob.n_eq)), x0)
+    sol = np.linalg.solve(stacked._kkt(prob, jac.T, jac), rhs)
+    return np.concatenate([z.y + sol[:prob.n_y], sol[prob.n_y:]])
+
+
+@pytest.mark.parametrize("name", ["tiny-lti", *MODELS])
+def test_sqp_step_equals_the_dense_residual_route_bitwise(problems, name):
+    prob = problems[name]
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        z = q.KktPoint(rng.standard_normal(prob.n_y), rng.standard_normal(prob.n_eq))
+        x0 = rng.standard_normal(prob.n_x)
+        got = stacked.sqp_step(prob, z, x0).stack()
+        assert got.tobytes() == dense_sqp_step(prob, z, x0).tobytes()
+
+
 DENSE = {
-    stacked: ("constraint_matrix", "linearized_constraint", "coupling_correction",
-              "fonc_residual", "true_fonc_residual", "sqp_step"),
+    stacked: ("linearized_constraint", "_assemble_g", "_kkt", "_residual", "sqp_step",
+              "cost_perturbation"),
 }
 
 

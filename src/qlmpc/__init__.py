@@ -6,8 +6,8 @@ fallback, closed-loop benchmark scenarios, and numerical verification of
 the convergence and suboptimality properties of the scheme.
 
 The top level is the solver's API. The QP internals live in
-``qlmpc.condensing``, the dense stacked family that ``diagnose`` reads
-in ``qlmpc.stacked`` and the model factories in ``qlmpc.models``.
+``qlmpc.condensing``, the stage-wise checks that ``diagnose`` reads in
+``qlmpc.stacked`` and the model factories in ``qlmpc.models``.
 """
 
 from .closed_loop import (

@@ -1,16 +1,17 @@
-"""The three LAPACK routines of the QP solves, loaded without ``scipy.linalg``.
+"""The four LAPACK routines of the solves, loaded without ``scipy.linalg``.
 
-The solves call ``dpotrf``/``dpotrs`` and ``dpbsv`` from scipy's
-compiled f2py LAPACK extension.  Importing them through ``scipy.linalg``
-runs that package's ``__init__``, which pulls in most of scipy's
-array-API layer and, through it, ``numpy.f2py``,
-``numpy.testing``, ``numpy.random`` and more: about two thirds of the
-time ``import qlmpc`` took.  So the extension module
-``scipy/linalg/_flapack`` is loaded here straight from its file, under
-its own name and without registering it in ``sys.modules``.  Its
-routines are the very objects ``scipy.linalg.lapack`` exports, whichever
-of the two is imported first.  Only when the file is not where scipy
-keeps it does this fall back to ``scipy.linalg.lapack``.
+The QP solves call ``dpotrf``/``dpotrs`` and ``dpbsv``, and the SQP
+cross-check ``dgbsv``, from scipy's compiled f2py LAPACK extension.
+Importing them through ``scipy.linalg`` runs that package's
+``__init__``, which pulls in most of scipy's array-API layer and,
+through it, ``numpy.f2py``, ``numpy.testing``, ``numpy.random`` and
+more: about two thirds of the time ``import qlmpc`` took.  So the
+extension module ``scipy/linalg/_flapack`` is loaded here straight from
+its file, under its own name and without registering it in
+``sys.modules``.  Its routines are the very objects
+``scipy.linalg.lapack`` exports, whichever of the two is imported
+first.  Only when the file is not where scipy keeps it does this fall
+back to ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
@@ -56,4 +57,4 @@ def _load():
 
 _flapack = _load()
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
-dpbsv = _flapack.dpbsv
+dgbsv, dpbsv = _flapack.dgbsv, _flapack.dpbsv

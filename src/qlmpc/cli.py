@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import statistics
 import sys
 from pathlib import Path
@@ -153,6 +154,24 @@ def _json_safe(v):
     return v
 
 
+def _env() -> dict:
+    """The machine and libraries an output is written on: numpy's BLAS runs
+    the stage algebra, scipy's LAPACK the factorizations.  scipy's record is
+    read only here, so ``import qlmpc`` does not load it."""
+    import scipy.__config__
+
+    def blas(config):
+        dep = getattr(config, "CONFIG", {}).get("Build Dependencies", {}).get("blas") or {}
+        return f"{dep.get('name')} {dep.get('version')}"
+
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": {"numpy": blas(np.__config__), "scipy": blas(scipy.__config__)},
+            "blas_threads": {var: os.environ.get(var) for var in threads},
+            "cpu_count": os.cpu_count()}
+
+
 def write_trajectory_csv(path: Path, res: ScenarioResult, solve_s, prep_s) -> None:
     n_x = res.states.shape[1]
     n_u = res.inputs.shape[1]
@@ -231,6 +250,7 @@ def run_simulate(cfg: RunConfig) -> int:
         "failure_step": res.failure_step,
         "failure_message": res.failure_message,
         "note": scn.problem.model.note,
+        "env": _env(),
     }
     summary_path.write_text(
         json.dumps(_json_safe(summary), indent=2) + "\n", encoding="utf-8", newline="\n")
@@ -254,7 +274,7 @@ def run_diagnose(cfg: RunConfig) -> int:
     if bad:
         raise SolverError(f"diagnostics are not finite: {', '.join(bad)}")
     payload = {"scenario": scn.name, "model": scn.model_id, "seed": cfg.seed, **numbers,
-               "note": scn.problem.model.note}
+               "note": scn.problem.model.note, "env": _env()}
     report_path.write_text(
         json.dumps(_json_safe(payload), indent=2) + "\n", encoding="utf-8", newline="\n")
     return EXIT_OK

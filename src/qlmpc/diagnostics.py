@@ -5,9 +5,9 @@ that certifies their fixpoints: the perturbed-fixpoint identity of
 the standard variant (its converged iterates are stationary points of a
 linearly perturbed cost), an empirical contraction-rate fit for the
 error recursion  err[l+1] <= kappa err[l] + omega/2 err[l]^2, and the
-agreement of exact-variant iterates with a dense Gauss-Newton SQP step;
-``first_timestep_report`` runs them for ``qlmpc diagnose``.  Only the
-SQP cross-check builds dense matrices; the fixpoint check reads stage data.
+agreement of exact-variant iterates with a Gauss-Newton SQP step;
+``first_timestep_report`` runs them for ``qlmpc diagnose``.  No check
+builds a dense matrix: the SQP step is a band LU in stage order.
 """
 
 from __future__ import annotations
@@ -47,17 +47,19 @@ def verify_fixpoint_perturbation(prob: StackedProblem, trace: IterateTrace, x0ha
     At the fixpoint (y, lam) the true stationarity residual
     ``2 W y + jac(y)' lam`` must equal ``-e`` with
     ``e = -correction(y)' lam``; their sum measures only multiplier
-    recovery error.  Stationarity reads the exact variant's stages,
-    feasibility the standard's.  Requires a converged trace.
+    recovery error.  Stationarity reads the exact stages, feasibility the
+    standard ones; the final entry's serve for its variant.  Needs a converged trace.
     """
     if not trace.converged:
         raise ValueError("perturbation check requires a converged trace")
-    z = trace.final
+    z, last = trace.final, trace.iterates[-1]
     x0 = prob.check_x0(x0hat)
-    e = cost_perturbation(prob, z.y, z.lam)
-    stat_x, stat_u = stage_stationarity(prob, stage_data(prob, z.y, "exact"), z.y, z.lam)
+    exact, standard = (last.stages if last.solve[0] is prob and last.solve[2] == variant
+                       else stage_data(prob, z.y, variant) for variant in ("exact", "standard"))
+    e = cost_perturbation(prob, exact, standard, z.lam)
+    stat_x, stat_u = stage_stationarity(prob, exact, z.y, z.lam)
     stat = np.concatenate([stat_x.ravel(), stat_u.ravel()])
-    feas = stage_feasibility(prob, stage_data(prob, z.y, "standard"), z.y, x0)
+    feas = stage_feasibility(prob, standard, z.y, x0)
     return PerturbationReport(
         e=e,
         true_stationarity_residual=stat,

@@ -19,22 +19,21 @@ with ``J_k = [A_k B_k]``, and ``stage_stationarity``,
 residual stage by stage.  ``cost_perturbation`` gives the paper's ``e``
 from the stage data too: ``e_k = (J^ex_k - J^std_k)' lam_{k+1}``.
 
-The one dense path is the SQP cross-check that ``diagnose`` runs
-(``linearized_constraint``, ``_assemble_g``, ``_kkt``, ``_residual``
-and ``sqp_step``, a separate dense KKT solve); the solver never calls
-it.  The dense oracles that only the tests call are in
-``tests/oracles.py``.
+``sqp_step``, the SQP cross-check that ``diagnose`` runs, solves the
+saddle-point matrix of the exact stage data in stage order, where it is
+banded, by one pivoted band LU; the solver never calls it.  G, W, the
+KKT matrix and the dense SQP step are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._lapack import dpotrf, dpotrs
+from ._lapack import dgbsv, dpotrf, dpotrs
 from .errors import SolverError
 from .models import LpvModel, _as_vector
 
@@ -123,25 +122,15 @@ def _spd_inverse(m: Array) -> Optional[Array]:
     return 0.5 * (inv + inv.T)
 
 
-def _block_diag(blocks) -> Array:
-    """The block-diagonal matrix of the square ``blocks``."""
-    out = np.zeros((sum(len(b) for b in blocks),) * 2)
-    i = 0
-    for b in blocks:
-        out[i:i + len(b), i:i + len(b)] = b
-        i += len(b)
-    return out
-
-
 @dataclass(frozen=True)
 class StackedProblem:
     """Immutable problem data for one horizon; all operations are pure.
 
-    The dimensions, the dense cost and initial-condition matrices and
-    the ``inverse_weights`` are derived from the model, the weights and
-    the horizon on first use and cached, so they cannot disagree with
-    them.  ``states`` and ``inputs`` are the views of a decision vector's
-    state and input blocks.
+    The dimensions and the ``inverse_weights`` are derived from the
+    model, the weights and the horizon on first use and cached, so they
+    cannot disagree with them; no dense cost matrix is kept.  ``states``
+    and ``inputs`` are the views of a decision vector's state and input
+    blocks.
     """
 
     model: LpvModel
@@ -162,19 +151,6 @@ class StackedProblem:
         return cls(model=model, n_horizon=horizon, weights=weights)
 
     @cached_property
-    def weight_matrix(self) -> Array:
-        """Block-diagonal cost matrix acting on y."""
-        w, n = self.weights, self.n_horizon
-        return _block_diag([w.Q] * n + [w.P] + [w.R] * n)
-
-    @cached_property
-    def x0_map(self) -> Array:
-        """Injects x0hat into the constraint stack."""
-        c = np.zeros((self.n_eq, self.n_x))
-        c[:self.n_x] = -np.eye(self.n_x)
-        return c
-
-    @cached_property
     def inverse_weights(self) -> Optional[InverseWeights]:
         """The range-space solve's inverse weights; None when a Cholesky
         factorization of Q, P or R fails."""
@@ -183,7 +159,8 @@ class StackedProblem:
             return None
         x = np.empty((self.n_horizon + 1, self.n_x, self.n_x))
         x[:-1], x[-1] = q, p
-        return InverseWeights(x=x, w=_block_diag([q, r]))
+        return InverseWeights(x=x, w=np.block([[q, np.zeros((self.n_x, self.n_u))],
+                                               [np.zeros((self.n_u, self.n_x)), r]]))
 
     # -- layout helpers ----------------------------------------------------
 
@@ -331,81 +308,79 @@ def stage_residual(prob: StackedProblem, stages: StageData, z: KktPoint, x0hat) 
         return float(max(np.max(np.abs(stat_x)), np.max(np.abs(stat_u)), np.max(np.abs(feas))))
 
 
-def _assemble_g(prob: StackedProblem, stages: StageData) -> Array:
-    """Dense constraint matrix with the stages' (A_k, B_k) blocks."""
-    n_x, n_u, n = prob.n_x, prob.n_u, prob.n_horizon
-    g = np.zeros((prob.n_eq, prob.n_y))
-    np.fill_diagonal(g[:, :prob.n_eq], 1.0)
-    # -a_k and -b_k go into block row k+1 through einsum's writeable diagonal views
-    np.einsum("kikj->kij", g[n_x:, :n * n_x].reshape(n, n_x, n, n_x))[...] = -stages.a
-    np.einsum("kiku->kiu", g[n_x:, prob.n_eq:].reshape(n, n_x, n, n_u))[...] = -stages.b
-    return g
-
-
-def _kkt(prob: StackedProblem, top: Array, bottom: Array) -> Array:
-    """Saddle-point matrix [[2W, top], [bottom, 0]] acting on (y, lam)."""
-    n_y, n_eq = prob.n_y, prob.n_eq
-    out = np.zeros((n_y + n_eq, n_y + n_eq))
-    out[:n_y, :n_y] = 2.0 * prob.weight_matrix
-    out[:n_y, n_y:] = top
-    out[n_y:, :n_y] = bottom
-    return out
-
-
-def _residual(prob: StackedProblem, top: Array, bottom: Array, y: Array, lam, x0: Array) -> Array:
-    """Optimality residual [2 W y + top lam; bottom y + C x0hat]."""
-    stat = 2.0 * (prob.weight_matrix @ y) + top @ lam
-    feas = bottom @ y + prob.x0_map @ x0
-    return np.concatenate([stat, feas])
-
-
-def linearized_constraint(prob: StackedProblem, y) -> tuple[Array, Array]:
-    """Jacobian of the constraint map and its disturbance companion.
-
-    Returns ``(jac, dist)`` with ``jac = d[G(rho(y)) y]/dy`` and
-    ``dist = G(rho(y)) - jac``, the negated hidden-coupling correction,
-    so that ``(jac + dist) y == G(rho(y)) y`` for every y.
-    """
-    y = prob.check_y(y)
-    g = _assemble_g(prob, stage_data(prob, y, "standard"))
-    jac = _assemble_g(prob, stage_data(prob, y, "exact"))
-    return jac, g - jac
-
-
-def cost_perturbation(prob: StackedProblem, y, lam) -> Array:
+def cost_perturbation(prob: StackedProblem, exact: StageData, standard: StageData, lam) -> Array:
     """Linear cost perturbation picked up by the standard fixpoint.
 
     e = -correction(y)' lam; a converged standard iterate is a
     stationary point of the cost ``y' W y + e' y`` under the true
-    constraint.  Stage by stage, ``e_k = (J^ex_k - J^std_k)' lam_{k+1}``
-    in the ``(x_k, u_k)`` slots and zero in the ``x_N`` slot, so e
-    vanishes where the two variants' stage Jacobians agree, as on LTI models.
+    constraint.  From the two variants' stage data at y,
+    ``e_k = (J^ex_k - J^std_k)' lam_{k+1}`` in the ``(x_k, u_k)`` slots
+    and zero in the ``x_N`` slot, so e vanishes where the two variants'
+    stage Jacobians agree, as on LTI models.
     """
-    y = prob.check_y(y)
     lam = np.asarray(lam, dtype=float).reshape(prob.n_horizon + 1, prob.n_x)
-    gap = stage_data(prob, y, "exact").jac - stage_data(prob, y, "standard").jac
-    e_z = (lam[1:, None, :] @ gap)[:, 0, :]
+    e_z = (lam[1:, None, :] @ (exact.jac - standard.jac))[:, 0, :]
     n_x = prob.n_x
     return np.concatenate([e_z[:, :n_x].ravel(), np.zeros(n_x), e_z[:, n_x:].ravel()])
 
 
+@lru_cache(maxsize=16)
+def _kkt_band_index(n: int, n_x: int, n_u: int) -> Array:
+    """Where ``sqp_step`` reads the saddle-point band, transposed.
+
+    Unknowns and rows go in stage order, ``(lam_0, x_0, u_0, ..., lam_N,
+    x_N)``, which makes ``[[2W, J'], [J, 0]]`` banded with
+    ``kl = ku = 2 n_x + n_u - 1``.  ``index[j, kl + ku + i - j]`` locates
+    its entry ``[i, j]`` in the flat source
+    ``[1, 0, 2Q, 2P, 2R, -J_0, ..., -J_{N-1}]``; the LU fill space and the
+    zeros read its 0.  Taking it gives the band's transpose, so
+    the band itself comes out in LAPACK's column order.
+    """
+    step, n_z = 2 * n_x + n_u, n_x + n_u
+    jac = 2 + 2 * n_x * n_x + n_u * n_u
+    j = np.arange(n * step + 2 * n_x)[:, None]
+    i = j + np.arange(1 - step, step)  # the rows of column j's band
+    (ki, ci), (kj, cj) = np.divmod(i, step), np.divmod(j, step)
+    xi, xj, ui, uj = ci - n_x, cj - n_x, ci - 2 * n_x, cj - 2 * n_x  # offsets in x_k, u_k
+    same = (ki == kj) & (0 <= i) & (i < len(j))
+    body = np.select([
+        same & (ci < n_x) & (xj == ci), same & (cj < n_x) & (xi == cj),  # I and I'
+        same & (0 <= xi) & (xi < n_x) & (0 <= xj) & (xj < n_x),  # 2Q, or 2P at stage N
+        same & (ui >= 0) & (uj >= 0),  # 2R
+        (ki == kj + 1) & (ci < n_x) & (xj >= 0) & (i < len(j)),  # -J_k, row lam_{k+1}
+        (kj == ki + 1) & (cj < n_x) & (xi >= 0) & (i >= 0),  # -J_k', column lam_{k+1}
+    ], [0, 0, 2 + (ki == n) * n_x * n_x + xi * n_x + xj, 2 + 2 * n_x * n_x + ui * n_u + uj,
+        jac + (kj * n_x + ci) * n_z + xj, jac + (ki * n_x + cj) * n_z + xi], 1)
+    index = np.concatenate((np.ones((len(j), step - 1), int), body), axis=1)
+    index.flags.writeable = False
+    return index
+
+
 def sqp_step(prob: StackedProblem, z: KktPoint, x0hat) -> KktPoint:
-    """Gauss-Newton SQP step in the update variable p, via a dense KKT solve.
+    """Gauss-Newton SQP step in the update variable p, via a band LU.
 
     Solves for p with the constraint linearized at y[l] and the cost
-    Hessian replaced by 2W, then returns (y[l] + p, lam).  The
-    right-hand side is the negated frozen-parameter residual at lam = 0.
-    Agrees with the exact variant's iterate up to solver tolerance; kept
-    on a separate dense solve path so the equivalence is a real
-    cross-check.
+    Hessian replaced by 2W, then returns (y[l] + p, lam); the right side
+    is the negated NLP residual at lam = 0, from the exact stage data.
+    One pivoted band LU in stage order, apart from the exact iterate's
+    range-space Cholesky solve, makes the equivalence a real cross-check.
     """
     y = prob.check_y(z.y)
     x0 = prob.check_x0(x0hat)
-    jac, _ = linearized_constraint(prob, y)
-    g = _assemble_g(prob, stage_data(prob, y, "standard"))
-    rhs = -_residual(prob, g.T, g, y, np.zeros(prob.n_eq), x0)
-    try:
-        sol = np.linalg.solve(_kkt(prob, jac.T, jac), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"SQP step KKT solve failed: {exc}") from None
-    return KktPoint(y + sol[:prob.n_y], sol[prob.n_y:])
+    n, n_x, n_u, w = prob.n_horizon, prob.n_x, prob.n_u, prob.weights
+    stages = stage_data(prob, y, "exact")
+    rows = np.zeros((n + 1, 2 * n_x + n_u))  # (lam_k, x_k, u_k) of stage k; stage N has no u_N
+    rows[:, :n_x] = stage_feasibility(prob, stages, y, x0)
+    rows[:, n_x:2 * n_x], rows[:-1, 2 * n_x:] = stage_stationarity(prob, stages, y,
+                                                                    np.zeros(prob.n_eq))
+    flat = rows.reshape(-1)[:prob.n_y + prob.n_eq]
+    source = np.concatenate(((1.0, 0.0), (2.0 * w.Q).ravel(), (2.0 * w.P).ravel(),
+                             (2.0 * w.R).ravel(), (-stages.jac).ravel()))
+    bw = 2 * n_x + n_u - 1
+    _, _, sol, info = dgbsv(bw, bw, source.take(_kkt_band_index(n, n_x, n_u)).T, -flat,
+                            overwrite_ab=True, overwrite_b=True)
+    if info != 0:
+        raise SolverError(f"SQP step KKT solve failed: dgbsv info {info}")
+    flat[:] = sol
+    p = np.concatenate((rows[:, n_x:2 * n_x].ravel(), rows[:-1, 2 * n_x:].ravel()))
+    return KktPoint(y + p, rows[:, :n_x].ravel())

@@ -1,13 +1,16 @@
 """Dense oracles that only the tests call.
 
-The constraint matrix G of a parameter trajectory, the frozen-parameter
-and the NLP optimality residuals, the hidden-coupling correction and the
-paper's cost perturbation ``e`` from it, the fixed-parameter KKT matrix,
-the exact Jacobian of the optimality residual map, a central-difference
-Jacobian and the least-squares multipliers of a QP solution.  Each
-builds the dense stacked algebra of ``qlmpc.stacked`` independently of
-the solver's per-stage path and of the stage-wise ``e`` and residuals
-that ``diagnose`` reads, so the tests can check one against the other.
+The cost matrix W and the initial-condition map C, the constraint
+matrix G of a parameter trajectory and the linearized constraint, the
+frozen-parameter and the NLP optimality residuals, the hidden-coupling
+correction and the paper's cost perturbation ``e`` from it, the
+fixed-parameter KKT matrix, the dense Gauss-Newton SQP step, the exact
+Jacobian of the optimality residual map, a central-difference Jacobian
+and the least-squares multipliers of a QP solution.  Each builds the
+dense stacked algebra of ``qlmpc.stacked`` independently of the
+solver's per-stage path and of the stage-wise ``e``, residuals and band
+SQP step that ``diagnose`` reads, so the tests can check one against
+the other.
 ``certificate_trace`` is the residual-stopped solve from a given start:
 a cut of a fresh one-entry list, where ``qlmpc diagnose`` cuts one
 shared list.
@@ -22,14 +25,88 @@ from qlmpc.solver import IterateTrace, TraceEntry
 from qlmpc.stacked import (
     KktPoint,
     StackedProblem,
-    _assemble_g,
-    _kkt,
-    _residual,
+    StageData,
     frozen_stages,
-    linearized_constraint,
+    stage_data,
 )
 
 Array = np.ndarray
+
+
+def weight_matrix(prob: StackedProblem) -> Array:
+    """Block-diagonal cost matrix acting on y."""
+    w, n = prob.weights, prob.n_horizon
+    return scipy.linalg.block_diag(*([w.Q] * n + [w.P] + [w.R] * n))
+
+
+def x0_map(prob: StackedProblem) -> Array:
+    """Injects x0hat into the constraint stack."""
+    c = np.zeros((prob.n_eq, prob.n_x))
+    c[:prob.n_x] = -np.eye(prob.n_x)
+    return c
+
+
+def _assemble_g(prob: StackedProblem, stages: StageData) -> Array:
+    """Dense constraint matrix with the stages' (A_k, B_k) blocks."""
+    n_x, n_u, n = prob.n_x, prob.n_u, prob.n_horizon
+    g = np.zeros((prob.n_eq, prob.n_y))
+    np.fill_diagonal(g[:, :prob.n_eq], 1.0)
+    # -a_k and -b_k go into block row k+1 through einsum's writeable diagonal views
+    np.einsum("kikj->kij", g[n_x:, :n * n_x].reshape(n, n_x, n, n_x))[...] = -stages.a
+    np.einsum("kiku->kiu", g[n_x:, prob.n_eq:].reshape(n, n_x, n, n_u))[...] = -stages.b
+    return g
+
+
+def _kkt(prob: StackedProblem, top: Array, bottom: Array) -> Array:
+    """Saddle-point matrix [[2W, top], [bottom, 0]] acting on (y, lam)."""
+    n_y, n_eq = prob.n_y, prob.n_eq
+    out = np.zeros((n_y + n_eq, n_y + n_eq))
+    out[:n_y, :n_y] = 2.0 * weight_matrix(prob)
+    out[:n_y, n_y:] = top
+    out[n_y:, :n_y] = bottom
+    return out
+
+
+def _residual(prob: StackedProblem, top: Array, bottom: Array, y: Array, lam, x0: Array) -> Array:
+    """Optimality residual [2 W y + top lam; bottom y + C x0hat]."""
+    stat = 2.0 * (weight_matrix(prob) @ y) + top @ lam
+    feas = bottom @ y + x0_map(prob) @ x0
+    return np.concatenate([stat, feas])
+
+
+def linearized_constraint(prob: StackedProblem, y) -> tuple[Array, Array]:
+    """Jacobian of the constraint map and its disturbance companion.
+
+    Returns ``(jac, dist)`` with ``jac = d[G(rho(y)) y]/dy`` and
+    ``dist = G(rho(y)) - jac``, the negated hidden-coupling correction,
+    so that ``(jac + dist) y == G(rho(y)) y`` for every y.
+    """
+    y = prob.check_y(y)
+    g = _assemble_g(prob, stage_data(prob, y, "standard"))
+    jac = _assemble_g(prob, stage_data(prob, y, "exact"))
+    return jac, g - jac
+
+
+def sqp_step(prob: StackedProblem, z: KktPoint, x0hat) -> KktPoint:
+    """Gauss-Newton SQP step in the update variable p, via a dense KKT solve.
+
+    Solves for p with the constraint linearized at y[l] and the cost
+    Hessian replaced by 2W, then returns (y[l] + p, lam).  The
+    right-hand side is the negated frozen-parameter residual at lam = 0.
+    Agrees with the exact variant's iterate up to solver tolerance; kept
+    on a separate dense solve path so the equivalence is a real
+    cross-check.
+    """
+    y = prob.check_y(z.y)
+    x0 = prob.check_x0(x0hat)
+    jac, _ = linearized_constraint(prob, y)
+    g = _assemble_g(prob, stage_data(prob, y, "standard"))
+    rhs = -_residual(prob, g.T, g, y, np.zeros(prob.n_eq), x0)
+    try:
+        sol = np.linalg.solve(_kkt(prob, jac.T, jac), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"SQP step KKT solve failed: {exc}") from None
+    return KktPoint(y + sol[:prob.n_y], sol[prob.n_y:])
 
 
 def constraint_matrix(prob: StackedProblem, rho_traj) -> Array:
@@ -143,7 +220,7 @@ def recover_multipliers(prob: StackedProblem, g_used, y) -> Array:
     y = prob.check_y(y)
     if not np.all(np.isfinite(g)) or not np.all(np.isfinite(y)):
         raise SolverError("multiplier recovery received non-finite data")
-    rhs = -2.0 * (prob.weight_matrix @ y)
+    rhs = -2.0 * (weight_matrix(prob) @ y)
     lam, _, rank = scipy.linalg.lstsq(g.T, rhs, lapack_driver="gelsy", check_finite=False)[:3]
     if rank < g.shape[0]:
         smallest = float(np.linalg.svd(g, compute_uv=False).min())

@@ -40,7 +40,7 @@ def test_criterion_2_sqp_equivalence(unicycle_problem, unicycle_x0):
     for _ in range(50):
         z = q.KktPoint(rng.standard_normal(unicycle_problem.n_y),
                        rng.standard_normal(unicycle_problem.n_eq))
-        a = stacked.sqp_step(unicycle_problem, z, unicycle_x0)
+        a = oracles.sqp_step(unicycle_problem, z, unicycle_x0)
         b = q.qlmpc_iterate(unicycle_problem, z, unicycle_x0, "exact")
         dev = np.abs(a.stack() - b.stack()).max() / (1.0 + np.abs(z.stack()).max())
         worst = max(worst, dev)
@@ -151,8 +151,8 @@ def test_criterion_7_condensed_stacked_equivalence():
         y = condensing.expand(qp, condensing.solve_condensed(qp))
         g = oracles.constraint_matrix(prob, rho_traj)
         lam = oracles.recover_multipliers(prob, g, y)
-        stat = 2.0 * prob.weight_matrix @ y + g.T @ lam
-        feas = g @ y + prob.x0_map @ x0
+        stat = 2.0 * oracles.weight_matrix(prob) @ y + g.T @ lam
+        feas = g @ y + oracles.x0_map(prob) @ x0
         worst = max(worst, np.abs(stat).max(), np.abs(feas).max())
     _verdict(7, worst <= 1e-8,
              f"frozen-parameter optimality residual of expanded condensed solutions "

@@ -3,6 +3,8 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -12,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings, strategies as st
 
 import qlmpc as q
@@ -322,13 +325,14 @@ class TestExitCodes:
         assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
     def test_singular_sqp_kkt_is_exit_3(self, tmp_path, monkeypatch, capsys):
-        # a zero constraint Jacobian makes the SQP step's KKT matrix
-        # singular; the fixpoint check reads the stage data and runs first
-        def zero_jacobian(prob, y):
-            zero = np.zeros((prob.n_eq, prob.n_y))
-            return zero, zero
+        # a zero band makes the SQP step's band LU meet a zero pivot; the
+        # fixpoint check reads the stage data and runs first
+        band_solve = stacked.dgbsv
 
-        monkeypatch.setattr(stacked, "linearized_constraint", zero_jacobian)
+        def zero_band(kl, ku, ab, b, **kwargs):
+            return band_solve(kl, ku, np.zeros_like(ab), b, **kwargs)
+
+        monkeypatch.setattr(stacked, "dgbsv", zero_band)
         assert main(["diagnose", "--scenario", "tiny-qlpv", "--out", str(tmp_path)]) == 3
         assert "SQP step KKT solve failed" in capsys.readouterr().err
 
@@ -616,6 +620,15 @@ class TestDiagnose:
         assert payload["kappa_hat"] == 0.0
         assert payload["omega_hat"] == 0.0
 
+    @pytest.mark.parametrize("scenario", ["tiny-qlpv", "unicycle"])
+    def test_report_solves_no_dense_system(self, tmp_path, monkeypatch, scenario):
+        # the SQP step is a band LU; no check of the report solves densely
+        def dense_solve(*args, **kwargs):
+            raise AssertionError("diagnose solved a dense linear system")
+
+        monkeypatch.setattr(np.linalg, "solve", dense_solve)
+        assert main(["diagnose", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QLMPC_SEED", "7")
         out = tmp_path / "diag"
@@ -722,3 +735,52 @@ def test_run_benchmarks_script(tmp_path, monkeypatch, capsys):
     rows = [line for line in capsys.readouterr().out.splitlines()
             if line.split()[:1] in (["tiny-lti"], ["tiny-qlpv"])]
     assert len(rows) == 4
+
+
+SUMMARY_KEYS = [
+    "scenario", "model", "variant", "mode", "steps_requested", "steps_completed", "repeat",
+    "terminal_state", "final_dr", "final_rcso", "iterations_total", "unconverged_steps",
+    "reference_unconverged_steps", "solve_time_s", "prep_time_s", "qp_time_s", "failed",
+    "failure_step", "failure_message", "note",
+]
+REPORT_KEYS = [
+    "scenario", "model", "seed", "fixpoint_tol", "e_norm_inf", "identity_error_inf",
+    "feasibility_residual_inf", "kappa_hat", "omega_hat", "radius_bound", "fit_residual_inf",
+    "contraction_errors", "contraction_reference_converged", "sqp_equivalence_max_dev", "note",
+]
+
+
+def test_outputs_record_their_environment(tmp_path, monkeypatch):
+    # env is one key added after the others; every other key and value is
+    # the one written without it
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    runs = {
+        "tiny-qlpv_standard_summary.json": ["simulate", "--scenario", "tiny-qlpv", "--repeat", "1"],
+        "tiny-qlpv_diagnostics.json": ["diagnose", "--scenario", "tiny-qlpv"],
+    }
+    written = {}
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / "env")]) == 0
+        written[name] = json.loads((tmp_path / "env" / name).read_text())
+    monkeypatch.setattr(cli, "_env", lambda: None)
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / "none")]) == 0
+        bare = json.loads((tmp_path / "none" / name).read_text())
+        with_env = written[name]
+        keys = SUMMARY_KEYS if "summary" in name else REPORT_KEYS
+        assert list(with_env) == list(bare) == keys + ["env"]
+        env = with_env.pop("env")
+        assert bare.pop("env") is None
+        timing = {"solve_time_s", "prep_time_s", "qp_time_s"}
+        for key in set(keys) - timing:
+            assert with_env[key] == bare[key], key
+        assert list(env) == ["python", "numpy", "scipy", "blas", "blas_threads", "cpu_count"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert set(env["blas"]) == {"numpy", "scipy"}
+        assert all(isinstance(v, str) and v for v in env["blas"].values())
+        assert env["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                       "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS")}
+        assert env["cpu_count"] == os.cpu_count()

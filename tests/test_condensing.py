@@ -78,7 +78,7 @@ def test_condensed_hessian_equals_dense_weight_product(unicycle_problem, variant
         rng = np.random.default_rng(4)
         stages = stage_data(prob, rng.normal(size=prob.n_y), variant)
         qp = condensing.condense(prob, stages, rng.normal(size=prob.n_x))
-        n_s, dense = prob.n_eq, prob.weight_matrix
+        n_s, dense = prob.n_eq, oracles.weight_matrix(prob)
         ref = 2.0 * (qp.gamma.T @ (dense[:n_s, :n_s] @ qp.gamma) + dense[n_s:, n_s:])
         assert np.array_equal(qp.hess, 0.5 * (ref + ref.T))
         assert_allclose(qp.grad, 2.0 * ((dense[:n_s, :n_s] @ qp.gamma).T @ qp.free),
@@ -86,24 +86,24 @@ def test_condensed_hessian_equals_dense_weight_product(unicycle_problem, variant
 
 
 def test_replaced_problem_condenses_with_its_own_weights(unicycle_problem, adip_problem):
-    # dimensions and weight matrices are cached per instance; a problem
+    # dimensions and inverse weights are cached per instance; a problem
     # made by dataclasses.replace must derive its own, not inherit the
     # original's
     base = q.StackedProblem.build(unicycle_problem.model, 3, unicycle_problem.weights)
-    cached = base.weight_matrix
+    cached = base.inverse_weights
     assert (base.n_x, base.n_u) == (unicycle_problem.n_x, unicycle_problem.n_u)
     w = base.weights
     r = np.array([[2.0, 0.7], [0.7, 1.5]])
     new_r = dataclasses.replace(base, weights=q.Weights(Q=w.Q, R=r, P=w.P))
     adip = dataclasses.replace(base, model=adip_problem.model, weights=adip_problem.weights)
-    assert base.weight_matrix is cached
+    assert base.inverse_weights is cached
     assert (adip.n_x, adip.n_u) == (adip_problem.n_x, adip_problem.n_u)
     rng = np.random.default_rng(6)
     for prob in (base, new_r, adip):
         stages = stage_data(prob, rng.normal(size=prob.n_y), "exact")
         qp = condensing.condense(prob, stages, rng.normal(size=prob.n_x))
         assert qp.gamma.shape == (prob.n_eq, 3 * prob.n_u)
-        n_s, dense = prob.n_eq, prob.weight_matrix
+        n_s, dense = prob.n_eq, oracles.weight_matrix(prob)
         ref = 2.0 * (qp.gamma.T @ (dense[:n_s, :n_s] @ qp.gamma) + dense[n_s:, n_s:])
         assert np.array_equal(qp.hess, 0.5 * (ref + ref.T))
 
@@ -149,7 +149,7 @@ def test_expand_feasibility(unicycle_problem):
     qp = condense_rho(unicycle_problem, rho_traj, x0)
     y = condensing.expand(qp, condensing.solve_condensed(qp))
     g = oracles.constraint_matrix(unicycle_problem, rho_traj)
-    resid = g @ y + unicycle_problem.x0_map @ x0
+    resid = g @ y + oracles.x0_map(unicycle_problem) @ x0
     assert np.abs(resid).max() <= 1e-10
 
 
@@ -209,17 +209,17 @@ def test_condensed_matches_dense_kkt_solve(name, horizon):
 
         n_y, n_eq = prob.n_y, prob.n_eq
         kkt = np.zeros((n_y + n_eq, n_y + n_eq))
-        kkt[:n_y, :n_y] = 2.0 * prob.weight_matrix
+        kkt[:n_y, :n_y] = 2.0 * oracles.weight_matrix(prob)
         kkt[:n_y, n_y:] = g.T
         kkt[n_y:, :n_y] = g
-        rhs = np.concatenate([np.zeros(n_y), -(prob.x0_map @ x0)])
+        rhs = np.concatenate([np.zeros(n_y), -(oracles.x0_map(prob) @ x0)])
         sol = np.linalg.solve(kkt, rhs)
         assert np.abs(y - sol[:n_y]).max() <= 1e-8
         assert np.abs(lam - sol[n_y:]).max() <= 1e-8
 
         # stationarity of the frozen QP at the recovered pair
-        stat = 2.0 * prob.weight_matrix @ y + g.T @ lam
-        feas = g @ y + prob.x0_map @ x0
+        stat = 2.0 * oracles.weight_matrix(prob) @ y + g.T @ lam
+        feas = g @ y + oracles.x0_map(prob) @ x0
         assert np.abs(stat).max() <= 1e-8
         assert np.abs(feas).max() <= 1e-8
 
@@ -247,8 +247,8 @@ def test_condense_exact_offset_shifts_prediction(tiny_qlpv_problem):
     qp_no_offset = condensing.condense(tiny_qlpv_problem, no_offset, [0.5])
     assert np.any(qp.free != qp_no_offset.free)
     y = condensing.expand(qp, condensing.solve_condensed(qp))
-    jac, dist = stacked.linearized_constraint(tiny_qlpv_problem, y_lin)
-    resid = jac @ y + dist @ y_lin + tiny_qlpv_problem.x0_map @ np.array([0.5])
+    jac, dist = oracles.linearized_constraint(tiny_qlpv_problem, y_lin)
+    resid = jac @ y + dist @ y_lin + oracles.x0_map(tiny_qlpv_problem) @ np.array([0.5])
     assert np.abs(resid).max() <= 1e-12
 
 
@@ -333,7 +333,7 @@ def test_condense_matches_sequential_rollout(request, name, horizon):
         nxt[:, k * n_u:(k + 1) * n_u] += stages.b[k]
         gamma.append(nxt)
     free, gamma = np.concatenate(free), np.concatenate(gamma)
-    n_s, dense = prob.n_eq, prob.weight_matrix
+    n_s, dense = prob.n_eq, oracles.weight_matrix(prob)
     hess = 2.0 * (gamma.T @ dense[:n_s, :n_s] @ gamma + dense[n_s:, n_s:])
     grad = 2.0 * (gamma.T @ dense[:n_s, :n_s] @ free)
 

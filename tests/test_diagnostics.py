@@ -77,7 +77,7 @@ class TestFixpointPerturbation:
         rep = q.verify_fixpoint_perturbation(prob, tr, x0)
         z = tr.final
         full = oracles.true_fonc_residual(prob, z, x0)
-        scale = max(np.abs(z.lam).max(), np.abs(2.0 * prob.weight_matrix @ z.y).max())
+        scale = max(np.abs(z.lam).max(), np.abs(2.0 * oracles.weight_matrix(prob) @ z.y).max())
         assert np.abs(rep.e - oracles.cost_perturbation(prob, z.y, z.lam)).max() <= 1e-14 * scale
         assert np.abs(rep.true_stationarity_residual - full[:prob.n_y]).max() <= 1e-14 * scale
         feas = float(np.abs(full[prob.n_y:]).max())

@@ -11,7 +11,7 @@ import pytest
 import qlmpc as q
 from qlmpc import _lapack
 
-ROUTINES = ("dpotrf", "dpotrs", "dpbsv")
+ROUTINES = ("dpotrf", "dpotrs", "dpbsv", "dgbsv")
 
 # solves the band of an ADIP G W^-1 G' and a condensed ADIP Hessian with
 # both modules' routines; ORDER says which of qlmpc and scipy.linalg is imported first
@@ -23,15 +23,17 @@ import numpy as np
 import qlmpc as q
 from qlmpc import _lapack
 from qlmpc.condensing import condense
-from qlmpc.stacked import _assemble_g, stage_data
+from qlmpc.stacked import stage_data
 print("scipy.linalg" in sys.modules)
 import scipy.linalg.lapack as lapack
+sys.path.insert(0, TESTS)
+import oracles
 
 scn = q.builtin_scenario("adip")
 prob = scn.problem
 stages = stage_data(prob, q.initial_guess(prob, scn.x0), "standard")
-g = _assemble_g(prob, stages)
-normal = g @ np.linalg.solve(prob.weight_matrix, g.T)
+g = oracles._assemble_g(prob, stages)
+normal = g @ np.linalg.solve(oracles.weight_matrix(prob), g.T)
 band = np.array([np.append(np.diagonal(normal, -d), np.zeros(d)) for d in range(2 * prob.n_x)])
 hess = condense(prob, stages, scn.x0).hess
 rng = np.random.default_rng(0)
@@ -53,7 +55,8 @@ print(*ours[:2], all(np.array_equal(a, b) for a, b in zip(ours, theirs)),
 @pytest.mark.parametrize("order", ["qlmpc-first", "scipy-first"])
 def test_routines_equal_scipy_linalg_lapack_in_either_import_order(order):
     src = Path(q.__file__).resolve().parents[1]
-    code = f"ORDER = {order!r}\nROUTINES = {ROUTINES!r}\n" + _BOTH_ORDERS
+    tests = str(Path(__file__).resolve().parent)
+    code = f"ORDER = {order!r}\nROUTINES = {ROUTINES!r}\nTESTS = {tests!r}\n" + _BOTH_ORDERS
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == [str(order == "scipy-first"), "0", "0", "True", "True"]

@@ -19,7 +19,9 @@ import qlmpc.condensing as condensing
 import qlmpc.solver as solver
 from qlmpc.closed_loop import REFERENCE_OPTIONS
 from qlmpc.condensing import solve_range_space
-from qlmpc.stacked import _assemble_g, _kkt, stage_data, stage_feasibility
+from qlmpc.stacked import stage_data, stage_feasibility
+
+from oracles import _assemble_g, _kkt
 
 MODELS = ["tiny-lti", "tiny-qlpv", "unicycle", "adip"]
 

@@ -32,7 +32,7 @@ class TestInitialGuess:
     def test_rollout_is_feasible(self, unicycle_problem, unicycle_x0):
         y = q.initial_guess(unicycle_problem, unicycle_x0)
         g = oracles.constraint_matrix(unicycle_problem, unicycle_problem.rho_trajectory(y))
-        resid = g @ y + unicycle_problem.x0_map @ unicycle_x0
+        resid = g @ y + oracles.x0_map(unicycle_problem) @ unicycle_x0
         assert np.abs(resid).max() <= 1e-12
 
 
@@ -259,7 +259,9 @@ class TestSolveOcp:
         # true stationarity stays pinned at -e, which is far above tol here
         true_stat = oracles.true_fonc_residual(unicycle_problem, tr.final,
                                                unicycle_x0)[:unicycle_problem.n_y]
-        e = stacked.cost_perturbation(unicycle_problem, tr.final.y, tr.final.lam)
+        prob, y = unicycle_problem, tr.final.y
+        e = stacked.cost_perturbation(prob, stacked.stage_data(prob, y, "exact"),
+                                      stacked.stage_data(prob, y, "standard"), tr.final.lam)
         assert np.abs(e).max() > 1e3 * tol
         assert_allclose(true_stat, -e, atol=1e-8)
 
@@ -331,7 +333,7 @@ class TestSolveOcp:
                              q.SolverOptions(variant=variant, stop_tol=1e-9, max_iter=60))
             assert tr.converged
             y = tr.final.y
-            cost[variant] = float(y @ (unicycle_problem.weight_matrix @ y))
+            cost[variant] = float(y @ (oracles.weight_matrix(unicycle_problem) @ y))
         assert cost["exact"] <= cost["standard"] + 1e-9
 
     def test_max_iter_reported_not_raised(self, unicycle_problem, unicycle_x0):

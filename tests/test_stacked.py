@@ -182,7 +182,7 @@ def test_linearized_constraint_identities(name):
     rng = np.random.default_rng(6)
     for _ in range(100):
         y = rng.normal(scale=2.0, size=prob.n_y)
-        jac, dist = stacked.linearized_constraint(prob, y)
+        jac, dist = oracles.linearized_constraint(prob, y)
         g = oracles.constraint_matrix(prob, prob.rho_trajectory(y))
         delta = oracles.coupling_correction(prob, y)
         assert np.abs(jac - (g + delta)).max() <= 1e-12
@@ -194,7 +194,7 @@ def test_linearized_constraint_matches_unicycle_extension(unicycle_problem):
     # the dense Jacobian holds the exact variant's stage matrices
     rng = np.random.default_rng(8)
     y = rng.normal(size=unicycle_problem.n_y)
-    jac, _ = stacked.linearized_constraint(unicycle_problem, y)
+    jac, _ = oracles.linearized_constraint(unicycle_problem, y)
     stages = stage_data(unicycle_problem, y, "exact")
     n_eq = unicycle_problem.n_eq
     for k in range(unicycle_problem.n_horizon):
@@ -218,11 +218,13 @@ def test_assemble_g_equals_a_per_stage_slice_loop(name, variant):
         rows = slice((k + 1) * n_x, (k + 2) * n_x)
         expect[rows, k * n_x:(k + 1) * n_x] = -stages.a[k]
         expect[rows, prob.n_eq + k * n_u:prob.n_eq + (k + 1) * n_u] = -stages.b[k]
-    np.testing.assert_array_equal(stacked._assemble_g(prob, stages), expect, strict=True)
+    np.testing.assert_array_equal(oracles._assemble_g(prob, stages), expect, strict=True)
 
 
 def test_cost_perturbation_zero_for_lti(tiny_lti_problem):
-    e = stacked.cost_perturbation(tiny_lti_problem, np.array([1.0, 0.5, -0.5]),
+    y = np.array([1.0, 0.5, -0.5])
+    e = stacked.cost_perturbation(tiny_lti_problem, stage_data(tiny_lti_problem, y, "exact"),
+                                  stage_data(tiny_lti_problem, y, "standard"),
                                   np.array([-3.0, -1.0]))
     assert np.all(e == 0.0)
 
@@ -230,7 +232,9 @@ def test_cost_perturbation_zero_for_lti(tiny_lti_problem):
 def test_cost_perturbation_tiny_qlpv_fixpoint(tiny_qlpv_problem):
     tr = q.solve_ocp(tiny_qlpv_problem, [0.5], q.initial_guess(tiny_qlpv_problem, [0.5]),
                      q.SolverOptions(variant="standard", stop_tol=1e-12))
-    e = stacked.cost_perturbation(tiny_qlpv_problem, tr.final.y, tr.final.lam)
+    y = tr.final.y
+    e = stacked.cost_perturbation(tiny_qlpv_problem, stage_data(tiny_qlpv_problem, y, "exact"),
+                                  stage_data(tiny_qlpv_problem, y, "standard"), tr.final.lam)
     assert_allclose(e, [-0.125, 0.0, 0.0], atol=1e-12)
 
 
@@ -242,7 +246,7 @@ def test_cost_positive_definite_on_constraint_nullspace(name):
         rho_traj = rng.normal(size=(4, prob.model.dims.n_rho))
         g = oracles.constraint_matrix(prob, rho_traj)
         basis = scipy.linalg.null_space(g)
-        reduced = basis.T @ (2.0 * prob.weight_matrix) @ basis
+        reduced = basis.T @ (2.0 * oracles.weight_matrix(prob)) @ basis
         assert np.linalg.eigvalsh(reduced).min() > 0.0
 
 
@@ -252,7 +256,7 @@ def test_linearized_constraint_identity_property(vals):
     m = models.builtin_tiny("qlpv")
     prob = q.StackedProblem.build(m, 1, q.Weights(Q=np.eye(1), R=np.eye(1), P=np.eye(1)))
     y = np.array(vals)
-    jac, dist = stacked.linearized_constraint(prob, y)
+    jac, dist = oracles.linearized_constraint(prob, y)
     g = oracles.constraint_matrix(prob, prob.rho_trajectory(y))
     assert np.abs((jac + dist) - g).max() <= 1e-12
 

@@ -70,8 +70,8 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"cannot read config file {path} as UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     return data
@@ -119,7 +119,7 @@ def _out_paths(cfg: RunConfig, *names: str) -> list:
     out_dir = Path(cfg.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot create output directory {cfg.out!r}: {exc}") from exc
     try:
         limit = os.pathconf(out_dir, "PC_NAME_MAX")

@@ -2,7 +2,8 @@
 
 ``solve_range_space`` solves the QP from one banded Cholesky factorization
 of ``G W^-1 G'`` when Q and P are positive definite (R always is), in one
-pass over the stage arrays that takes x0 as the caller validated it.
+pass over the stage arrays that takes x0 as the caller validated it; its
+two block placements go through ``stacked.band_index``, the one band layout.
 ``stage_multipliers`` needs no factorization: at a QP solution the state
 rows of stationarity fix the multipliers one stage at a time, backwards
 from the terminal cost (the adjoint recursion).
@@ -21,10 +22,9 @@ solves ``X[k+1] = A_k X[k] + E[k+1]``.  ``condense`` writes x0hat and
 the offsets ``w_k`` into the free column of ``X`` and each input matrix
 ``B_k`` into its block column, then rolls out one stage at a time.  The
 Hessian is ``h + h'`` with ``h = Gamma' (Wx Gamma)`` plus
-blkdiag(R, ..., R).  The factorizations call LAPACK (``dpotrf``/
-``dpotrs`` and ``dpbsv``) without scipy's checking wrappers, from
-scipy's compiled LAPACK extension as ``_lapack`` loads it, so that
-``import qlmpc`` never imports ``scipy.linalg``.
+blkdiag(R, ..., R).  The factorizations call LAPACK (``dpotrf``/``dpotrs``
+and ``dpbsv``) without scipy's checking wrappers, from scipy's compiled
+extension as ``_lapack`` loads it, so ``import qlmpc`` never imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from ._lapack import dpbsv, dpotrf, dpotrs
 from .errors import SolverError
-from .stacked import StackedProblem, StageData
+from .stacked import StackedProblem, StageData, band_index
 
 Array = np.ndarray
 
@@ -124,25 +124,12 @@ def expand(qp: CondensedQp, u) -> Array:
 
 @lru_cache(maxsize=16)
 def _band_index(n: int, n_x: int) -> Array:
-    """Where ``solve_range_space`` reads the lower band of ``G W^-1 G'``,
-    transposed: ``index[j, d]`` locates the band's entry ``[d, j]``, which
-    holds ``[j + d, j]``.  Taking it gives the band's transpose, so the band
-    itself comes out in LAPACK's column order.
-
-    The source is flat: the N+1 diagonal blocks, the N sub-diagonal
-    blocks and a zero, which fills the band below the sub-diagonal blocks.
-    """
-    d = np.arange(2 * n_x)[:, None, None]
-    k = np.arange(n + 1)[None, :, None]
-    c = np.arange(n_x)[None, None, :]
-    row = c + d  # the row in block column k, from the top of its diagonal block
-    diag = (k * n_x + row) * n_x + c
-    sub = ((n + 1 + k) * n_x + row - n_x) * n_x + c
-    index = np.where(row < n_x, diag,
-                     np.where((row < 2 * n_x) & (k < n), sub, (2 * n + 1) * n_x * n_x))
-    index = np.ascontiguousarray(index.reshape(2 * n_x, (n + 1) * n_x).T)
-    index.flags.writeable = False
-    return index
+    """Where ``solve_range_space`` reads the lower band of ``G W^-1 G'`` in its
+    flat source: the N+1 diagonal blocks, the N sub-diagonal blocks and a zero."""
+    blocks = np.arange((2 * n + 1) * n_x * n_x).reshape(2 * n + 1, n_x, n_x)
+    k = np.arange(n + 1) * n_x  # where block row and column k start
+    return band_index((n + 1) * n_x, 2 * n_x - 1, 0, blocks.size,
+                      [(k, k, blocks[:n + 1]), (k[1:], k[:-1], blocks[n + 1:])])
 
 
 def solve_range_space(prob: StackedProblem, stages: StageData, x0) -> tuple:

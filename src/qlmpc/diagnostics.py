@@ -243,9 +243,11 @@ def sqp_equivalence_max_deviation(prob: StackedProblem, x0hat, seed: int = 0) ->
     """Largest normalized gap between the SQP step and the exact iterate.
 
     Samples 50 standard-normal iterates and returns
-    ``max_i |sqp(z_i) - exact(z_i)|_inf / (1 + |z_i|_inf)``; the two
-    paths solve the same QP through different factorizations, so this
-    measures numerical agreement of the whole pipeline.
+    ``max_i |sqp(z_i) - exact(z_i)|_inf / (1 + |z_i|_inf)``: the two
+    paths solve the same QP through different factorizations, so at
+    ill-conditioned points it is the larger of their forward errors (on
+    ADIP, KKT condition number 1e9 to 4e9, the exact iterate's range-space
+    error reaches 7.6e-9 and the band LU's 3.1e-10).
     """
     rng = np.random.default_rng(seed)
     x0 = prob.check_x0(x0hat)

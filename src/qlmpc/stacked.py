@@ -21,8 +21,10 @@ from the stage data too: ``e_k = (J^ex_k - J^std_k)' lam_{k+1}``.
 
 ``sqp_step``, the SQP cross-check that ``diagnose`` runs, solves the
 saddle-point matrix of the exact stage data in stage order, where it is
-banded, by one pivoted band LU; the solver never calls it.  G, W, the
-KKT matrix and the dense SQP step are test oracles (``tests/oracles.py``).
+banded, by one pivoted band LU; the solver never calls it.  ``band_index``
+places stage blocks in LAPACK band storage, for this LU and for the
+range-space Cholesky in ``condensing``.  G, W, the KKT matrix and the
+dense SQP step are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -324,36 +326,44 @@ def cost_perturbation(prob: StackedProblem, exact: StageData, standard: StageDat
     return np.concatenate([e_z[:, :n_x].ravel(), np.zeros(n_x), e_z[:, n_x:].ravel()])
 
 
-@lru_cache(maxsize=16)
-def _kkt_band_index(n: int, n_x: int, n_u: int) -> Array:
-    """Where ``sqp_step`` reads the saddle-point band, transposed.
+def band_index(size: int, below: int, above: int, zero: int, blocks) -> Array:
+    """Where a LAPACK band solve reads a ``size``-square band matrix, transposed.
 
-    Unknowns and rows go in stage order, ``(lam_0, x_0, u_0, ..., lam_N,
-    x_N)``, which makes ``[[2W, J'], [J, 0]]`` banded with
-    ``kl = ku = 2 n_x + n_u - 1``.  ``index[j, kl + ku + i - j]`` locates
-    its entry ``[i, j]`` in the flat source
-    ``[1, 0, 2Q, 2P, 2R, -J_0, ..., -J_{N-1}]``; the LU fill space and the
-    zeros read its 0.  Taking it gives the band's transpose, so
-    the band itself comes out in LAPACK's column order.
-    """
-    step, n_z = 2 * n_x + n_u, n_x + n_u
-    jac = 2 + 2 * n_x * n_x + n_u * n_u
-    j = np.arange(n * step + 2 * n_x)[:, None]
-    i = j + np.arange(1 - step, step)  # the rows of column j's band
-    (ki, ci), (kj, cj) = np.divmod(i, step), np.divmod(j, step)
-    xi, xj, ui, uj = ci - n_x, cj - n_x, ci - 2 * n_x, cj - 2 * n_x  # offsets in x_k, u_k
-    same = (ki == kj) & (0 <= i) & (i < len(j))
-    body = np.select([
-        same & (ci < n_x) & (xj == ci), same & (cj < n_x) & (xi == cj),  # I and I'
-        same & (0 <= xi) & (xi < n_x) & (0 <= xj) & (xj < n_x),  # 2Q, or 2P at stage N
-        same & (ui >= 0) & (uj >= 0),  # 2R
-        (ki == kj + 1) & (ci < n_x) & (xj >= 0) & (i < len(j)),  # -J_k, row lam_{k+1}
-        (kj == ki + 1) & (cj < n_x) & (xi >= 0) & (i >= 0),  # -J_k', column lam_{k+1}
-    ], [0, 0, 2 + (ki == n) * n_x * n_x + xi * n_x + xj, 2 + 2 * n_x * n_x + ui * n_u + uj,
-        jac + (kj * n_x + ci) * n_z + xj, jac + (ki * n_x + cj) * n_z + xi], 1)
-    index = np.concatenate((np.ones((len(j), step - 1), int), body), axis=1)
+    ``index[j, above + i - j]`` locates entry ``[i, j]`` in a flat source,
+    so taking it gives the band's transpose in LAPACK's column order
+    (``dpbsv``'s lower band has ``above = 0``, and ``dgbsv``'s counts its
+    fill rows in ``above = kl + ku``).  Each ``(row0, col0, src)`` of
+    ``blocks`` places a ``(K, h, w)`` array of source indices as K blocks
+    at those row and column starts; entries outside the band are dropped,
+    and every other band entry reads ``zero``."""
+    index = np.full((size, above + below + 1), zero)
+    for row0, col0, src in blocks:
+        _, a, b = np.indices(src.shape)
+        i, j = row0[:, None, None] + a, col0[:, None, None] + b
+        d = above + i - j
+        keep = (0 <= d) & (d <= above + below)
+        index[j[keep], d[keep]] = src[keep]
     index.flags.writeable = False
     return index
+
+
+@lru_cache(maxsize=16)
+def _kkt_band_index(n: int, n_x: int, n_u: int) -> Array:
+    """Where ``sqp_step`` reads ``[[2W, J'], [J, 0]]`` in stage order ``(lam_0,
+    x_0, u_0, ..., lam_N, x_N)``, banded with ``kl = ku = 2 n_x + n_u - 1``,
+    from the flat source ``[1, 0, 2Q, 2P, 2R, -J_0, ..., -J_{N-1}]``: I and
+    I' between lam_k and x_k, 2Q (2P at stage N) and 2R on the diagonal,
+    and -J_k and -J_k' between lam_{k+1} and (x_k, u_k); the rest reads 0."""
+    step, n_z = 2 * n_x + n_u, n_x + n_u
+    k = np.arange(n + 1) * step  # where stage k starts
+    eye = np.tile(1 - np.eye(n_x, dtype=int), (n + 1, 1, 1))  # reads 1 on the diagonal, 0 off it
+    qp = 2 + np.arange(2 * n_x * n_x).reshape(2, n_x, n_x)[np.arange(n + 1) // n]  # 2P at stage N
+    r = np.broadcast_to(2 + 2 * n_x * n_x + np.arange(n_u * n_u).reshape(n_u, n_u), (n, n_u, n_u))
+    jac = 2 + 2 * n_x * n_x + n_u * n_u + np.arange(n * n_x * n_z).reshape(n, n_x, n_z)
+    x, u = k + n_x, k[:-1] + 2 * n_x
+    return band_index(n * step + 2 * n_x, step - 1, 2 * step - 2, 1, [
+        (k, x, eye), (x, k, eye), (x, x, qp), (u, u, r),
+        (k[1:], x[:-1], jac), (x[:-1], k[1:], jac.transpose(0, 2, 1))])
 
 
 def sqp_step(prob: StackedProblem, z: KktPoint, x0hat) -> KktPoint:

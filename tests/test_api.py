@@ -23,7 +23,7 @@ API = {
 # each name below has one address, its module
 MODULE_ONLY = {
     "condensing": ["CondensedQp", "condense", "expand", "solve_condensed"],
-    "stacked": ["cost_perturbation", "sqp_step"],
+    "stacked": ["band_index", "cost_perturbation", "sqp_step"],
     "models": ["builtin_adip", "builtin_tiny", "builtin_unicycle"],
 }
 

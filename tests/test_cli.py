@@ -208,6 +208,34 @@ class TestExitCodes:
         assert "is longer than the" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_config_that_is_not_utf8_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_bytes(b'{"scenario": "tiny-lti", "out": "r\xe9s"}')
+        assert main(["simulate", "--config", "config.json"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_config_whose_read_fails_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # the read itself fails: a mode-000 file stays readable to root
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, TINY_INLINE)
+        monkeypatch.setattr(Path, "read_text", refuse)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_out_with_a_nul_byte_writes_nothing(self, tmp_path, monkeypatch, capsys, command):
+        # argv cannot carry a NUL byte, but a JSON string can
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, dict(TINY_INLINE, out="res\0x"))
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot create output directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("command", ["simulate", "diagnose"])
     def test_scenario_problem_is_built_once(self, tmp_path, monkeypatch, command):
         calls = {"get_model": 0, "problem": 0}

@@ -266,3 +266,46 @@ def test_unknown_variant_rejected(unicycle_problem, variant):
     y = np.zeros(unicycle_problem.n_y)
     with pytest.raises(ValueError, match="variant"):
         stage_data(unicycle_problem, y, variant)
+
+
+def _band(dense, below, above):
+    """The band of a dense matrix in LAPACK storage, read diagonal by
+    diagonal: row ``above + i - j`` of column j holds ``[i, j]``."""
+    size = len(dense)
+    band = np.zeros((above + below + 1, size))
+    for off in range(-above, below + 1):
+        diag = np.diagonal(dense, -off)
+        band[above + off, max(0, -off):max(0, -off) + len(diag)] = diag
+    return band
+
+
+@pytest.mark.parametrize("size,below,above", [(12, 3, 0), (14, 2, 2 + 3)],
+                         ids=["dpbsv-lower", "dgbsv-with-fill"])
+def test_band_index_is_the_band_of_the_blocks_placed_densely(size, below, above):
+    # K = 2 blocks of each shape, in row strips of their own and at random columns
+    rng = np.random.default_rng(size)
+    n_source = 100
+    ids, taken, blocks, row = iter(rng.permutation(n_source)), np.zeros((size, size), bool), [], 0
+    for h, w in [(1, 1), (2, 3), (3, 2)]:
+        row0, col0 = row + np.array([0, h]), rng.integers(0, size - w + 1, 2)
+        row += 2 * h
+        for r, c in zip(row0, col0):
+            taken[r:r + h, c:c + w] = True
+        blocks.append((row0, col0, np.array([next(ids) for _ in range(2 * h * w)]).reshape(2, h, w)))
+    i, j = np.nonzero(taken)
+    inside = (-above <= i - j) & (i - j <= below)
+    assert inside.any() and not inside.all()  # some entries fall outside the band
+
+    source = np.append(rng.uniform(1.0, 2.0, n_source), 0.0)
+    index = stacked.band_index(size, below, above, n_source, blocks)
+    dense = np.zeros((size, size))
+    for row0, col0, src in blocks:
+        for r, c, block in zip(row0, col0, src):
+            dense[r:r + block.shape[0], c:c + block.shape[1]] = source[block]
+    assert index.shape == (size, above + below + 1) and not index.flags.writeable
+    assert np.array_equal(source.take(index).T, _band(dense, below, above))
+    # the entries outside the band are dropped, and every other band entry reads zero
+    placed = {int(s) for _, _, src in blocks for s in src.ravel()}
+    in_band = {int(s) for s in index.ravel()} - {n_source}
+    assert in_band < placed and len(in_band) == inside.sum()
+    assert (index == n_source).sum() == index.size - inside.sum()

@@ -199,6 +199,42 @@ def test_band_sqp_step_matches_the_dense_oracle(problems, name):
         assert np.abs(got - oracles.sqp_step(prob, z, x0).stack()).max() <= tol
 
 
+@pytest.mark.parametrize("horizon", [1, 2, 7, 40])
+@pytest.mark.parametrize("name", ["tiny-lti", *MODELS])
+def test_saddle_point_band_is_the_dense_kkt_matrix_in_stage_order(monkeypatch, name, horizon):
+    # the band that sqp_step hands dgbsv, expanded, is the dense oracle's
+    # [[2W, G'], [G, 0]] of the exact stage data with its unknowns permuted
+    # into (lam_0, x_0, u_0, ..., lam_N, x_N), bit for bit; dgbsv's fill rows are 0
+    prob = q.StackedProblem.build(q.get_model(name), horizon, q.builtin_scenario(name).weights)
+    n, n_x, n_u = prob.n_horizon, prob.n_x, prob.n_u
+    rng = np.random.default_rng(horizon)
+    y = rng.standard_normal(prob.n_y)
+    bands = []
+
+    def dgbsv(kl, ku, ab, b, **kwargs):
+        bands.append(ab.copy())
+        return stacked_dgbsv(kl, ku, ab, b, **kwargs)
+
+    stacked_dgbsv = stacked.dgbsv
+    monkeypatch.setattr(stacked, "dgbsv", dgbsv)
+    stacked.sqp_step(prob, q.KktPoint(y, np.zeros(prob.n_eq)), rng.standard_normal(n_x))
+    [band] = bands
+
+    g = oracles._assemble_g(prob, stage_data(prob, y, "exact"))
+    xs, us = np.arange(prob.n_eq), np.arange(prob.n_eq, prob.n_y)
+    lam = prob.n_y + np.arange(prob.n_eq)
+    order = np.concatenate([np.r_[lam[k * n_x:(k + 1) * n_x], xs[k * n_x:(k + 1) * n_x],
+                                  us[k * n_u:(k + 1) * n_u]] for k in range(n + 1)])
+    dense = oracles._kkt(prob, g.T, g)[np.ix_(order, order)]
+    bw, size = 2 * n_x + n_u - 1, len(order)
+    assert band.shape == (3 * bw + 1, size) and not band[:bw].any()
+    expanded = np.zeros((size, size))
+    for off in range(-bw, bw + 1):  # off = i - j
+        j = np.arange(max(0, -off), min(size, size - off))
+        expanded[j + off, j] = band[2 * bw + off, j]
+    assert expanded.tobytes() == dense.tobytes()
+
+
 DENSE = {
     stacked: ("sqp_step", "cost_perturbation"),
 }

@@ -1,4 +1,4 @@
-from .cli import console_main
+from .cli import main
 
 if __name__ == "__main__":
-    console_main()
+    raise SystemExit(main())

@@ -32,6 +32,7 @@ from .closed_loop import (
 from .diagnostics import first_timestep_report
 from .errors import ConfigError, SolverError
 from .solver import _is_int
+from .stacked import VARIANTS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,14 +81,14 @@ def _load_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """defaults < config file < command-line flags < QLMPC_SEED env var."""
     merged: dict = {}
+    known = [f.name for f in dataclasses.fields(RunConfig)]
     if args.config:
         file_cfg = _load_config_file(args.config)
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(file_cfg) - known
+        unknown = set(file_cfg).difference(known)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
-    for key in ("scenario", "variant", "mode", "tol", "max_iter", "repeat", "out"):
+    for key in known:  # seed has no flag
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -172,6 +173,12 @@ def _env() -> dict:
             "cpu_count": os.cpu_count()}
 
 
+def _write_json(path: Path, scn: Scenario, doc: dict) -> None:
+    """Write ``doc`` with the model's note and the environment appended."""
+    doc = {**doc, "note": scn.problem.model.note, "env": _env()}
+    path.write_text(json.dumps(_json_safe(doc), indent=2) + "\n", encoding="utf-8", newline="\n")
+
+
 def write_trajectory_csv(path: Path, res: ScenarioResult, solve_s, prep_s) -> None:
     n_x = res.states.shape[1]
     n_u = res.inputs.shape[1]
@@ -218,11 +225,13 @@ def run_simulate(cfg: RunConfig) -> int:
                 break
             runs.append(stats)
     # each step's times are those of its fastest repeat, so the first
-    # loop's cold start does not reach them and prep = solve - qp holds
-    times = np.reshape([[[s.solve_time_s, s.prep_time_s, s.qp_time_s] for s in run]
-                        for run in runs], (len(runs), -1, 3))
+    # loop's cold start does not reach them; preparation is the rest of
+    # the solve after the QPs
+    times = np.reshape([[[s.solve_time_s, s.qp_time_s] for s in run] for run in runs],
+                       (len(runs), -1, 2))
     fastest = np.argmin(times[:, :, 0], axis=0)
-    solve_s, prep_s, qp_s = times[fastest, np.arange(times.shape[1])].T
+    solve_s, qp_s = times[fastest, np.arange(times.shape[1])].T
+    prep_s = solve_s - qp_s
 
     write_trajectory_csv(csv_path, res, solve_s, prep_s)
 
@@ -249,11 +258,8 @@ def run_simulate(cfg: RunConfig) -> int:
         "failed": res.failed,
         "failure_step": res.failure_step,
         "failure_message": res.failure_message,
-        "note": scn.problem.model.note,
-        "env": _env(),
     }
-    summary_path.write_text(
-        json.dumps(_json_safe(summary), indent=2) + "\n", encoding="utf-8", newline="\n")
+    _write_json(summary_path, scn, summary)
     return EXIT_NUMERICAL if res.failed else EXIT_OK
 
 
@@ -273,10 +279,8 @@ def run_diagnose(cfg: RunConfig) -> int:
            and not np.all(np.isfinite(value))]
     if bad:
         raise SolverError(f"diagnostics are not finite: {', '.join(bad)}")
-    payload = {"scenario": scn.name, "model": scn.model_id, "seed": cfg.seed, **numbers,
-               "note": scn.problem.model.note, "env": _env()}
-    report_path.write_text(
-        json.dumps(_json_safe(payload), indent=2) + "\n", encoding="utf-8", newline="\n")
+    _write_json(report_path, scn, {"scenario": scn.name, "model": scn.model_id,
+                                    "seed": cfg.seed, **numbers})
     return EXIT_OK
 
 
@@ -291,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--scenario", help="builtin scenario name")
-        p.add_argument("--variant", choices=["standard", "exact"])
+        p.add_argument("--variant", choices=VARIANTS)
         p.add_argument("--mode", choices=["converge", "rti"])
         p.add_argument("--tol", type=float,
                        help="stopping tolerance, converge mode only (diagnose: fit tolerance)")
@@ -320,11 +324,3 @@ def main(argv=None) -> int:
         # LinAlgError subclasses ValueError, but it is a numerical failure
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-def console_main() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

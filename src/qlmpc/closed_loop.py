@@ -82,7 +82,6 @@ class Scenario:
 class PerStepStats:
     iterations: int
     solve_time_s: float
-    prep_time_s: float
     qp_time_s: float
     converged: bool
 
@@ -96,9 +95,12 @@ class ScenarioResult:
     per_step: list
     reference_dr: Array
     reference_per_step: list
-    failed: bool = False
     failure_step: Optional[int] = None
     failure_message: Optional[str] = None
+
+    @property
+    def failed(self) -> bool:
+        return self.failure_step is not None
 
 
 def dr_series(states, inputs, Q, R) -> Array:
@@ -156,12 +158,10 @@ def run_control_loop(prob: StackedProblem, x0, steps: int, opts: SolverOptions):
             u0 = prob.inputs(y)[0].copy()
             inputs.append(u0)
             states.append(eval_dynamics(prob.model, xk, u0))
-            qp_s = float(sum(e.qp_time for e in trace.iterates))
             stats.append(PerStepStats(
                 iterations=trace.iterations,
                 solve_time_s=solve_s,
-                prep_time_s=solve_s - qp_s,
-                qp_time_s=qp_s,
+                qp_time_s=float(sum(e.qp_time for e in trace.iterates)),
                 converged=trace.converged,
             ))
             y_prev = y
@@ -189,14 +189,13 @@ def simulate(scn: Scenario) -> ScenarioResult:
     n = min(dr.size, dr_ref.size)
     rcso_vals = np.array([rcso(dr, dr_ref, k) for k in range(n)])
 
-    failed = fail_step is not None or ref_fail is not None
     message = fail_msg if fail_msg is not None else ref_msg
     step = fail_step if fail_step is not None else ref_fail
-    if not failed:
+    if step is None:
         # an RCSO is nan where the reference cost is zero, but never infinite
         bad = np.flatnonzero(~np.isfinite(dr) | ~np.isfinite(dr_ref) | np.isinf(rcso_vals))
         if bad.size:
-            failed, step = True, int(bad[0])
+            step = int(bad[0])
             message = f"closed-loop cost DR or its RCSO is not finite at step {step}"
     return ScenarioResult(
         states=np.asarray(states),
@@ -206,7 +205,6 @@ def simulate(scn: Scenario) -> ScenarioResult:
         per_step=stats,
         reference_dr=dr_ref,
         reference_per_step=ref_stats,
-        failed=failed,
         failure_step=step,
         failure_message=message,
     )

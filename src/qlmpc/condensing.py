@@ -167,8 +167,7 @@ def solve_range_space(prob: StackedProblem, stages: StageData, x0) -> tuple:
         # W_{k+1}^-1 + J_k blkdiag(Q^-1, R^-1) J_k', sub-diagonal blocks
         # -A_k Q^-1; one gather takes its lower band from them
         jw = (jac.reshape(-1, n_z) @ inv.w).reshape(jac.shape)
-        n_eq = (n + 1) * n_x
-        m = n_eq * n_x
+        m = prob.n_eq * n_x
         blocks = np.zeros(m + n * n_x * n_x + 1)
         diag = blocks[:m].reshape(n + 1, n_x, n_x)
         np.matmul(jw, jac.transpose(0, 2, 1), out=diag[1:])
@@ -184,7 +183,7 @@ def solve_range_space(prob: StackedProblem, stages: StageData, x0) -> tuple:
         lam = lam.reshape(n + 1, n_x)
         t = (lam[1:, None, :] @ jw)[:, 0, :]
         y = np.empty(prob.n_y)
-        xs, us = y[:n_eq].reshape(n + 1, n_x), y[n_eq:].reshape(n, n_z - n_x)
+        xs, us = prob.states(y), prob.inputs(y)
         np.matmul(lam[:, None, :], inv.x, out=xs[:, None, :])
         xs[:-1] -= t[:, :n_x]
         xs *= -0.5

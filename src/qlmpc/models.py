@@ -36,8 +36,6 @@ from .errors import ConfigError
 
 Array = np.ndarray
 
-MODEL_IDS = ("unicycle", "adip", "tiny-lti", "tiny-qlpv")
-
 
 @dataclass(frozen=True)
 class ModelDims:
@@ -292,12 +290,17 @@ def builtin_tiny(kind: str) -> LpvModel:
     raise ConfigError(f"unknown tiny model kind {kind!r}, expected 'lti' or 'qlpv'")
 
 
+_BUILTINS = {
+    "unicycle": builtin_unicycle,
+    "adip": builtin_adip,
+    "tiny-lti": lambda: builtin_tiny("lti"),
+    "tiny-qlpv": lambda: builtin_tiny("qlpv"),
+}
+MODEL_IDS = tuple(_BUILTINS)
+
+
 def get_model(name: str) -> LpvModel:
     """Look up a builtin model by its string identifier."""
-    if name == "unicycle":
-        return builtin_unicycle()
-    if name == "adip":
-        return builtin_adip()
-    if name in ("tiny-lti", "tiny-qlpv"):
-        return builtin_tiny(name.removeprefix("tiny-"))
+    if name in _BUILTINS:
+        return _BUILTINS[name]()
     raise ConfigError(f"unknown model id {name!r}, expected one of {MODEL_IDS}")

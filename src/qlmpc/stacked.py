@@ -189,10 +189,7 @@ class StackedProblem:
         return np.asarray(y)[self.n_eq:].reshape(self.n_horizon, self.n_u)
 
     def check_y(self, y) -> Array:
-        y = np.asarray(y, dtype=float).ravel()
-        if y.shape != (self.n_y,):
-            raise ValueError(f"decision vector must have length {self.n_y}, got {y.shape}")
-        return y
+        return _as_vector(y, self.n_y, "decision vector")
 
     def check_x0(self, x0hat) -> Array:
         return _as_vector(x0hat, self.n_x, "initial state")

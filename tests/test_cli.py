@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import importlib.util
@@ -489,8 +490,24 @@ def test_diagnose_exit_code_contract(config):
                     assert math.isfinite(v), key
 
 
+def _flags(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_every_flag_is_a_run_config_field(command):
+    # resolve_config merges the flags over RunConfig's fields, so a flag
+    # that is no field would be dropped by the merge
+    flags = _flags(command)
+    assert set(flags) - {"config"} <= {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert flags["variant"].choices is stacked.VARIANTS
+
+
 def test_python_m_qlmpc_runs_the_console_entry_point(tmp_path):
-    # every other test calls cli.main; this one runs __main__ and console_main
+    # every other test calls cli.main; this one runs __main__, whose exit
+    # code is main's
     src = Path(q.__file__).resolve().parents[1]
 
     def run(*args):
@@ -502,6 +519,13 @@ def test_python_m_qlmpc_runs_the_console_entry_point(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "tiny-lti_standard_summary.json", "tiny-lti_standard_trajectory.csv"]
     assert run("simulate", "--variant", "quick").returncode == 2
+    # the standard iteration has no fixpoint on this case, so diagnose exits 3
+    no_fixpoint = write_config(tmp_path, {"scenario": {
+        "model": "tiny-qlpv", "x0": [1.2], "steps": 5, "horizon": 5,
+        "q": 0.01, "r": 1.0, "p": 0.01}}, name="no_fixpoint.json")
+    failed = run("diagnose", "--config", no_fixpoint, "--out", str(tmp_path / "diag"))
+    assert failed.returncode == 3, failed.stderr
+    assert "numerical failure" in failed.stderr
 
 
 @pytest.fixture(scope="module")
@@ -560,8 +584,7 @@ def test_simulate_reports_each_steps_fastest_repeat(tmp_path, monkeypatch):
     # solve of every other step; a mean over the repeats would be about 333 s
     def stats(step, fast):
         solve = (step + 1) * 1e-9 if fast else 1e3
-        qp = solve / 4.0
-        return PerStepStats(1, solve, solve - qp, qp, True)
+        return PerStepStats(1, solve, solve / 4.0, True)
 
     repeats = iter([[stats(k, k % 2 == 0) for k in range(5)],
                     [stats(k, k % 2 == 1) for k in range(5)]])
@@ -574,10 +597,12 @@ def test_simulate_reports_each_steps_fastest_repeat(tmp_path, monkeypatch):
               encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["solve_time_s"]) for r in rows] == [s.solve_time_s for s in want]
-    assert [float(r["prep_time_s"]) for r in rows] == [s.prep_time_s for s in want]
+    # preparation is the solve time minus the QP time of the same repeat
+    prep = [s.solve_time_s - s.qp_time_s for s in want]
+    assert [float(r["prep_time_s"]) for r in rows] == prep
     summary = json.loads((tmp_path / "res" / "toy_standard_summary.json").read_text())
-    for key in ("solve_time_s", "prep_time_s", "qp_time_s"):
-        times = [getattr(s, key) for s in want]
+    for key, times in (("solve_time_s", [s.solve_time_s for s in want]), ("prep_time_s", prep),
+                       ("qp_time_s", [s.qp_time_s for s in want])):
         assert summary[key] == {"median": times[2], "min": times[0], "max": times[4]}
 
 

@@ -322,8 +322,14 @@ def test_model_dims_validation():
         q.ModelDims(n_x=0, n_u=1, n_rho=1)
 
 
+@pytest.mark.parametrize("name", models.MODEL_IDS)
+def test_get_model_builds_each_id(name):
+    assert q.get_model(name).name == name
+
+
 def test_get_model_unknown_id():
-    with pytest.raises(q.ConfigError):
+    with pytest.raises(q.ConfigError, match=r"^unknown model id 'hovercraft', expected one of "
+                                            r"\('unicycle', 'adip', 'tiny-lti', 'tiny-qlpv'\)$"):
         q.get_model("hovercraft")
 
 

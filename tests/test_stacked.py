@@ -73,6 +73,14 @@ class TestWeights:
                 q.Weights(**weights)
 
 
+def test_check_y_rejects_a_column_vector(unicycle_problem):
+    # like the initial state, a decision vector is 1-D, not flattened
+    prob = unicycle_problem
+    with pytest.raises(ValueError, match=rf"^decision vector must have length {prob.n_y}, "
+                                         rf"got \({prob.n_y}, 1\)$"):
+        prob.check_y(np.zeros((prob.n_y, 1)))
+
+
 def test_direct_construction_checks_horizon(unit_weights):
     with pytest.raises(ValueError, match="horizon"):
         q.StackedProblem(models.builtin_tiny("lti"), 0, unit_weights)

@@ -7,7 +7,9 @@ linearly perturbed cost), an empirical contraction-rate fit for the
 error recursion  err[l+1] <= kappa err[l] + omega/2 err[l]^2, and the
 agreement of exact-variant iterates with a Gauss-Newton SQP step;
 ``first_timestep_report`` runs them for ``qlmpc diagnose``.  No check
-builds a dense matrix: the SQP step is a band LU in stage order.
+builds a dense matrix: the SQP step is a band LU in stage order.  Every
+norm is ``stacked.inf_norm``, so a NaN in a residual or a deviation makes
+that number NaN, which the residual-stopped solve and the CLI reject.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .solver import IterateTrace, TraceEntry, _step, initial_guess, qlmpc_iterate
+from .solver import IterateTrace, _start, _step, initial_guess, qlmpc_iterate
 from .stacked import (
     KktPoint,
     StackedProblem,
     cost_perturbation,
+    inf_norm,
     sqp_step,
     stage_data,
     stage_feasibility,
@@ -63,8 +66,8 @@ def verify_fixpoint_perturbation(prob: StackedProblem, trace: IterateTrace, x0ha
     return PerturbationReport(
         e=e,
         true_stationarity_residual=stat,
-        feasibility_residual_inf=float(np.max(np.abs(feas))),
-        identity_error_inf=float(np.max(np.abs(stat + e))),
+        feasibility_residual_inf=inf_norm(feas),
+        identity_error_inf=inf_norm(stat + e),
     )
 
 
@@ -169,7 +172,7 @@ def _norm(v: Array) -> float:
     """Euclidean norm of v taken in a power-of-two scaling, so that squaring
     cannot overflow or underflow; in the normal range it equals
     ``np.linalg.norm(v)`` bitwise."""
-    s = _power_of_two_above(float(np.max(np.abs(v), initial=0.0)))
+    s = _power_of_two_above(inf_norm(v))
     return s * float(np.linalg.norm(v / s))
 
 
@@ -208,7 +211,7 @@ def contraction_fit(trace: IterateTrace, z_bar: KktPoint) -> ContractionEstimate
     design, target = cons[start:], nxt[start:]
     coeff = _envelope_lstsq(design, target, cons, nxt, unit=1.0 / s)
     kappa, omega = float(coeff[0]), float(coeff[1] / s)
-    fit_residual = float(s * np.max(np.abs(design @ coeff - target)))
+    fit_residual = s * inf_norm(design @ coeff - target)
     radius = 2.0 * (1.0 - kappa) / omega if omega > 0 else np.inf
     return ContractionEstimate(
         kappa_hat=kappa,
@@ -247,7 +250,8 @@ def sqp_equivalence_max_deviation(prob: StackedProblem, x0hat, seed: int = 0) ->
     paths solve the same QP through different factorizations, so at
     ill-conditioned points it is the larger of their forward errors (on
     ADIP, KKT condition number 1e9 to 4e9, the exact iterate's range-space
-    error reaches 7.6e-9 and the band LU's 3.1e-10).
+    error reaches 7.6e-9 and the band LU's 3.1e-10).  A NaN step at any
+    of the points gives NaN.
     """
     rng = np.random.default_rng(seed)
     x0 = prob.check_x0(x0hat)
@@ -256,8 +260,7 @@ def sqp_equivalence_max_deviation(prob: StackedProblem, x0hat, seed: int = 0) ->
         z = KktPoint(rng.standard_normal(prob.n_y), rng.standard_normal(prob.n_eq))
         a = sqp_step(prob, z, x0)
         b = qlmpc_iterate(prob, z, x0, "exact")
-        dev = float(np.max(np.abs(a.stack() - b.stack())))
-        worst = max(worst, dev / (1.0 + float(np.max(np.abs(z.stack())))))
+        worst = inf_norm(worst, inf_norm(a.stack() - b.stack()) / (1.0 + inf_norm(z.stack())))
     return worst
 
 
@@ -267,13 +270,15 @@ def first_timestep_report(prob: StackedProblem, x0hat, fit_tol: float, seed: int
     Each check reads a cut of one standard-variant residual-stopped solve
     from the zero-input rollout: the fixpoint check the first of tol 1e-10,
     1e-9, 1e-8 (cap 300) that converges, the contraction fit tol fit_tol
-    (cap 100) and its reference tol 1e-12 (cap 400).  A fixpoint ladder or
-    fit cut that does not converge raises SolverError.  An overflow shows up
-    as a non-finite number, which the caller judges, and raises no warning.
+    (cap 100) and its reference tol 1e-12 (cap 400).  The solve starts
+    through ``solver._start``, so a non-finite rollout raises SolverError
+    before any QP, as does a fixpoint ladder or fit cut that does not
+    converge.  An overflow shows up as a non-finite number, which the
+    caller judges, and raises no warning.
     """
     x0 = prob.check_x0(x0hat)
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = [TraceEntry((prob, x0, "standard"), initial_guess(prob, x0))]
+        entries = [_start(prob, x0, initial_guess(prob, x0), "standard")]
         # the range-space iterates' feasibility rounding floors the residual
         # (1e-8 on ADIP); if 1e-10 is below it, fall back a decade at a time
         tight_tol = next((tol for tol in (1e-10, 1e-9, 1e-8)
@@ -291,7 +296,7 @@ def first_timestep_report(prob: StackedProblem, x0hat, fit_tol: float, seed: int
         estimate = contraction_fit(fit, ref.final)
         return {
             "fixpoint_tol": tight_tol,
-            "e_norm_inf": float(np.max(np.abs(report.e), initial=0.0)),
+            "e_norm_inf": inf_norm(report.e),
             "identity_error_inf": report.identity_error_inf,
             "feasibility_residual_inf": report.feasibility_residual_inf,
             "kappa_hat": estimate.kappa_hat,

@@ -18,8 +18,11 @@ frozen at the stage data of a trace entry and returns the next entry.
 ``_step`` solves in range space, from one banded Cholesky factorization
 of ``G W^-1 G'``, and condenses only the QPs that the range-space solve
 hands on: those of a singular Q or P, and any whose band fails to factor
-or whose feasibility residual misses the tolerance.  x0 is validated once
-per solve, by ``solve_ocp`` or ``qlmpc_iterate``; each QP takes it as is.
+or whose feasibility residual misses the tolerance.  Every solve starts
+from one checked entry, ``_start``: ``solve_ocp``, ``qlmpc_iterate`` and
+the solve that ``diagnose`` cuts check x0 and the start iterate once, for
+shape and finiteness, and each QP takes them as is.  The step norms are
+``stacked.inf_norm``, which keeps a NaN.
 
 Both variants stop on the a-posteriori error bound of a contraction,
 ``|y[l+1] - y*| <= k / (1 - k) |y[l+1] - y[l]|``, which needs neither
@@ -57,6 +60,7 @@ from .stacked import (
     KktPoint,
     StackedProblem,
     StageData,
+    inf_norm,
     stage_data,
     stage_residual,
 )
@@ -187,9 +191,19 @@ def _step(entry: TraceEntry) -> TraceEntry:
     return TraceEntry(entry.solve, y, entry.stages, qp_s)
 
 
+def _start(prob: StackedProblem, x0hat, y, variant: str) -> TraceEntry:
+    """The first entry of the solve ``(prob, x0hat, variant)``, at y, once
+    x0hat and y pass their shape and finiteness checks; every solve starts here."""
+    x0 = prob.check_x0(x0hat)
+    y = prob.check_y(y)
+    if not (np.isfinite(x0).all() and np.isfinite(y).all()):
+        raise SolverError("solve_ocp received non-finite initial data")
+    return TraceEntry((prob, x0, variant), y)
+
+
 def qlmpc_iterate(prob: StackedProblem, z: KktPoint, x0hat, variant: str = "standard") -> KktPoint:
     """Solve the QP frozen at z.y; return its solution and multipliers there."""
-    return _step(TraceEntry((prob, prob.check_x0(x0hat), variant), prob.check_y(z.y))).z
+    return _step(_start(prob, x0hat, z.y, variant)).z
 
 
 def _same_qp(s: StageData, t: StageData) -> bool:
@@ -215,22 +229,17 @@ def solve_ocp(prob: StackedProblem, x0hat, y_init, opts: SolverOptions) -> Itera
     Numerical failures raise SolverError.  Real-time mode solves one QP and
     traces the start and its solution with ``converged=False``.
     """
-    x0 = prob.check_x0(x0hat)
-    y = prob.check_y(y_init)
-    if not (np.isfinite(x0).all() and np.isfinite(y).all()):
-        raise SolverError("solve_ocp received non-finite initial data")
-
-    entries = [TraceEntry((prob, x0, opts.variant), y)]
+    entries = [_start(prob, x0hat, y_init, opts.variant)]
     if opts.mode == "real_time_single_iteration":
         return IterateTrace([entries[0], _step(entries[0])], converged=False)
 
     steps = []
     while True:
         entry = _step(entries[-1])
-        steps.append(float(np.abs(entry.y - entries[-1].y).max()))
+        steps.append(inf_norm(entry.y - entries[-1].y))
         entries.append(entry)
         k = _rate(steps)
-        if k / (1.0 - k) * steps[-1] <= opts.stop_tol * (1.0 + float(np.abs(entry.y).max())):
+        if k / (1.0 - k) * steps[-1] <= opts.stop_tol * (1.0 + inf_norm(entry.y)):
             return IterateTrace(entries, converged=True)
         if len(entries) > opts.max_iter:  # checked first: no stage data for a QP not run
             return IterateTrace(entries, converged=False)

@@ -18,6 +18,9 @@ with ``J_k = [A_k B_k]``, and ``stage_stationarity``,
 ``stage_feasibility`` and ``stage_residual`` evaluate its optimality
 residual stage by stage.  ``cost_perturbation`` gives the paper's ``e``
 from the stage data too: ``e_k = (J^ex_k - J^std_k)' lam_{k+1}``.
+``inf_norm`` is the package's one infinity norm, for every residual,
+scale and deviation: it keeps a NaN, so a NaN in the data gives a NaN
+residual and never a small one.
 
 ``sqp_step``, the SQP cross-check that ``diagnose`` runs, solves the
 saddle-point matrix of the exact stage data in stage order, where it is
@@ -48,8 +51,17 @@ _SYMMETRY_ATOL = 1e-12
 _PSD_EIG_FLOOR = -1e-10
 
 
-def _scale(m: Array) -> float:
-    return max(1.0, float(np.max(np.abs(m))))
+def inf_norm(*arrays, floor: float = 0.0) -> float:
+    """The largest absolute entry of the arrays, or ``floor`` if that is larger.
+
+    Empty arrays give ``floor`` and any NaN entry gives NaN, which Python's
+    ``max`` would drop; a max is exact, so on finite data this equals any
+    other way of writing the norm bitwise.
+    """
+    norm = floor
+    for a in arrays:
+        norm = np.abs(a).max(initial=norm)
+    return float(norm)
 
 
 def _check_square_symmetric(m, n, what):
@@ -60,7 +72,7 @@ def _check_square_symmetric(m, n, what):
         raise ValueError(f"{what} must be {n}x{n}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} must be finite")
-    if not np.allclose(m, m.T, rtol=0.0, atol=_SYMMETRY_ATOL * _scale(m)):
+    if not np.allclose(m, m.T, rtol=0.0, atol=_SYMMETRY_ATOL * inf_norm(m, floor=1.0)):
         raise ValueError(f"{what} must be symmetric")
     return 0.5 * (m + m.T)
 
@@ -84,9 +96,9 @@ class Weights:
         q = _check_square_symmetric(self.Q, nq, "Q")
         r = _check_square_symmetric(self.R, nr, "R")
         p = _check_square_symmetric(self.P, nq, "P")
-        if np.linalg.eigvalsh(q).min() < _PSD_EIG_FLOOR * _scale(q):
+        if np.linalg.eigvalsh(q).min() < _PSD_EIG_FLOOR * inf_norm(q, floor=1.0):
             raise ValueError("Q must be positive semidefinite")
-        if np.linalg.eigvalsh(p).min() < _PSD_EIG_FLOOR * _scale(p):
+        if np.linalg.eigvalsh(p).min() < _PSD_EIG_FLOOR * inf_norm(p, floor=1.0):
             raise ValueError("P must be positive semidefinite")
         if np.linalg.eigvalsh(r).min() <= 0.0:
             raise ValueError("R must be positive definite")
@@ -297,14 +309,13 @@ def stage_residual(prob: StackedProblem, stages: StageData, z: KktPoint, x0hat) 
     """Infinity norm of the optimality residual of the QP frozen in ``stages``.
 
     Stationarity ``2 W y + G' lam`` and feasibility ``stage_feasibility``,
-    evaluated stage by stage.
+    evaluated stage by stage.  A NaN anywhere in the data gives NaN.
     """
     # non-finite values surface as a non-finite residual, reported by
     # the caller; suppress the intermediate overflow warning
     with np.errstate(over="ignore", invalid="ignore"):
         stat_x, stat_u = stage_stationarity(prob, stages, z.y, z.lam)
-        feas = stage_feasibility(prob, stages, z.y, x0hat)
-        return float(max(np.max(np.abs(stat_x)), np.max(np.abs(stat_u)), np.max(np.abs(feas))))
+        return inf_norm(stat_x, stat_u, stage_feasibility(prob, stages, z.y, x0hat))
 
 
 def cost_perturbation(prob: StackedProblem, exact: StageData, standard: StageData, lam) -> Array:

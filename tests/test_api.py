@@ -23,7 +23,7 @@ API = {
 # each name below has one address, its module
 MODULE_ONLY = {
     "condensing": ["CondensedQp", "condense", "expand", "solve_condensed"],
-    "stacked": ["band_index", "cost_perturbation", "sqp_step"],
+    "stacked": ["band_index", "cost_perturbation", "inf_norm", "sqp_step"],
     "models": ["builtin_adip", "builtin_tiny", "builtin_unicycle"],
 }
 
@@ -107,3 +107,56 @@ def test_every_src_definition_is_named_outside_its_own_definition():
     unnamed = sorted(d.name for t in trees for d in _definitions(t)
                      if d.name not in outside and in_src[d.name] == _names(ast.walk(d))[d.name])
     assert unnamed == []
+
+
+
+# reductions whose result, passed to the builtin max or min, could lose a
+# NaN: numpy's, as a function or a method, and src's own norms
+REDUCTIONS = {"max", "min", "amax", "amin", "nanmax", "nanmin", "norm"}
+SRC_NORMS = {"inf_norm", "_norm"}
+
+
+def _called(node):
+    """The name that a call calls, ``f`` of ``f(...)`` and of ``a.f(...)``;
+    None for any other node."""
+    if not isinstance(node, ast.Call):
+        return None
+    return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+
+
+def _is_reduction(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr in REDUCTIONS
+        or isinstance(node.func, ast.Name) and node.func.id in SRC_NORMS)
+
+
+def test_src_guards_read_one_inf_norm_and_one_checked_start():
+    # every inf-norm of src/qlmpc is stacked.inf_norm, which keeps a NaN;
+    # the builtin max and min, which drop one, see no array reduction; and
+    # only solver._start, which checks it, builds the first entry of a solve
+    norms, dropped, first_entries = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            name, where = _called(node), (path.name, owner.get(id(node)))
+            if name is None:
+                continue
+            # np.max(np.abs(a)), np.abs(a).max() and np.linalg.norm(a, np.inf)
+            if (name in ("max", "amax") and isinstance(node.func, ast.Attribute)
+                    and any(_called(n) in ("abs", "absolute") for n in (node.func.value,
+                                                                         *node.args[:1]))
+                    or name == "norm" and (node.args[1:] or any(k.arg == "ord"
+                                                                for k in node.keywords))):
+                norms.append(where)
+            if (isinstance(node.func, ast.Name) and name in ("max", "min")
+                    and any(_is_reduction(n) for arg in node.args for n in ast.walk(arg))):
+                dropped.append(where)
+            if name == "TraceEntry" and len(node.args) < 3 and not node.keywords:
+                first_entries.append(where)
+    assert norms == [("stacked.py", "inf_norm")]
+    assert dropped == []
+    assert first_entries == [("solver.py", "_start")]

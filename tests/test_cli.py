@@ -353,6 +353,25 @@ class TestExitCodes:
         assert main(["diagnose", "--scenario", "tiny-qlpv", "--out", str(tmp_path)]) == 3
         assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
+    def test_a_nan_sqp_step_is_exit_3(self, tmp_path, monkeypatch, capsys):
+        # one NaN step among the 50 sample points makes the deviation NaN,
+        # which the report's finiteness check turns into exit 3 with no report
+        sqp_step, calls = diagnostics.sqp_step, []
+
+        def nan_at_the_seventh_point(prob, z, x0hat):
+            calls.append(None)
+            step = sqp_step(prob, z, x0hat)
+            return q.KktPoint(np.full_like(step.y, np.nan), step.lam) if len(calls) == 7 else step
+
+        monkeypatch.setattr(diagnostics, "sqp_step", nan_at_the_seventh_point)
+        scn = q.builtin_scenario("tiny-qlpv")
+        assert np.isnan(q.sqp_equivalence_max_deviation(scn.problem, scn.x0))
+        calls.clear()
+        assert main(["diagnose", "--scenario", "tiny-qlpv", "--out", str(tmp_path)]) == 3
+        assert "diagnostics are not finite: sqp_equivalence_max_dev" in capsys.readouterr().err
+        assert len(calls) == 50
+        assert not (tmp_path / "tiny-qlpv_diagnostics.json").exists()
+
     def test_singular_sqp_kkt_is_exit_3(self, tmp_path, monkeypatch, capsys):
         # a zero band makes the SQP step's band LU meet a zero pivot; the
         # fixpoint check reads the stage data and runs first

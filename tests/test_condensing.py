@@ -295,7 +295,8 @@ def _unicycle_qp(prob):
 
 def test_solve_condensed_raises_after_one_solve_on_a_missed_residual(monkeypatch,
                                                                      unicycle_problem):
-    # a solve that misses the residual is an error: no second dpotrs call
+    # a solve that misses the residual after its two refinement steps is an
+    # error: no further dpotrs call
     qp = _unicycle_qp(unicycle_problem)
     dpotrs, log = condensing.dpotrs, []
 
@@ -307,7 +308,7 @@ def test_solve_condensed_raises_after_one_solve_on_a_missed_residual(monkeypatch
     monkeypatch.setattr(condensing, "dpotrs", perturbed)
     with pytest.raises(q.SolverError, match="exceeds tolerance"):
         condensing.solve_condensed(qp)
-    assert len(log) == 1
+    assert len(log) == 3
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 40])
@@ -354,4 +355,7 @@ def test_lapack_solves_equal_scipy_wrappers(request, name, variant):
     qp = condensing.condense(prob, stages, rng.normal(size=prob.n_x))
 
     factor = scipy.linalg.cho_factor(qp.hess, lower=True)
-    assert np.array_equal(condensing.solve_condensed(qp), scipy.linalg.cho_solve(factor, -qp.grad))
+    u = scipy.linalg.cho_solve(factor, -qp.grad)
+    for _ in range(2):  # solve_condensed's refinement steps
+        u -= scipy.linalg.cho_solve(factor, qp.hess @ u + qp.grad)
+    assert np.array_equal(condensing.solve_condensed(qp), u)

@@ -11,8 +11,9 @@ from numpy.testing import assert_allclose
 
 import qlmpc as q
 import qlmpc.models as models
-from qlmpc.diagnostics import _ENVELOPE_SLACK, _contraction_tail, _envelope_lstsq
-from qlmpc.solver import IterateTrace
+from qlmpc.diagnostics import _ENVELOPE_SLACK, _contraction_tail, _envelope_lstsq, _prefix
+from qlmpc.solver import IterateTrace, TraceEntry
+from qlmpc.stacked import StageData, stage_residual
 
 import oracles
 
@@ -280,6 +281,19 @@ def test_import_skips_scipy_linalg_optimize_and_numpy_f2py_testing():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_a_nan_in_one_input_block_reaches_the_residual_guard(unicycle_problem, unicycle_x0):
+    # the residual keeps the NaN that one B block carries into its
+    # stationarity and feasibility rows, so the certificate loop stops on it
+    prob = unicycle_problem
+    entry = TraceEntry((prob, unicycle_x0, "standard"), q.initial_guess(prob, unicycle_x0))
+    jac = entry.stages.jac.copy()
+    jac[7, 0, prob.n_x] = np.nan
+    entry.stages = StageData(jac, entry.stages.w)
+    assert np.isnan(stage_residual(prob, entry.stages, entry.z, unicycle_x0))
+    with pytest.raises(q.SolverError, match="optimality residual is non-finite after 0 steps"):
+        _prefix([entry], 1e-8, 5)
 
 
 def test_sqp_equivalence_helper(unicycle_problem, unicycle_x0):

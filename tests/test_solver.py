@@ -132,6 +132,24 @@ class TestIterate:
         assert_allclose(a.stack(), b.stack(), atol=1e-12)
         assert_allclose(a.stack(), c.stack(), atol=1e-10)
 
+    @pytest.mark.parametrize("bad", ["y", "x0"])
+    def test_nonfinite_start_raises_before_any_qp(self, monkeypatch, unicycle_problem,
+                                                   unicycle_x0, bad):
+        # the start's check, as in solve_ocp: no QP is built from a NaN y or an inf x0
+        prob, x0 = unicycle_problem, np.array(unicycle_x0, dtype=float)
+        y = q.initial_guess(prob, x0)
+        if bad == "y":
+            y[5] = np.nan
+        else:
+            x0[1] = np.inf
+        solved = []
+        for name in ("solve_range_space", "condense"):
+            monkeypatch.setattr(solver, name, lambda *args, name=name, run=getattr(solver, name):
+                                solved.append(name) or run(*args))
+        with pytest.raises(q.SolverError, match="non-finite initial data"):
+            q.qlmpc_iterate(prob, q.KktPoint(y, np.zeros(prob.n_eq)), x0, "exact")
+        assert solved == []
+
     def test_unknown_variant(self, tiny_lti_problem):
         with pytest.raises(ValueError):
             q.qlmpc_iterate(tiny_lti_problem, q.KktPoint(np.zeros(3), np.zeros(2)), [0.0], "best")

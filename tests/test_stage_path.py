@@ -89,6 +89,21 @@ def test_stage_data_matches_per_stage_loop(problems, name, variant):
     check()
 
 
+def condensing_misses(n_y, n_x):
+    """The two ADIP points (y, x0) of a seeded sweep at which condensing's
+    multipliers missed the bound of the test below, by 1.74x and 1.15x,
+    while ``solve_condensed`` did not refine its solution: draws 1735 and
+    3377 of ``np.random.default_rng(0)``, each a y and then an x0, the even
+    draws picking entries from edge values and the odd ones uniform in [-3, 3]."""
+    rng = np.random.default_rng(0)
+
+    def draw(i, n):
+        return rng.choice([3, -3, 1, -1, 0, 2.5, 1e-5], n) if i % 2 == 0 else rng.uniform(-3, 3, n)
+
+    draws = [(draw(i, n_y), draw(i, n_x)) for i in range(3378)]
+    return [draws[1735], draws[3377]]
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("name", ["tiny-lti", *MODELS])
 def test_stage_multipliers_match_dense_least_squares(problems, name, variant):
@@ -109,6 +124,9 @@ def test_stage_multipliers_match_dense_least_squares(problems, name, variant):
         scale = max(np.abs(ref).max(), np.abs(2.0 * oracles.weight_matrix(prob) @ step.y).max())
         assert np.abs(step.z.lam - ref).max() <= 1e-9 * scale
 
+    if (name, variant) == ("adip", "exact"):
+        for y, x0 in condensing_misses(base.n_y, base.n_x):
+            check = example(y, x0, True)(check)
     check()
 
 

@@ -31,7 +31,8 @@ from .closed_loop import (
 )
 from .diagnostics import first_timestep_report
 from .errors import ConfigError, SolverError
-from .solver import _is_int
+from .models import _is_int
+from .solver import MODES
 from .stacked import VARIANTS
 
 EXIT_OK = 0
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--scenario", help="builtin scenario name")
         p.add_argument("--variant", choices=VARIANTS)
-        p.add_argument("--mode", choices=["converge", "rti"])
+        p.add_argument("--mode", choices=[*MODES, *_MODE_ALIASES])
         p.add_argument("--tol", type=float,
                        help="stopping tolerance, converge mode only (diagnose: fit tolerance)")
         p.add_argument("--max-iter", dest="max_iter", type=int,

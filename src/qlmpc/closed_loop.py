@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .models import eval_dynamics, get_model
-from .solver import IterateTrace, SolverOptions, _is_int, initial_guess, solve_ocp, warm_shift
+from .models import _check_count, eval_dynamics, get_model
+from .solver import IterateTrace, SolverOptions, initial_guess, solve_ocp, warm_shift
 from .stacked import StackedProblem, Weights
 
 Array = np.ndarray
@@ -64,17 +64,15 @@ class Scenario:
         if (not isinstance(self.name, str) or self.name in ("", ".", "..")
                 or "/" in self.name or "\0" in self.name):
             raise ValueError(f"name must be one plain path component, got {self.name!r}")
-        for name in ("steps", "horizon"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        _check_count("steps", self.steps)
         if not np.all(np.isfinite(self.x0)):
             raise ValueError(f"x0 must be finite, got {self.x0}")
         self.problem.check_x0(self.x0)
 
     @cached_property
     def problem(self) -> StackedProblem:
-        """The scenario's stacked OCP; unknown models and misfit weights raise here."""
+        """The scenario's stacked OCP; an unknown model, a bad horizon and misfit
+        weights raise here."""
         return StackedProblem.build(get_model(self.model_id), self.horizon, self.weights)
 
 
@@ -210,22 +208,13 @@ def simulate(scn: Scenario) -> ScenarioResult:
     )
 
 
-def _weight_matrix(value, what: str) -> Array:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1:
-        return np.diag(arr)
-    if arr.ndim <= 2:  # Weights makes a scalar 1x1
-        return arr
-    raise ConfigError(f"{what} must be a scalar, vector (diagonal) or matrix")
-
-
 def builtin_scenario(scenario, variant: Optional[str] = None, mode: Optional[str] = None,
                      stop_tol: Optional[float] = None, max_iter: Optional[int] = None) -> Scenario:
     """Build a scenario from a preset name or an inline scenario object.
 
     An inline object has the keys of ``PRESETS`` entries (``model``,
     ``x0``, ``steps``, ``horizon``, ``q``, ``r``, ``p``) and an optional
-    ``name``; weights are a scalar, a diagonal vector or a matrix.  Mode
+    ``name``; the weights are given as ``Weights`` takes them.  Mode
     defaults to the preset's (``converge`` for inline objects); options
     left None take the ``SolverOptions`` defaults.  Invalid input raises
     ConfigError.
@@ -247,9 +236,7 @@ def builtin_scenario(scenario, variant: Optional[str] = None, mode: Optional[str
         x0 = np.asarray(fields.pop("x0"), dtype=float)
         steps = fields.pop("steps")
         horizon = fields.pop("horizon")
-        weights = Weights(Q=_weight_matrix(fields.pop("q"), "q"),
-                          R=_weight_matrix(fields.pop("r"), "r"),
-                          P=_weight_matrix(fields.pop("p"), "p"))
+        weights = Weights(Q=fields.pop("q"), R=fields.pop("r"), P=fields.pop("p"))
         name = fields.pop("name", "custom")
         if fields:
             raise ConfigError(f"unknown inline scenario keys: {sorted(fields)}")

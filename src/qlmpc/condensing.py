@@ -115,16 +115,14 @@ def solve_condensed(qp: CondensedQp) -> Array:
     for _ in range(2):
         u -= dpotrs(factor, qp.hess @ u + qp.grad, lower=True)[0]
     resid = inf_norm(qp.hess @ u + qp.grad)
-    if resid > _RESIDUAL_RTOL * inf_norm(qp.grad, floor=1.0):
+    if not resid <= _RESIDUAL_RTOL * inf_norm(qp.grad, floor=1.0):  # a NaN residual fails
         raise SolverError(f"condensed solve residual {resid:.3e} exceeds tolerance")
     return u
 
 
-def expand(qp: CondensedQp, u) -> Array:
-    """Recover the full decision vector from the condensed minimizer."""
-    u = np.asarray(u, dtype=float).ravel()
-    if u.shape != (qp.gamma.shape[1],):
-        raise ValueError(f"input trajectory must have length {qp.gamma.shape[1]}, got {u.shape}")
+def expand(qp: CondensedQp, u: Array) -> Array:
+    """Recover the full decision vector from the condensed minimizer u,
+    as ``solve_condensed`` returns it."""
     return np.concatenate([qp.free + qp.gamma @ u, u])
 
 
@@ -208,12 +206,10 @@ def stage_multipliers(prob: StackedProblem, stages: StageData, y) -> Array:
     ``lam_k = A_k' lam_{k+1} - 2 Q x_k``: the QP's multipliers at its
     solution; at any other y the input rows keep the stationarity residual.
     """
-    a = stages.a
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(a))):
-        raise SolverError("multiplier recovery received non-finite data")
-    xs = prob.states(y)
+    a, xs = stages.a, prob.states(y)
     lam = np.empty(xs.shape)
-    # an overflow is caught below as non-finite multipliers
+    # the recursion reads only the states and A_k: a non-finite one, or an
+    # overflow, is caught below as non-finite multipliers
     with np.errstate(over="ignore", invalid="ignore"):
         lam[-1] = -2.0 * (prob.weights.P @ xs[-1])
         grad = -2.0 * (xs[:-1] @ prob.weights.Q)

@@ -37,9 +37,22 @@ from .errors import ConfigError
 Array = np.ndarray
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer, not a boolean: ``bool`` subclasses ``int``
+    (``np.bool_`` is no ``np.integer``)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value) -> None:
+    """The one rule for a count (a dimension, horizon, step count or cap):
+    an integer >= 1, where ``True`` is no integer."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelDims:
-    """State, input and scheduling-parameter dimensions."""
+    """State, input and scheduling-parameter dimensions, each an integer >= 1."""
 
     n_x: int
     n_u: int
@@ -47,8 +60,7 @@ class ModelDims:
 
     def __post_init__(self):
         for name in ("n_x", "n_u", "n_rho"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            _check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from .condensing import (
     stage_multipliers,
 )
 from .errors import SolverError
-from .models import eval_dynamics
+from .models import _check_count, eval_dynamics
 from .stacked import (
     VARIANTS,
     KktPoint,
@@ -73,12 +73,6 @@ MODES = ("converge", "real_time_single_iteration")
 _MAX_RATE = 0.9
 
 
-def _is_int(value) -> bool:
-    """A Python or numpy integer, not a boolean: ``bool`` subclasses ``int``
-    (``np.bool_`` is no ``np.integer``)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     variant: str = "standard"
@@ -91,8 +85,7 @@ class SolverOptions:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not _is_int(self.max_iter) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        _check_count("max_iter", self.max_iter)
         tol = self.stop_tol
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < np.inf:
             raise ValueError(f"stop_tol must be a finite positive number, got {tol!r}")
@@ -197,7 +190,7 @@ def _start(prob: StackedProblem, x0hat, y, variant: str) -> TraceEntry:
     x0 = prob.check_x0(x0hat)
     y = prob.check_y(y)
     if not (np.isfinite(x0).all() and np.isfinite(y).all()):
-        raise SolverError("solve_ocp received non-finite initial data")
+        raise SolverError("non-finite initial data: x0 or the start iterate")
     return TraceEntry((prob, x0, variant), y)
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._lapack import dgbsv, dpotrf, dpotrs
 from .errors import SolverError
-from .models import LpvModel, _as_vector
+from .models import LpvModel, _as_vector, _check_count
 
 Array = np.ndarray
 
@@ -64,12 +64,14 @@ def inf_norm(*arrays, floor: float = 0.0) -> float:
     return float(norm)
 
 
-def _check_square_symmetric(m, n, what):
+def _weight_matrix(m, what):
+    """A scalar, diagonal vector or square matrix weight as a symmetric matrix."""
     m = np.asarray(m, dtype=float)
-    if m.ndim == 0:
-        m = m.reshape(1, 1)
-    if m.shape != (n, n):
-        raise ValueError(f"{what} must be {n}x{n}, got {m.shape}")
+    if m.ndim < 2:
+        m = np.diag(np.atleast_1d(m))
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be a scalar, a diagonal vector or a square matrix, "
+                         f"got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} must be finite")
     if not np.allclose(m, m.T, rtol=0.0, atol=_SYMMETRY_ATOL * inf_norm(m, floor=1.0)):
@@ -81,8 +83,10 @@ def _check_square_symmetric(m, n, what):
 class Weights:
     """Stage, input and terminal cost matrices.
 
-    Q and P must be positive semidefinite, R positive definite.  The
-    symmetry and semidefiniteness tolerances (1e-12 and -1e-10) scale
+    Each is given as a scalar (a 1x1 matrix), a vector (the diagonal) or a
+    square matrix, finite and symmetric, and is kept as a matrix; P has
+    Q's size.  Q and P must be positive semidefinite, R positive definite.
+    The symmetry and semidefiniteness tolerances (1e-12 and -1e-10) scale
     with a matrix's largest entry once that exceeds 1.
     """
 
@@ -91,11 +95,9 @@ class Weights:
     P: Array
 
     def __post_init__(self):
-        nq = np.atleast_2d(np.asarray(self.Q, dtype=float)).shape[0]
-        nr = np.atleast_2d(np.asarray(self.R, dtype=float)).shape[0]
-        q = _check_square_symmetric(self.Q, nq, "Q")
-        r = _check_square_symmetric(self.R, nr, "R")
-        p = _check_square_symmetric(self.P, nq, "P")
+        q, r, p = (_weight_matrix(getattr(self, what), what) for what in "QRP")
+        if p.shape != q.shape:
+            raise ValueError(f"P must be {len(q)}x{len(q)}, got {p.shape}")
         if np.linalg.eigvalsh(q).min() < _PSD_EIG_FLOOR * inf_norm(q, floor=1.0):
             raise ValueError("Q must be positive semidefinite")
         if np.linalg.eigvalsh(p).min() < _PSD_EIG_FLOOR * inf_norm(p, floor=1.0):
@@ -140,11 +142,12 @@ def _spd_inverse(m: Array) -> Optional[Array]:
 class StackedProblem:
     """Immutable problem data for one horizon; all operations are pure.
 
-    The dimensions and the ``inverse_weights`` are derived from the
-    model, the weights and the horizon on first use and cached, so they
-    cannot disagree with them; no dense cost matrix is kept.  ``states``
-    and ``inputs`` are the views of a decision vector's state and input
-    blocks.
+    The horizon is an integer >= 1 (``True`` is none) and the weights are
+    sized to the model.  The dimensions and the ``inverse_weights`` are
+    derived from the model, the weights and the horizon on first use and
+    cached, so they cannot disagree with them; no dense cost matrix is
+    kept.  ``states`` and ``inputs`` are the views of a decision vector's
+    state and input blocks.
     """
 
     model: LpvModel
@@ -152,8 +155,7 @@ class StackedProblem:
     weights: Weights
 
     def __post_init__(self):
-        if self.n_horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.n_horizon}")
+        _check_count("horizon", self.n_horizon)
         n_x, n_u = self.model.dims.n_x, self.model.dims.n_u
         if self.weights.Q.shape != (n_x, n_x):
             raise ValueError(f"Q must be {n_x}x{n_x}, got {self.weights.Q.shape}")
@@ -263,16 +265,19 @@ def stage_data(prob: StackedProblem, y, variant: str) -> StageData:
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if variant == "standard":
-        return frozen_stages(prob.model, prob.rho_trajectory(y))
-    xs, us = prob.states(y)[:-1], prob.inputs(y)
-    out = prob.model.stage_jacobian(xs, us)
-    if not (isinstance(out, tuple) and len(out) == 2):
-        raise ValueError(f"model closure stage_jacobian returned {type(out).__name__}; "
-                         "expected the tuple (f, J)")
-    f = per_stage("stage_jacobian (f)", out[0], prob.n_horizon, (prob.n_x,))
-    jac = per_stage("stage_jacobian (J)", out[1], prob.n_horizon, (prob.n_x, prob.n_x + prob.n_u))
+    # the model closures and the offset may overflow far from the origin;
+    # the solve rejects what is not finite, so nothing warns here
     with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "standard":
+            return frozen_stages(prob.model, prob.rho_trajectory(y))
+        xs, us = prob.states(y)[:-1], prob.inputs(y)
+        out = prob.model.stage_jacobian(xs, us)
+        if not (isinstance(out, tuple) and len(out) == 2):
+            raise ValueError(f"model closure stage_jacobian returned {type(out).__name__}; "
+                             "expected the tuple (f, J)")
+        f = per_stage("stage_jacobian (f)", out[0], prob.n_horizon, (prob.n_x,))
+        jac = per_stage("stage_jacobian (J)", out[1], prob.n_horizon,
+                        (prob.n_x, prob.n_x + prob.n_u))
         w = f - (jac @ np.concatenate((xs, us), axis=1)[:, :, None])[:, :, 0]
     return StageData(jac, w)
 

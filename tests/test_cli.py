@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from datetime import timedelta
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -170,7 +171,8 @@ class TestExitCodes:
         target[key] = value
         cfg = write_config(tmp_path, payload)
         assert main(["simulate", "--config", cfg]) == 2
-        assert f"{key} must be" in capsys.readouterr().err
+        # Weights checks the weights and names them Q, R and P
+        assert f"{key.upper() if key == 'q' else key} must be" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["Infinity", "NaN"])
@@ -509,6 +511,74 @@ def test_diagnose_exit_code_contract(config):
                     assert math.isfinite(v), key
 
 
+@st.composite
+def box_configs(draw):
+    """A command and its inline config from the box of scenarios over which the
+    exit-code contract is checked:
+    - the four models;
+    - x0 at scales 1e-3 to 10 (its entries in the box of that half-width);
+    - Q and R with eigenvalues from 1e-3 to 1e3, each as a diagonal vector,
+      a diagonal matrix or a randomly rotated matrix;
+    - P = Q, P = 0, or a random PSD matrix (rank 1 to n_x, its nonzero
+      eigenvalues from 1e-3 to 1e3);
+    - horizons 1-11 and 1-7 steps;
+    - simulate (one repeat) with both variants and both modes, or diagnose."""
+    model = draw(st.sampled_from(MODEL_IDS))
+    dims = q.get_model(model).dims
+
+    def powers(n, lo, hi):
+        return 10.0 ** np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    def rotated(d, rank):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        v = np.linalg.qr(rng.standard_normal((len(d), len(d))))[0][:, :rank]
+        m = (v * d[:rank]) @ v.T
+        return 0.5 * (m + m.T)
+
+    def weight(n):
+        d = powers(n, -3.0, 3.0)
+        form = draw(st.sampled_from(["vector", "diagonal", "rotated"]))
+        return d if form == "vector" else np.diag(d) if form == "diagonal" else rotated(d, n)
+
+    q_w, p_form = weight(dims.n_x), draw(st.sampled_from(["q", "zero", "psd"]))
+    p_w = (q_w if p_form == "q" else np.zeros(dims.n_x) if p_form == "zero"
+           else rotated(powers(dims.n_x, -3.0, 3.0), draw(st.integers(1, dims.n_x))))
+    scale = 10.0 ** draw(st.floats(-3.0, 1.0))
+    scenario = {
+        "model": model,
+        "x0": [scale * draw(st.floats(-1.0, 1.0)) for _ in range(dims.n_x)],
+        "steps": draw(st.integers(1, 7)),
+        "horizon": draw(st.integers(1, 11)),
+        "q": q_w.tolist(), "r": weight(dims.n_u).tolist(), "p": p_w.tolist(),
+        "name": "box",
+    }
+    if draw(st.booleans()):
+        return "diagnose", {"scenario": scenario}
+    return "simulate", {"scenario": scenario, "repeat": 1,
+                        "variant": draw(st.sampled_from(["standard", "exact"])),
+                        "mode": draw(st.sampled_from(["converge", "rti"]))}
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=5))
+@given(box_configs())
+def test_box_of_inline_scenarios_keeps_the_exit_code_contract(case):
+    # every config of the box is valid, so it runs: exit 0, or 3 with
+    # simulate's output flagged failed and no diagnose report; and no
+    # warning escapes on the way
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = write_config(Path(tmp), config), Path(tmp) / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", cfg, "--out", str(out)])
+        assert code in (0, 3)
+        if command == "diagnose":
+            assert (out / "box_diagnostics.json").exists() == (code == 0)
+            return
+        summary = json.loads((out / f"box_{config['variant']}_summary.json").read_text())
+        assert summary["failed"] is (code == 3)
+
+
 def _flags(command):
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -763,6 +833,27 @@ class TestFlagPrecedence:
         assert summary["mode"] == "real_time_single_iteration"
         assert summary["iterations_total"] == 5
         assert summary["unconverged_steps"] is None
+
+
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_mode_flag_takes_every_spelling_a_config_takes(command):
+    # the flag's choices are the solver's modes and the CLI's aliases
+    flag = _flags(command)["mode"]
+    assert flag.choices == [*solver.MODES, *cli._MODE_ALIASES]
+
+
+def test_mode_flag_spelled_out_runs_like_rti(tmp_path):
+    summaries = []
+    for mode in ("rti", "real_time_single_iteration"):
+        out = tmp_path / mode
+        assert main(["simulate", "--scenario", "tiny-qlpv", "--mode", mode,
+                     "--repeat", "1", "--out", str(out)]) == 0
+        summary = json.loads((out / "tiny-qlpv_standard_summary.json").read_text())
+        summaries.append({k: v for k, v in summary.items()
+                          if not k.endswith("time_s") and k != "env"})
+        assert (out / "tiny-qlpv_standard_trajectory.csv").exists()
+    assert summaries[0] == summaries[1]
+    assert summaries[1]["mode"] == "real_time_single_iteration"
 
 
 def test_help_exits_zero():

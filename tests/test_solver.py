@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qlmpc as q
@@ -489,3 +491,44 @@ def test_trace_values_read_on_demand_equal_the_certificate_loop(adip_problem, ad
         np.testing.assert_array_equal(a.y, b.z.y)
         np.testing.assert_array_equal(a.z.lam, b.z.lam)
         assert a.fonc_inf == b.fonc_inf
+
+
+@st.composite
+def far_warm_starts(draw):
+    """A model, a variant, an x0 in the unit box and a warm start whose
+    unit-box entries are scaled by 10^0 to 10^300, at horizon 3."""
+    name = draw(st.sampled_from(models.MODEL_IDS))
+    dims = q.get_model(name).dims
+    n_y = 4 * dims.n_x + 3 * dims.n_u
+    unit = st.floats(-1.0, 1.0)
+    return (name, draw(st.sampled_from(stacked.VARIANTS)),
+            draw(st.lists(unit, min_size=dims.n_x, max_size=dims.n_x)),
+            10.0 ** draw(st.floats(0.0, 300.0)) * np.array(draw(st.lists(unit, min_size=n_y,
+                                                                         max_size=n_y))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(far_warm_starts())
+# x^2 of tiny-qlpv overflows; ADIP's Coriolis term squares a velocity of 1e160
+@example(("tiny-qlpv", "exact", [0.5], np.full(7, 1e200)))
+@example(("adip", "exact", [0.1, 0.0, 0.0, 0.0], np.eye(1, 19, 3)[0] * 1e160))
+def test_model_closures_that_overflow_end_in_a_solver_error(case):
+    # the model closures run inside the stage data's one floating-point
+    # guard: a far warm start gives finite iterates or a SolverError, and
+    # no warning escapes
+    name, variant, x0, y = case
+    m = q.get_model(name)
+    prob = q.StackedProblem.build(m, 3, q.Weights(Q=np.eye(m.dims.n_x), R=np.eye(m.dims.n_u),
+                                                  P=np.eye(m.dims.n_x)))
+    solves = (lambda: [e.y for e in q.solve_ocp(prob, x0, y, q.SolverOptions(
+                  variant=variant, max_iter=3)).iterates],
+              lambda: q.qlmpc_iterate(prob, q.KktPoint(y, np.zeros(prob.n_eq)), x0,
+                                      variant).stack())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in solves:
+            try:
+                out = solve()
+            except q.SolverError:
+                continue
+            assert np.all(np.isfinite(out))

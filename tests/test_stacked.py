@@ -38,6 +38,26 @@ class TestWeights:
             assert isinstance(got, np.ndarray) and got.shape == (1, 1)
             assert got[0, 0] == want
 
+    def test_vectors_are_diagonal_matrices(self):
+        got = q.Weights(Q=[1.0, 2.0], R=1.0, P=[1.0, 2.0])
+        want = q.Weights(Q=np.diag([1.0, 2.0]), R=np.eye(1), P=np.diag([1.0, 2.0]))
+        for name in "QRP":  # bitwise
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("m, message", [
+        (np.ones((2, 3)), r"Q must be a scalar, a diagonal vector or a square matrix, "
+                          r"got shape \(2, 3\)"),
+        (np.ones((1, 1, 1)), r"got shape \(1, 1, 1\)"),
+    ])
+    def test_rejects_what_is_no_square_matrix(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            q.Weights(Q=m, R=1.0, P=m)
+
+    def test_rejects_p_of_another_size_than_q(self):
+        with pytest.raises(ValueError, match=r"P must be 2x2, got \(3, 3\)"):
+            q.Weights(Q=[1.0, 1.0], R=1.0, P=[1.0, 1.0, 1.0])
+
     def test_rejects_indefinite_q(self):
         with pytest.raises(ValueError):
             q.Weights(Q=np.diag([1.0, -1.0]), R=np.eye(1), P=np.eye(2))
@@ -71,6 +91,19 @@ class TestWeights:
             with pytest.raises(ValueError, match="semidefinite" if what == "indefinite"
                                else "symmetric"):
                 q.Weights(**weights)
+
+
+@pytest.mark.parametrize("horizon", [2.5, True, math.nan, 0, "3"],
+                         ids=["float", "bool", "nan", "zero", "str"])
+def test_horizon_is_an_integer_of_at_least_one(unit_weights, horizon):
+    with pytest.raises(ValueError, match=r"^horizon must be an integer >= 1, got "):
+        q.StackedProblem(models.builtin_tiny("lti"), horizon, unit_weights)
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 1), (1, 1.0, 1), (1, 1, True)])
+def test_model_dims_are_integers_of_at_least_one(dims):
+    with pytest.raises(ValueError, match=r"must be an integer >= 1, got "):
+        q.ModelDims(*dims)
 
 
 def test_check_y_rejects_a_column_vector(unicycle_problem):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from time import perf_counter
 
 import numpy as np
 
@@ -136,7 +135,7 @@ def _band_index(n: int, n_x: int) -> Array:
                       [(k, k, blocks[:n + 1]), (k[1:], k[:-1], blocks[n + 1:])])
 
 
-def solve_range_space(prob: StackedProblem, stages: StageData, x0) -> tuple:
+def solve_range_space(prob: StackedProblem, stages: StageData, x0) -> Array | None:
     """Solve the QP frozen in ``stages`` in range space, when W is positive definite.
 
     The multipliers solve ``G W^-1 G' lam = -2 [x0hat; w]``, a banded SPD
@@ -148,14 +147,13 @@ def solve_range_space(prob: StackedProblem, stages: StageData, x0) -> tuple:
     is the initial state as the solve's start (``solver._start``) checked
     it.
 
-    Returns y and the seconds of the factorization and solve, or
-    ``(None, 0.0)`` when Q or P is singular, or the band fails to factor,
-    or the residual misses (as a non-finite band or solution does): the
-    QP is then left to condensing.
+    Returns y, or None when Q or P is singular, or the band fails to
+    factor, or the residual misses (as a non-finite band or solution
+    does): the QP is then left to condensing.  ``solver._step`` times both.
     """
     inv = prob.inverse_weights
     if inv is None:
-        return None, 0.0
+        return None
     jac = stages.jac
     n, n_x, n_z = jac.shape
     # [x0hat; w]: the right side, its scale, and then what y's states must meet
@@ -177,11 +175,10 @@ def solve_range_space(prob: StackedProblem, stages: StageData, x0) -> tuple:
         np.matmul(jw, jac.transpose(0, 2, 1), out=diag[1:])
         diag += inv.x
         np.negative(jw[:, :, :n_x], out=blocks[m:-1].reshape(n, n_x, n_x))
-        t0 = perf_counter()
         _, lam, info = dpbsv(blocks.take(_band_index(n, n_x)).T, -2.0 * data.ravel(),
                              lower=True, overwrite_ab=True, overwrite_b=True)
         if info != 0:
-            return None, 0.0
+            return None
         # with t_k = lam_{k+1}' J_k blkdiag(Q^-1, R^-1):
         # x_k = -1/2 (lam_k' W_k^-1 - t_k[:n_x]) and u_k = 1/2 t_k[n_x:]
         lam = lam.reshape(n + 1, n_x)
@@ -195,8 +192,8 @@ def solve_range_space(prob: StackedProblem, stages: StageData, x0) -> tuple:
         # feasibility: x_0 = x0hat and x_{k+1} = J_k [x_k; u_k] + w_k
         data[1:] += (jac @ np.concatenate((xs[:-1], us), axis=1)[:, :, None])[:, :, 0]
         if inf_norm(xs - data) <= tol < np.inf:
-            return y, perf_counter() - t0
-    return None, 0.0
+            return y
+    return None
 
 
 def stage_multipliers(prob: StackedProblem, stages: StageData, y) -> Array:

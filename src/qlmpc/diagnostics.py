@@ -269,12 +269,12 @@ def first_timestep_report(prob: StackedProblem, x0hat, fit_tol: float, seed: int
 
     Each check reads a cut of one standard-variant residual-stopped solve
     from the zero-input rollout: the fixpoint check the first of tol 1e-10,
-    1e-9, 1e-8 (cap 300) that converges, the contraction fit tol fit_tol
-    (cap 100) and its reference tol 1e-12 (cap 400).  The solve starts
-    through ``solver._start``, so a non-finite rollout raises SolverError
-    before any QP, as does a fixpoint ladder or fit cut that does not
-    converge.  An overflow shows up as a non-finite number, which the
-    caller judges, and raises no warning.
+    1e-9, 1e-8 (cap 300) that converges, and the contraction fit tol
+    fit_tol (cap 100), its errors measured to that cut's final entry.  The
+    solve starts through ``solver._start``, so a non-finite rollout raises
+    SolverError before any QP, as does a fixpoint ladder or fit cut that
+    does not converge, or a ``kappa_hat`` not below 1.  An overflow shows
+    up as a non-finite number, which the caller judges, and raises no warning.
     """
     x0 = prob.check_x0(x0hat)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -285,15 +285,17 @@ def first_timestep_report(prob: StackedProblem, x0hat, fit_tol: float, seed: int
                           if _prefix(entries, tol, 300).converged), None)
         if tight_tol is None:
             raise SolverError("standard variant did not converge to tol 1e-8 at the first timestep")
-        report = verify_fixpoint_perturbation(prob, _prefix(entries, tight_tol, 300), x0)
+        fixpoint = _prefix(entries, tight_tol, 300)
+        report = verify_fixpoint_perturbation(prob, fixpoint, x0)
         fit = _prefix(entries, fit_tol, 100)
         if not fit.converged:
             raise SolverError(f"standard variant did not converge to the fit tol {fit_tol:g} "
                               "in 100 steps at the first timestep")
         if len(fit.iterates) < 3:  # a one-step solve (LTI) reads on past its fixpoint
             fit = _prefix(entries, -np.inf, 2)
-        ref = _prefix(entries, 1e-12, 400)
-        estimate = contraction_fit(fit, ref.final)
+        estimate = contraction_fit(fit, fixpoint.final)
+        if not estimate.kappa_hat < 1.0:
+            raise SolverError(f"kappa_hat {estimate.kappa_hat:.4f} is not below 1: no contraction")
         return {
             "fixpoint_tol": tight_tol,
             "e_norm_inf": inf_norm(report.e),
@@ -304,6 +306,6 @@ def first_timestep_report(prob: StackedProblem, x0hat, fit_tol: float, seed: int
             "radius_bound": estimate.radius_bound,
             "fit_residual_inf": estimate.fit_residual_inf,
             "contraction_errors": estimate.errors,
-            "contraction_reference_converged": ref.converged,
+            "contraction_reference_converged": fixpoint.converged,
             "sqp_equivalence_max_dev": sqp_equivalence_max_deviation(prob, x0, seed=seed),
         }

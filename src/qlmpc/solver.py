@@ -18,7 +18,8 @@ frozen at the stage data of a trace entry and returns the next entry.
 ``_step`` solves in range space, from one banded Cholesky factorization
 of ``G W^-1 G'``, and condenses only the QPs that the range-space solve
 hands on: those of a singular Q or P, and any whose band fails to factor
-or whose feasibility residual misses the tolerance.  Every solve starts
+or whose feasibility residual misses the tolerance.  It times each QP
+whole, from the stage data to y, condensing included.  Every solve starts
 from one checked entry, ``_start``: ``solve_ocp``, ``qlmpc_iterate`` and
 the solve that ``diagnose`` cuts check x0 and the start iterate once, for
 shape and finiteness, and each QP takes them as is.  The step norms are
@@ -95,10 +96,10 @@ class TraceEntry:
     """One iterate y of the solve ``(prob, x0, variant)``.
 
     ``frozen`` is the stage data of the QP that produced y (None at the
-    start, meaning y's own stage data) and ``qp_time`` the seconds of that
-    QP's SPD solve.  ``stages`` (y's own stage data), ``z`` (y and the
-    multipliers of the QP that produced it) and ``fonc_inf`` (the residual
-    of the QP frozen at y) are computed once each, when first read.
+    start, meaning y's own stage data) and ``qp_time`` the seconds from
+    ``frozen`` to y, condensing included.  ``stages`` (y's own stage data),
+    ``z`` (y and the multipliers of the QP that produced it) and ``fonc_inf``
+    (the residual of the QP frozen at y) are computed once each, when first read.
     """
 
     def __init__(self, solve: tuple, y: Array, frozen: Optional[StageData] = None,
@@ -170,18 +171,17 @@ def warm_shift(prob: StackedProblem, y_prev, x0hat_new) -> Array:
 
 
 def _step(entry: TraceEntry) -> TraceEntry:
-    """The next entry of entry's solve: the solution of the QP frozen at ``entry.stages``."""
-    prob, x0, _ = entry.solve
-    y, qp_s = solve_range_space(prob, entry.stages, x0)
+    """The next entry of entry's solve: the QP frozen at ``entry.stages``, solved and timed."""
+    (prob, x0, _), stages = entry.solve, entry.stages  # stage data first: preparation
+    t0 = perf_counter()
+    y = solve_range_space(prob, stages, x0)
     if y is None:
-        qp = condense(prob, entry.stages, x0)
-        t0 = perf_counter()
-        u = solve_condensed(qp)
-        qp_s = perf_counter() - t0
-        y = expand(qp, u)
+        qp = condense(prob, stages, x0)
+        y = expand(qp, solve_condensed(qp))
+    qp_s = perf_counter() - t0
     if not np.isfinite(y).all():
         raise SolverError("QP solution is non-finite")
-    return TraceEntry(entry.solve, y, entry.stages, qp_s)
+    return TraceEntry(entry.solve, y, stages, qp_s)
 
 
 def _start(prob: StackedProblem, x0hat, y, variant: str) -> TraceEntry:

@@ -561,6 +561,11 @@ def box_configs(draw):
 
 @settings(max_examples=100, deadline=timedelta(seconds=5))
 @given(box_configs())
+# an ADIP draw whose residual floors above 1e-12: its contraction
+# reference is the converged fixpoint cut of tol 1e-10
+@example(("diagnose", {"scenario": {"model": "adip", "x0": [0.0, 1.0, 0.0, 0.0], "steps": 1,
+                                    "horizon": 5, "q": [1.0, 0.01, 1.0, 1.0], "r": [1.0],
+                                    "p": [1.0, 0.01, 1.0, 1.0], "name": "box"}}))
 def test_box_of_inline_scenarios_keeps_the_exit_code_contract(case):
     # every config of the box is valid, so it runs: exit 0, or 3 with
     # simulate's output flagged failed and no diagnose report; and no
@@ -574,6 +579,10 @@ def test_box_of_inline_scenarios_keeps_the_exit_code_contract(case):
         assert code in (0, 3)
         if command == "diagnose":
             assert (out / "box_diagnostics.json").exists() == (code == 0)
+            if code == 0:
+                report = json.loads((out / "box_diagnostics.json").read_text())
+                assert report["kappa_hat"] < 1.0
+                assert report["contraction_reference_converged"] is True
             return
         summary = json.loads((out / f"box_{config['variant']}_summary.json").read_text())
         assert summary["failed"] is (code == 3)
@@ -736,10 +745,10 @@ class TestDiagnose:
         assert payload["sqp_equivalence_max_dev"] <= 1e-9
         assert payload["contraction_reference_converged"] is True
 
-    def test_adip_contraction_reference_is_unconverged(self, tmp_path, monkeypatch):
-        # the tol-1e-12 ADIP reference stalls near 5e-9 and runs out of
-        # iterations; the report must say so.  All checks cut one solve, so
-        # its steps are the reference's 400.
+    def test_adip_contraction_reference_is_the_fixpoint_cut(self, tmp_path, monkeypatch):
+        # the contraction errors are distances to the certified fixpoint: the
+        # tol-1e-8 cut, converged.  All checks cut one solve, so its steps
+        # are the fixpoint ladder's: the tol-1e-10 attempt runs to its cap.
         steps = []
 
         def counted_step(entry):
@@ -750,8 +759,17 @@ class TestDiagnose:
         out = tmp_path / "diag"
         assert main(["diagnose", "--scenario", "adip", "--out", str(out)]) == 0
         payload = json.loads((out / "adip_diagnostics.json").read_text())
-        assert payload["contraction_reference_converged"] is False
-        assert len(steps) == 400
+        assert payload["fixpoint_tol"] == 1e-8
+        assert payload["contraction_reference_converged"] is True
+        assert len(steps) == 300
+
+    def test_a_rate_of_one_or_more_is_no_contraction(self, tmp_path, capsys):
+        # the ADIP fit cut of tol 1e-7 ends at a pair whose fitted rate is
+        # 1.3055: no contraction, so exit 3 and no report
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--scenario", "adip", "--tol", "1e-7", "--out", str(out)]) == 3
+        assert "kappa_hat 1.3055 is not below 1" in capsys.readouterr().err
+        assert not (out / "adip_diagnostics.json").exists()
 
     def test_lti_one_step_convergence_gives_zero_rate(self, tmp_path):
         # the solve stops after one step; the fit reads on to three iterates

@@ -62,7 +62,7 @@ def _composed(prob, stages, x0):
     residual.  The reference that the one-pass solve equals bitwise."""
     inv = prob.inverse_weights
     if inv is None:
-        return None, 0.0
+        return None
     data = np.concatenate([x0, stages.w.ravel()])
     tol = condensing._RESIDUAL_RTOL * max(1.0, float(np.abs(data).max()))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -77,7 +77,7 @@ def _composed(prob, stages, x0):
         np.negative(jw[:, :, :n_x], out=blocks[m:].reshape(n, n_x, n_x))
         _, lam, info = dpbsv(_lower_band(blocks, n, n_x), -2.0 * data, lower=True)
         if info != 0:
-            return None, 0.0
+            return None
         lam = lam.reshape(n + 1, n_x)
         t = (lam[1:, None, :] @ jw)[:, 0, :]
         y = np.empty(prob.n_y)
@@ -87,8 +87,8 @@ def _composed(prob, stages, x0):
         xs *= -0.5
         prob.inputs(y)[:] = 0.5 * t[:, n_x:]
         if np.abs(stage_feasibility(prob, stages, y, x0)).max() <= tol < np.inf:
-            return y, 0.0
-    return None, 0.0
+            return y
+    return None
 
 
 def _ill_conditioned(prob):
@@ -109,16 +109,16 @@ def test_one_pass_equals_the_composed_solve_bitwise(name, horizon, variant):
     for _ in range(5):
         x0 = rng.normal(size=prob.n_x)
         stages = stage_data(prob, 0.5 * rng.normal(size=prob.n_y), variant)
-        want, _ = _composed(prob, stages, x0)
-        y, _ = solve_range_space(prob, stages, x0)
+        want = _composed(prob, stages, x0)
+        y = solve_range_space(prob, stages, x0)
         assert want is not None and np.array_equal(y, want)
 
 
 def test_one_pass_and_the_composed_solve_miss_together(unicycle_problem, unicycle_x0):
     prob = _ill_conditioned(unicycle_problem)
     stages = stage_data(prob, q.initial_guess(prob, unicycle_x0), "exact")
-    assert _composed(prob, stages, unicycle_x0) == (None, 0.0)
-    assert solve_range_space(prob, stages, unicycle_x0) == (None, 0.0)
+    assert _composed(prob, stages, unicycle_x0) is None
+    assert solve_range_space(prob, stages, unicycle_x0) is None
 
 
 @pytest.mark.parametrize("variant", ["standard", "exact"])
@@ -133,9 +133,9 @@ def test_range_space_equals_condensing(name, horizon, variant):
     for _ in range(5):
         x0 = rng.normal(size=prob.n_x)
         stages = stage_data(prob, 0.5 * rng.normal(size=prob.n_y), variant)
-        y, seconds = solve_range_space(prob, stages, x0)
+        y = solve_range_space(prob, stages, x0)
         want = _condensed_y(prob, stages, x0)
-        assert y is not None and seconds >= 0.0
+        assert y is not None
         assert np.abs(y - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -146,7 +146,7 @@ def test_range_space_equals_dense_kkt_where_the_rollout_grows():
         x0 = rng.normal(size=1)
         stages = stage_data(prob, rng.normal(size=prob.n_y), "exact")
         want = _dense_kkt_y(prob, stages, x0)
-        y, _ = solve_range_space(prob, stages, x0)
+        y = solve_range_space(prob, stages, x0)
         assert np.abs(y - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -163,7 +163,7 @@ def test_singular_weights_take_the_condensing_path(monkeypatch, unicycle_problem
     y0 = q.initial_guess(prob, unicycle_x0)
     for variant in ("standard", "exact"):
         entry = solver.TraceEntry((prob, unicycle_x0, variant), y0)
-        assert solve_range_space(prob, entry.stages, unicycle_x0) == (None, 0.0)
+        assert solve_range_space(prob, entry.stages, unicycle_x0) is None
         np.testing.assert_array_equal(solver._step(entry).y,
                                       _condensed_y(prob, entry.stages, unicycle_x0))
     assert len(condensed) == 2
@@ -183,7 +183,7 @@ def test_residual_miss_falls_back_to_condensing(monkeypatch, adip_problem, adip_
     monkeypatch.setattr(condensing, "dpbsv", off)
     entry = solver.TraceEntry((adip_problem, adip_x0, "standard"),
                               q.initial_guess(adip_problem, adip_x0))
-    assert solve_range_space(adip_problem, entry.stages, adip_x0) == (None, 0.0)
+    assert solve_range_space(adip_problem, entry.stages, adip_x0) is None
     assert len(solved) == 1
     np.testing.assert_array_equal(solver._step(entry).y,
                                   _condensed_y(adip_problem, entry.stages, adip_x0))
@@ -200,7 +200,7 @@ def test_band_that_fails_to_factor_falls_back_to_condensing(monkeypatch, adip_pr
     monkeypatch.setattr(condensing, "dpbsv", not_positive_definite)
     entry = solver.TraceEntry((adip_problem, adip_x0, "standard"),
                               q.initial_guess(adip_problem, adip_x0))
-    assert solve_range_space(adip_problem, entry.stages, adip_x0) == (None, 0.0)
+    assert solve_range_space(adip_problem, entry.stages, adip_x0) is None
     np.testing.assert_array_equal(solver._step(entry).y,
                                   _condensed_y(adip_problem, entry.stages, adip_x0))
     assert len(factored) == 2
@@ -239,9 +239,9 @@ def test_preset_qps_all_solve_in_range_space(monkeypatch, scenario, variant, ref
     solve, condense = solver.solve_range_space, solver.condense
 
     def counted_solve(*args):
-        y, seconds = solve(*args)
+        y = solve(*args)
         solved.append(y is not None)
-        return y, seconds
+        return y
 
     monkeypatch.setattr(solver, "solve_range_space", counted_solve)
     monkeypatch.setattr(solver, "condense", lambda *args: condensed.append(None) or condense(*args))
@@ -261,7 +261,7 @@ def test_ill_conditioned_weights_fall_back_to_condensing(unicycle_problem, unicy
     prob = _ill_conditioned(unicycle_problem)
     assert prob.inverse_weights is not None
     entry = solver.TraceEntry((prob, unicycle_x0, "exact"), q.initial_guess(prob, unicycle_x0))
-    assert solve_range_space(prob, entry.stages, unicycle_x0) == (None, 0.0)
+    assert solve_range_space(prob, entry.stages, unicycle_x0) is None
     np.testing.assert_array_equal(solver._step(entry).y,
                                   _condensed_y(prob, entry.stages, unicycle_x0))
 
@@ -279,7 +279,7 @@ def test_small_state_weight_misses_are_solved_by_condensing(adip_problem, adip_x
         rng = np.random.default_rng(1)
         for scale in np.linspace(0.1, 3.0, 10):
             entry = solver.TraceEntry((prob, adip_x0, variant), scale * rng.normal(size=prob.n_y))
-            condensed += solve_range_space(prob, entry.stages, adip_x0)[0] is None
+            condensed += solve_range_space(prob, entry.stages, adip_x0) is None
             want = _dense_kkt_y(prob, entry.stages, adip_x0)
             y = solver._step(entry).y
             assert np.abs(y - want).max() <= 1e-8 * np.abs(want).max()

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -199,8 +200,8 @@ def _inject_nonfinite_solution(monkeypatch, path, prob, from_call):
 
         def injected(*args):
             calls.append(None)
-            y, seconds = solve(*args)
-            return (y if len(calls) < from_call else np.full_like(y, np.inf)), seconds
+            y = solve(*args)
+            return y if len(calls) < from_call else np.full_like(y, np.inf)
 
         def condense(*args):
             raise AssertionError("a positive definite QP was condensed")
@@ -430,6 +431,19 @@ class TestSolveOcp:
         assert tr.iterations == len(tr.iterates) - 1
         assert tr.iterates[0].qp_time == 0.0
         assert tr.iterates[1].qp_time >= 0.0
+
+    @pytest.mark.parametrize("path, slowed", [("range_space", "solve_range_space"),
+                                              ("condensing", "condense")])
+    def test_qp_time_covers_the_whole_qp(self, monkeypatch, unicycle_problem, unicycle_x0,
+                                         path, slowed):
+        # a delay in the range-space solve, or in the condensing of a QP
+        # that it hands on, is QP time
+        delay = 0.02
+        run = getattr(solver, slowed)
+        monkeypatch.setattr(solver, slowed, lambda *args: time.sleep(delay) or run(*args))
+        prob = _qp_path_problem(path, unicycle_problem)
+        entry = solver._start(prob, unicycle_x0, q.initial_guess(prob, unicycle_x0), "exact")
+        assert solver._step(entry).qp_time >= delay
 
 
 def _bounds_and_errors(trace, y_star):
